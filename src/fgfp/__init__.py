@@ -6,7 +6,6 @@ operating assumptions by deterministic sampling, and checks the observed
 convergence against the geometric envelopes of four contraction families.
 """
 
-from .backends import HAS_NUMBA, active_backend, set_backend
 from .corpus import CorpusEntry, builtin_problems, get_problem
 from .errors import (DimensionMismatch, DomainError, EvaluationError,
                      ExpressionError, FgfpError, ProblemFileError, SampleError,
@@ -27,7 +26,6 @@ from .spaces import (MetricKind, MetricSpec, OrderKind, OrderSpec, Point,
 __version__ = "0.1.0"
 
 __all__ = [
-    "HAS_NUMBA", "active_backend", "set_backend",
     "CorpusEntry", "builtin_problems", "get_problem",
     "DimensionMismatch", "DomainError", "EvaluationError", "ExpressionError",
     "FgfpError", "ProblemFileError", "SampleError", "SeedConditionError",

@@ -26,8 +26,8 @@ from . import maps as maps_mod
 from .corpus import builtin_problems, get_problem
 from .errors import FgfpError, ProblemFileError, SeedConditionError, SolveError
 from .hypotheses import SamplerConfig, audit
-from .probfile import (dumps17, load_problem_file, load_seeds_file,
-                       problem_to_dict)
+from .probfile import (SCHEMA_VERSION, dumps17, load_problem_file,
+                       load_seeds_file, problem_to_dict)
 from .solver import (ProblemSpec, solve, trace_to_csv, uniqueness_probe)
 from .spaces import product_metric_distance
 
@@ -160,7 +160,7 @@ def _run_problem(problem: ProblemSpec, source: str, cfg: SamplerConfig,
     evals0 = maps_mod.evaluation_count()
     t0 = time.monotonic()
     report: dict = {
-        "schema": 1,
+        "schema": SCHEMA_VERSION,
         "command": "solve",
         "rng_seed": cfg.rng_seed,
         "problem": _problem_summary(problem, source),
@@ -216,7 +216,7 @@ def cmd_check(args) -> int:
     hyp = audit(problem.F, problem.G, problem.X, problem.Y, problem.family,
                 problem.seed[0], problem.seed[1], cfg, with_estimates=True)
     report = {
-        "schema": 1,
+        "schema": SCHEMA_VERSION,
         "command": "check",
         "rng_seed": cfg.rng_seed,
         "problem": _problem_summary(problem, args.file),
@@ -262,7 +262,7 @@ def cmd_corpus(args) -> int:
         entry_reports.append({"id": entry.id, "passed": ok,
                               "matches_declared": matches, "report": report})
     combined = {
-        "schema": 1,
+        "schema": SCHEMA_VERSION,
         "command": "corpus-run-all",
         "rng_seed": cfg.rng_seed,
         "all_passed": all_ok,
@@ -283,7 +283,7 @@ def cmd_unique(args) -> int:
                              max_iter=args.max_iter,
                              force_seeds=args.force)
     report = {
-        "schema": 1,
+        "schema": SCHEMA_VERSION,
         "command": "unique",
         "rng_seed": cfg.rng_seed,
         "problem": _problem_summary(problem, args.file),

@@ -10,20 +10,34 @@ expressions, one per coordinate:
     "(a1 - b1)/3"            one output from two 1-d arguments
     "a1 + b2; a2 - b1"       two outputs from 2-d arguments
 
-Each expression compiles to a postfix program executed by the batch
-backends in :mod:`fgfp.backends`.
+``parse_map`` generates, from one walk of the expression trees, two
+evaluation modes of straight-line Python; each is compiled on its first
+use:
+
+* the scalar mode runs on tuples of floats.  ``eval_map``, the coupled
+  step behind ``iterate_pair`` and the solver evaluate single points with
+  it;
+* the vector mode runs on ``(n, dim)`` numpy columns.  ``eval_map_batch``
+  evaluates sample batches with it.
+
+Both modes apply the same IEEE operations in the same order, so they
+agree bit for bit; ``min`` and ``max`` follow ``np.minimum`` and
+``np.maximum`` (NaN propagates, ties give the second operand).  Where
+Python raises ZeroDivisionError and IEEE gives inf or nan, the scalar
+mode re-evaluates that one point in the vector mode.  A non-finite
+output in either mode raises EvaluationError.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import re
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import backends
-from .backends import (OP_ABS, OP_ADD, OP_CONST, OP_DIV, OP_LOAD_A, OP_LOAD_B,
-                       OP_MAX, OP_MIN, OP_MUL, OP_NEG, OP_SUB)
 from .errors import DimensionMismatch, EvaluationError, ExpressionError
 from .spaces import Point
 
@@ -244,97 +258,118 @@ def format_expr(node: Expr, _prec: int = 0) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Compilation: postfix program (numpy path) plus generated loop source
-# (numba path); both carry the exact expression-tree evaluation order.
+# Compilation: one walk of the expression tree emits straight-line Python
+# in two modes.  The scalar mode runs on tuples of floats, the vector mode
+# on (n, dim) numpy columns; both apply the same IEEE operations in the
+# same order, so they agree bit for bit.
+#
+# The walk follows postfix order and names each temporary after its stack
+# depth (s0, s1, ...), so a slot is overwritten when the stack would pop
+# it: no nested parentheses (Python rejects deep nesting) and no name per
+# node (which would keep every batch temporary alive).  Leaves are inlined
+# as operands.
 
-@dataclass(frozen=True, eq=False)
-class Program:
-    codes: np.ndarray
-    args: np.ndarray
-    consts: np.ndarray
-    stack_need: int
-    source: str
+_ARITY = {"+": 2, "-": 2, "*": 2, "/": 2, "neg": 1, "abs": 1, "min": 2, "max": 2}
 
-
-def _codegen(node: Expr) -> str:
-    if isinstance(node, Num):
-        return repr(node.value)
-    if isinstance(node, Var):
-        array = "A" if node.group == "a" else "B"
-        return f"{array}[i, {node.index - 1}]"
-    if isinstance(node, Neg):
-        return f"(-{_codegen(node.arg)})"
-    if isinstance(node, BinOp):
-        return f"({_codegen(node.left)} {node.op} {_codegen(node.right)})"
-    if node.func == "abs":
-        return f"abs({_codegen(node.args[0])})"
-    fn = "_nmin" if node.func == "min" else "_nmax"
-    text = _codegen(node.args[0])
-    for arg in node.args[1:]:
-        text = f"{fn}({text}, {_codegen(arg)})"
-    return text
+_TEMPLATES = {"+": "{0} + {1}", "-": "{0} - {1}", "*": "{0} * {1}",
+              "/": "{0} / {1}", "neg": "-{0}", "abs": "abs({0})"}
+# min/max return the second operand on ties and the first NaN operand, as
+# np.minimum/np.maximum do; operands are always names or literals
+_SCALAR_TEMPLATES = {**_TEMPLATES,
+                     "min": "{0} if {0} < {1} or {0} != {0} else {1}",
+                     "max": "{0} if {0} > {1} or {0} != {0} else {1}"}
+_VECTOR_TEMPLATES = {**_TEMPLATES,
+                     "min": "_minimum({0}, {1})", "max": "_maximum({0}, {1})"}
 
 
-def _compile(expr: Expr) -> Program:
-    codes: list[int] = []
-    args: list[int] = []
-    consts: list[float] = []
-    const_index: dict[float, int] = {}
-
-    def emit(op: int, arg: int = 0):
-        codes.append(op)
-        args.append(arg)
-
-    def const_slot(v: float) -> int:
-        if v not in const_index:
-            const_index[v] = len(consts)
-            consts.append(v)
-        return const_index[v]
-
-    def walk(node: Expr):
-        if isinstance(node, Num):
-            emit(OP_CONST, const_slot(node.value))
-        elif isinstance(node, Var):
-            emit(OP_LOAD_A if node.group == "a" else OP_LOAD_B, node.index - 1)
+def _postfix(expr: Expr) -> list:
+    """Leaves (Num, Var) and operator names in postfix order, iteratively."""
+    out: list = []
+    todo: list = [expr]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (str, Num, Var)):
+            out.append(node)
         elif isinstance(node, Neg):
-            walk(node.arg)
-            emit(OP_NEG)
+            todo += ["neg", node.arg]
         elif isinstance(node, BinOp):
-            walk(node.left)
-            walk(node.right)
-            emit({"+": OP_ADD, "-": OP_SUB, "*": OP_MUL, "/": OP_DIV}[node.op])
-        elif isinstance(node, Call):
-            walk(node.args[0])
-            if node.func == "abs":
-                emit(OP_ABS)
-            else:
-                op = OP_MIN if node.func == "min" else OP_MAX
-                for arg in node.args[1:]:
-                    walk(arg)
-                    emit(op)
-        else:  # pragma: no cover
-            raise TypeError(f"unexpected AST node {node!r}")
+            todo += [node.op, node.right, node.left]
+        elif node.func == "abs":
+            todo += ["abs", node.args[0]]
+        else:  # min/max fold left: a0 a1 op a2 op ...
+            for arg in reversed(node.args[1:]):
+                todo += [node.func, arg]
+            todo.append(node.args[0])
+    return out
 
-    walk(expr)
 
-    depth = 0
-    peak = 0
-    for op in codes:
-        if op in (OP_CONST, OP_LOAD_A, OP_LOAD_B):
-            depth += 1
-        elif op in (OP_ADD, OP_SUB, OP_MUL, OP_DIV, OP_MIN, OP_MAX):
-            depth -= 1
-        peak = max(peak, depth)
+def _straight_line(postfix: list, templates: dict, const) -> tuple[list[str], str]:
+    """Assignments evaluating a postfix sequence, and the name or literal
+    holding its value."""
+    lines: list[str] = []
+    stack: list[str] = []
+    for item in postfix:
+        if isinstance(item, Num):
+            stack.append(const(item.value))
+        elif isinstance(item, Var):
+            stack.append(f"{item.group}{item.index}")
+        else:
+            depth = len(stack) - _ARITY[item]
+            operands = stack[depth:]
+            del stack[depth:]
+            lines.append(f"s{depth} = " + templates[item].format(*operands))
+            stack.append(f"s{depth}")
+    return lines, stack[0]
 
-    codes_arr = np.asarray(codes, dtype=np.int64)
-    args_arr = np.asarray(args, dtype=np.int64)
-    consts_arr = np.asarray(consts, dtype=np.float64)
-    for arr in (codes_arr, args_arr, consts_arr):
-        arr.flags.writeable = False
-    source = ("def _kernel(A, B, out):\n"
-              "    for i in range(A.shape[0]):\n"
-              f"        out[i] = {_codegen(expr)}\n")
-    return Program(codes_arr, args_arr, consts_arr, max(peak, 1), source)
+
+def _literal(v: float) -> str:
+    return repr(v) if math.isfinite(v) else "_inf"  # 1e999 parses to inf
+
+
+def _generate(exprs: tuple[Expr, ...]) -> tuple[str, str]:
+    """Sources of ``scalar(a, b)`` and ``vector(A, B, out)`` for one map.
+
+    ``scalar`` returns the output tuple, or None if a coordinate is not
+    finite; it raises ZeroDivisionError where IEEE division gives inf or
+    nan.  ``vector`` writes column j of ``out`` for expression j.
+    """
+    postfixes = [_postfix(e) for e in exprs]
+    used = sorted({(n.group, n.index) for p in postfixes for n in p if isinstance(n, Var)})
+    consts: dict[float, str] = {}
+
+    def vector_const(v: float) -> str:
+        # numpy scalars, so that constant-only subexpressions divide by
+        # zero the IEEE way instead of raising
+        return consts.setdefault(v, f"k{len(consts)}")
+
+    scalar = ["def scalar(a, b):"]
+    scalar += [f"    {g}{i} = {g}[{i - 1}]" for g, i in used]
+    vector = ["def vector(A, B, out):"]
+    vector += [f"    {g}{i} = {g.upper()}[:, {i - 1}]" for g, i in used]
+    results = []
+    for j, postfix in enumerate(postfixes):
+        lines, value = _straight_line(postfix, _SCALAR_TEMPLATES, _literal)
+        scalar += [f"    {line}" for line in lines] + [f"    r{j} = {value}"]
+        lines, value = _straight_line(postfix, _VECTOR_TEMPLATES, vector_const)
+        vector += [f"    {line}" for line in lines] + [f"    out[:, {j}] = {value}"]
+        results.append(f"r{j}")
+    finite = " and ".join(f"_isfinite({r})" for r in results)
+    scalar += [f"    return ({', '.join(results)},) if {finite} else None"]
+    header = [f"k{i} = _f64({_literal(v)})" for i, v in enumerate(consts)]
+    return "\n".join(scalar) + "\n", "\n".join(header + vector) + "\n"
+
+
+_CODEGEN_GLOBALS = {"_inf": math.inf, "_isfinite": math.isfinite, "_f64": np.float64,
+                    "_minimum": np.minimum, "_maximum": np.maximum}
+
+
+@functools.lru_cache(maxsize=512)
+def _compile_mode(source: str, name: str) -> Callable:
+    """Compile one generated mode.  Python's compile() costs far more than
+    parsing, so it runs on a mode's first use and once per distinct source."""
+    namespace = dict(_CODEGEN_GLOBALS)
+    exec(compile(source, f"<fgfp map, {name} mode>", "exec"), namespace)
+    return namespace[name]
 
 
 # ---------------------------------------------------------------------------
@@ -342,17 +377,24 @@ def _compile(expr: Expr) -> Program:
 
 @dataclass(frozen=True, eq=False)
 class MapSpec:
-    """A validated, compiled map from two vector arguments to one vector."""
+    """A validated map from two vector arguments to one vector, with the
+    generated source of its scalar and vector evaluation modes."""
 
     text: str
     first_arg_dim: int
     second_arg_dim: int
     out_dim: int
     exprs: tuple[Expr, ...]
-    programs: tuple[Program, ...]
+    scalar_source: str = field(repr=False)
+    vector_source: str = field(repr=False)
 
-    def pretty(self) -> str:
-        return "; ".join(format_expr(e) for e in self.exprs)
+    @functools.cached_property
+    def scalar(self) -> Callable:
+        return _compile_mode(self.scalar_source, "scalar")
+
+    @functools.cached_property
+    def vector(self) -> Callable:
+        return _compile_mode(self.vector_source, "vector")
 
 
 def parse_map(text: str, first_arg_dim: int, second_arg_dim: int, out_dim: int) -> MapSpec:
@@ -367,12 +409,11 @@ def parse_map(text: str, first_arg_dim: int, second_arg_dim: int, out_dim: int) 
         if not isinstance(value, int) or value < 1:
             raise ValueError(f"{name} must be a positive integer")
     parser = _Parser(_tokenize(text), first_arg_dim, second_arg_dim)
-    exprs = parser.parse_list()
+    exprs = tuple(parser.parse_list())
     if len(exprs) != out_dim:
         raise ExpressionError(
             f"expected {out_dim} expression(s) separated by ';', got {len(exprs)}")
-    programs = tuple(_compile(e) for e in exprs)
-    return MapSpec(text, first_arg_dim, second_arg_dim, out_dim, tuple(exprs), programs)
+    return MapSpec(text, first_arg_dim, second_arg_dim, out_dim, exprs, *_generate(exprs))
 
 
 _eval_rows = 0
@@ -400,8 +441,8 @@ def eval_map_batch(m: MapSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
             f"got ({A.shape[1]}, {B.shape[1]})")
     n = A.shape[0]
     out = np.empty((n, m.out_dim), dtype=np.float64)
-    for j, prog in enumerate(m.programs):
-        out[:, j] = backends.run_program(prog, A, B)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        m.vector(A, B, out)
     _eval_rows += n
     if not np.isfinite(out).all():
         bad = np.argwhere(~np.isfinite(out))[0]
@@ -411,14 +452,34 @@ def eval_map_batch(m: MapSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return out
 
 
+def _eval_coords(m: MapSpec, a: tuple[float, ...], b: tuple[float, ...]) -> tuple[float, ...]:
+    """Scalar-mode evaluation at one pair of coordinate tuples (no checks)."""
+    global _eval_rows
+    try:
+        out = m.scalar(a, b)
+    except ZeroDivisionError:
+        out = None
+    if out is None:
+        # inf/nan on the way or at the end: one vector-mode row gives the
+        # IEEE result (min(1/0, 5) is 5) or the EvaluationError, and counts it
+        return tuple(eval_map_batch(m, np.asarray([a]), np.asarray([b]))[0].tolist())
+    _eval_rows += 1
+    return out
+
+
 def eval_map(m: MapSpec, a: Point, b: Point) -> Point:
     """Evaluate the map at a single pair of points."""
     if a.dim != m.first_arg_dim or b.dim != m.second_arg_dim:
         raise DimensionMismatch(
             f"map expects argument dims ({m.first_arg_dim}, {m.second_arg_dim}), "
             f"got ({a.dim}, {b.dim})")
-    out = eval_map_batch(m, np.asarray([a.coords]), np.asarray([b.coords]))
-    return Point(tuple(out[0]))
+    return Point(_eval_coords(m, a.coords, b.coords))
+
+
+def coupled_step(F: MapSpec, G: MapSpec, x: tuple[float, ...],
+                 y: tuple[float, ...]) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """One step x <- F(x, y), y <- G(y, x) on coordinate tuples (no checks)."""
+    return _eval_coords(F, x, y), _eval_coords(G, y, x)
 
 
 def iterate_pair(F: MapSpec, G: MapSpec, x: Point, y: Point, n: int) -> tuple[Point, Point]:
@@ -434,6 +495,7 @@ def iterate_pair(F: MapSpec, G: MapSpec, x: Point, y: Point, n: int) -> tuple[Po
         raise DimensionMismatch("maps do not close under coupled iteration")
     if x.dim != F.out_dim or y.dim != G.out_dim:
         raise DimensionMismatch("starting pair has wrong dimensions for these maps")
+    xc, yc = x.coords, y.coords
     for _ in range(n):
-        x, y = eval_map(F, x, y), eval_map(G, y, x)
-    return x, y
+        xc, yc = coupled_step(F, G, xc, yc)
+    return Point(xc), Point(yc)

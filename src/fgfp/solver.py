@@ -28,9 +28,9 @@ from dataclasses import dataclass, field
 from .errors import (DimensionMismatch, DomainError, EvaluationError,
                      SeedConditionError, SolveError)
 from .hypotheses import ContractionFamily, FamilyKind, check_seed
-from .maps import MapSpec, eval_map
-from .spaces import (Point, SpaceSpec, leq, metric_distance,
-                     product_metric_distance)
+from .maps import MapSpec, coupled_step
+from .spaces import (Point, SpaceSpec, coords_distance, coords_leq,
+                     product_leq, product_metric_distance)
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 10000
@@ -232,22 +232,23 @@ def solve(problem: ProblemSpec, tol: float = DEFAULT_TOL,
     X, Y, F, G = problem.X, problem.Y, problem.F, problem.G
     x, y = problem.seed
     trace = IterationTrace(points=[(x, y)])
+    xc, yc = x.coords, y.coords
 
     hit_tol = False
     growth_run = 0
     prev_sum: float | None = None
     for n in range(max_iter):
         try:
-            x_next = eval_map(F, x, y)
-            y_next = eval_map(G, y, x)
+            xc_next, yc_next = coupled_step(F, G, xc, yc)
         except EvaluationError as exc:
             raise SolveError(f"evaluation failed at iteration {n + 1}: {exc}",
                              trace=trace) from exc
-        sx = metric_distance(X, x_next, x)
-        sy = metric_distance(Y, y_next, y)
+        x_next, y_next = Point(xc_next), Point(yc_next)
+        sx = coords_distance(X, xc_next, xc)
+        sy = coords_distance(Y, yc_next, yc)
         trace.step_x.append(sx)
         trace.step_y.append(sy)
-        trace.monotone_ok.append(leq(X, x, x_next) and leq(Y, y_next, y))
+        trace.monotone_ok.append(coords_leq(X, xc, xc_next) and coords_leq(Y, yc_next, yc))
         if not X.contains(x_next):
             trace.range_warnings.append(
                 f"iteration {n + 1}: F value {x_next.coords} left the X box")
@@ -262,7 +263,7 @@ def solve(problem: ProblemSpec, tol: float = DEFAULT_TOL,
             trace.bound_x.append(bx)
             trace.bound_y.append(by)
         trace.points.append((x_next, y_next))
-        x, y = x_next, y_next
+        x, y, xc, yc = x_next, y_next, xc_next, yc_next
 
         step_sum = sx + sy
         if step_sum < tol:
@@ -277,12 +278,11 @@ def solve(problem: ProblemSpec, tol: float = DEFAULT_TOL,
         prev_sum = step_sum
 
     try:
-        fx = eval_map(F, x, y)
-        gy = eval_map(G, y, x)
+        fx, gy = coupled_step(F, G, xc, yc)
     except EvaluationError as exc:
         raise SolveError(f"residual evaluation failed: {exc}", trace=trace) from exc
-    residual_x = metric_distance(X, fx, x)
-    residual_y = metric_distance(Y, gy, y)
+    residual_x = coords_distance(X, fx, xc)
+    residual_y = coords_distance(Y, gy, yc)
     converged = hit_tol and (residual_x + residual_y <= tol)
     result = FGFixedPointResult(
         x_star=x,
@@ -371,9 +371,6 @@ def uniqueness_probe(problem: ProblemSpec,
     sound SYM_HALF envelope is theta^n * D0 with theta = (k+l)/2.  The
     LIN_ASYM rate 2(k+l)^n is sound.
     """
-    from .maps import iterate_pair  # local import keeps module deps one-way
-    from .spaces import product_leq
-
     seeds = [problem.seed] + [
         (s[0] if isinstance(s[0], Point) else Point(tuple(s[0])),
          s[1] if isinstance(s[1], Point) else Point(tuple(s[1])))
@@ -404,12 +401,14 @@ def uniqueness_probe(problem: ProblemSpec,
                         or product_leq(problem.X, problem.Y, sj, si)):
                     continue
                 d0 = product_metric_distance(problem.X, problem.Y, si, sj)
-                pi, pj = si, sj
+                pi = (si[0].coords, si[1].coords)
+                pj = (sj[0].coords, sj[1].coords)
                 violations = []
                 for n in range(1, decay_steps + 1):
-                    pi = iterate_pair(problem.F, problem.G, pi[0], pi[1], 1)
-                    pj = iterate_pair(problem.F, problem.G, pj[0], pj[1], 1)
-                    observed = product_metric_distance(problem.X, problem.Y, pi, pj)
+                    pi = coupled_step(problem.F, problem.G, *pi)
+                    pj = coupled_step(problem.F, problem.G, *pj)
+                    observed = (coords_distance(problem.X, pi[0], pj[0])
+                                + coords_distance(problem.Y, pi[1], pj[1]))
                     allowed = decay_rate(problem.family, n) * d0 + DECAY_SLACK
                     if observed > allowed:
                         violations.append({"n": n, "observed": observed,

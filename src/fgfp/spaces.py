@@ -248,20 +248,24 @@ def box_space(lower, upper, *, metric: MetricSpec | None = None,
     )
 
 
+def coords_distance(space: SpaceSpec, a, b) -> float:
+    """Metric value between two coordinate sequences (no checks)."""
+    total = 0.0
+    if space.metric.kind is MetricKind.WEIGHTED_L1:
+        for w, x, y in zip(space.metric.weights, a, b):
+            total += w * abs(x - y)
+        return total
+    for x, y in zip(a, b):
+        total += abs(x - y)
+    return total
+
+
 def metric_distance(space: SpaceSpec, a: Point, b: Point) -> float:
     """Metric value without domain-membership checks (used along traces)."""
     if a.dim != space.dim or b.dim != space.dim:
         raise DimensionMismatch(
             f"points have dimensions {a.dim}, {b.dim}; space has {space.dim}")
-    if space.metric.kind is MetricKind.WEIGHTED_L1:
-        total = 0.0
-        for w, x, y in zip(space.metric.weights, a.coords, b.coords):
-            total += w * abs(x - y)
-        return total
-    total = 0.0
-    for x, y in zip(a.coords, b.coords):
-        total += abs(x - y)
-    return total
+    return coords_distance(space, a.coords, b.coords)
 
 
 def distance(space: SpaceSpec, a: Point, b: Point) -> float:
@@ -300,12 +304,40 @@ def leq_batch(space: SpaceSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return out
 
 
+def _within(a, b, s: float) -> bool:
+    for x, y in zip(a, b):
+        if not abs(x - y) <= s:
+            return False
+    return True
+
+
+def coords_leq(space: SpaceSpec, a, b) -> bool:
+    """``leq`` on two coordinate sequences (no checks), without numpy.
+
+    Applies the float comparisons of ``leq_batch`` to one row, so the two
+    agree on every input.
+    """
+    s = space.order.slack
+    kind = space.order.kind
+    if kind is OrderKind.COMPONENTWISE_REVERSED:
+        a, b = b, a
+    if kind is OrderKind.COMPONENTWISE or kind is OrderKind.COMPONENTWISE_REVERSED:
+        for x, y in zip(a, b):
+            if not x <= y + s:
+                return False
+        return True
+    if _within(a, b, s):
+        return True
+    return any(_within(a, lo, s) and _within(b, hi, s)
+               for lo, hi in space.order.closure)
+
+
 def leq(space: SpaceSpec, a: Point, b: Point) -> bool:
     """True iff a <= b under the space's order (with slack)."""
     if a.dim != space.dim or b.dim != space.dim:
         raise DimensionMismatch(
             f"points have dimensions {a.dim}, {b.dim}; space has {space.dim}")
-    return bool(leq_batch(space, np.asarray([a.coords]), np.asarray([b.coords]))[0])
+    return coords_leq(space, a.coords, b.coords)
 
 
 def comparable(space: SpaceSpec, a: Point, b: Point) -> bool:

@@ -1,0 +1,185 @@
+"""The scalar and vector evaluation modes must agree bit for bit.
+
+Values are compared by bit pattern, never with ``==``: ``0.0 == -0.0``.
+"""
+
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from fgfp import EvaluationError, ExpressionError, eval_map, eval_map_batch, parse_map, point
+from fgfp.maps import evaluation_count
+
+
+def bits(values) -> tuple[int, ...]:
+    return tuple(struct.unpack("<q", struct.pack("<d", float(v)))[0] for v in values)
+
+
+def vector_row(m, a, b):
+    """The vector mode on a one-row batch."""
+    return eval_map_batch(m, np.asarray([a], dtype=np.float64),
+                          np.asarray([b], dtype=np.float64))[0]
+
+
+def both_modes(m, a, b):
+    """(scalar-mode bits, vector-mode bits) at one point."""
+    scalar = eval_map(m, point(*a), point(*b)).coords
+    return bits(scalar), tuple(int(v) for v in vector_row(m, a, b).view(np.int64))
+
+
+EXPRESSIONS = [
+    "(a1 - b1)/3",
+    "(4*a1 - 3*b1)/17",
+    "a1/4 + 1",
+    "-b1/3",
+    "min(a1, b1) + max(a1, -b1, 0.5)",
+    "abs(a1*b1 - a1/(b1 + 100))",
+    "2*a1 - -3*b1",
+    "0.1",
+]
+
+
+@pytest.mark.parametrize("text", EXPRESSIONS)
+def test_modes_bitwise_identical(text):
+    m = parse_map(text, 1, 1, 1)
+    rng = np.random.default_rng(123)
+    A = rng.uniform(-50, 50, (512, 1))
+    B = rng.uniform(-50, 50, (512, 1))
+    batch = eval_map_batch(m, A, B)
+    assert batch.dtype == np.float64
+    for i in range(A.shape[0]):
+        row = eval_map(m, point(A[i, 0]), point(B[i, 0]))
+        assert bits(row.coords) == bits(batch[i])
+
+
+def test_modes_agree_on_failure():
+    m = parse_map("a1/b1", 1, 1, 1)
+    message = ("non-finite value in output coordinate 1 at sample 0 "
+               "(inputs a=[1.0], b=[0.0])")
+    with pytest.raises(EvaluationError) as scalar:
+        eval_map(m, point(1.0), point(0.0))
+    with pytest.raises(EvaluationError) as vector:
+        vector_row(m, (1.0,), (0.0,))
+    assert str(scalar.value) == str(vector.value) == message
+
+
+def test_vector_mode_copies_bare_variable_output():
+    m = parse_map("a1", 1, 1, 1)
+    A = np.array([[1.0], [2.0]])
+    B = np.array([[0.0], [0.0]])
+    out = eval_map_batch(m, A, B)
+    A[0, 0] = 99.0
+    assert out[0, 0] == 1.0
+
+
+# ---------------------------------------------------------------------------
+# IEEE corner cases
+
+@pytest.mark.parametrize("text, expected", [
+    ("min(a1, -b1)", -0.0),   # ties give the second operand
+    ("min(-b1, a1)", 0.0),
+    ("max(a1, -b1)", -0.0),
+    ("max(-b1, a1)", 0.0),
+    ("min(a1, -b1, a1)", 0.0),
+])
+def test_min_max_ties_return_second_operand(text, expected):
+    m = parse_map(text, 1, 1, 1)
+    scalar, vector = both_modes(m, (0.0,), (0.0,))
+    assert scalar == vector == bits([expected])
+
+
+@pytest.mark.parametrize("func", ["min", "max"])
+def test_min_max_propagate_nan(func):
+    nan = "(a1*1e999 - a1*1e999)"  # inf - inf, no division involved
+    for text in (f"{func}({nan}, b1)", f"{func}(b1, {nan})", f"{func}(b1, {nan}, b1)"):
+        m = parse_map(text, 1, 1, 1)
+        assert m.scalar((1.0,), (5.0,)) is None
+        with pytest.raises(EvaluationError):
+            eval_map(m, point(1.0), point(5.0))
+        with pytest.raises(EvaluationError):
+            vector_row(m, (1.0,), (5.0,))
+
+
+def test_scalar_zero_division_falls_back_to_vector_row():
+    m = parse_map("min(1/(a1-a1), 5); -a1/b1", 1, 1, 2)
+    before = evaluation_count()
+    eval_map(m, point(2.0), point(4.0))
+    assert evaluation_count() - before == 1  # the row is counted once
+    scalar, vector = both_modes(m, (2.0,), (4.0,))
+    assert scalar == vector == bits([5.0, -0.5])
+
+
+def test_infinite_literal_is_inf():
+    m = parse_map("min(a1, 1e999); max(-1e999, b1)", 1, 1, 2)
+    scalar, vector = both_modes(m, (2.5,), (-0.0,))
+    assert scalar == vector == bits([2.5, -0.0])
+    overflow = parse_map("a1 + 1e999", 1, 1, 1)
+    with pytest.raises(EvaluationError):
+        eval_map(overflow, point(1.0), point(1.0))
+    with pytest.raises(EvaluationError):
+        vector_row(overflow, (1.0,), (1.0,))
+
+
+def test_long_flat_sum():
+    m = parse_map(" + ".join(["a1"] * 900), 1, 1, 1)
+    scalar, vector = both_modes(m, (1.0,), (0.0,))
+    assert scalar == vector == bits([900.0])
+
+
+# ---------------------------------------------------------------------------
+# property: random expression trees
+
+_leaf = st.one_of(
+    st.sampled_from(["0.0", "1.0", "2.5", "1e300", "1e-300", "1e999"]),
+    st.floats(min_value=0, max_value=8, allow_nan=False).map(repr),
+    st.sampled_from(["a1", "a2", "b1", "b2"]),
+)
+
+
+def _combine(children):
+    return st.one_of(
+        st.tuples(st.sampled_from(["+", "-", "*", "/"]), children, children).map(
+            lambda t: f"({t[1]} {t[0]} {t[2]})"),
+        children.map(lambda s: f"-{s}"),
+        children.map(lambda s: f"abs({s})"),
+        st.tuples(st.sampled_from(["min", "max"]), st.lists(children, min_size=2, max_size=3)).map(
+            lambda t: f"{t[0]}({', '.join(t[1])})"),
+    )
+
+
+_coordinate = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@given(text=st.recursive(_leaf, _combine, max_leaves=16),
+       a=st.tuples(_coordinate, _coordinate), b=st.tuples(_coordinate, _coordinate))
+@settings(max_examples=300, deadline=None)
+def test_modes_agree_on_random_trees(text, a, b):
+    try:
+        m = parse_map(text, 2, 2, 1)
+    except ExpressionError:
+        assume(False)  # division by a literal zero
+    try:
+        vector = tuple(int(v) for v in vector_row(m, a, b).view(np.int64))
+    except EvaluationError:
+        vector = None
+    # the raw scalar mode: a value, None for a non-finite value, or
+    # ZeroDivisionError where IEEE division gives inf or nan
+    try:
+        raw = m.scalar(a, b)
+    except ZeroDivisionError:
+        raw = ZeroDivisionError
+    if raw is None:
+        assert vector is None
+    elif raw is not ZeroDivisionError:
+        assert bits(raw) == vector
+    try:
+        scalar = bits(eval_map(m, point(*a), point(*b)).coords)
+    except EvaluationError:
+        scalar = None
+    assert scalar == vector

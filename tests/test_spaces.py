@@ -121,6 +121,46 @@ def test_extra_pairs_only_for_discrete_plus_pairs():
                   extra_pairs=((point(0.0), point(1.0)),))
 
 
+REFERENCE_ORDERS = [
+    OrderSpec(kind=OrderKind.COMPONENTWISE),
+    OrderSpec(kind=OrderKind.COMPONENTWISE, slack=0.25),
+    OrderSpec(kind=OrderKind.COMPONENTWISE_REVERSED, slack=0.25),
+    OrderSpec(kind=OrderKind.DISCRETE, slack=0.25),
+    OrderSpec(kind=OrderKind.DISCRETE_PLUS_PAIRS, slack=0.25,
+              extra_pairs=((point(0.0, 0.0), point(1.0, 0.5)),
+                           (point(1.0, 0.5), point(2.0, -1.0)))),
+]
+
+
+def _reference_rows(order, rng):
+    """Random rows plus rows exactly at the slack and just past it."""
+    s = order.slack
+    grid = rng.integers(-4, 5, (40, 2)) / 2.0  # coordinates collide on a grid
+    bases = [tuple(p) for p in grid] + [c for pair in order.closure for c in pair]
+    steps = (0.0, s, -s, np.nextafter(s, np.inf), -np.nextafter(s, np.inf))
+    rows = [(tuple(a), tuple(b)) for a, b in zip(rng.uniform(-2, 2, (100, 2)),
+                                                   rng.uniform(-2, 2, (100, 2)))]
+    rows += [(tuple(a), tuple(b)) for a, b in zip(grid, grid[::-1])]
+    for p in bases:
+        for dx in steps:
+            for dy in steps:
+                q = (p[0] + dx, p[1] + dy)
+                rows += [(p, q), (q, p)]
+        for lo, hi in order.closure:
+            rows += [(p, hi), (lo, p)]
+    return np.asarray([r[0] for r in rows]), np.asarray([r[1] for r in rows])
+
+
+@pytest.mark.parametrize("order", REFERENCE_ORDERS, ids=lambda o: f"{o.kind.value}-{o.slack}")
+def test_leq_matches_leq_batch_row_by_row(order):
+    space = box_space((-10.0, -10.0), (10.0, 10.0), order=order)
+    A, B = _reference_rows(order, np.random.default_rng(17))
+    batch = leq_batch(space, A, B)
+    assert batch.any() and not batch.all()
+    for a, b, want in zip(A, B, batch):
+        assert leq(space, Point(tuple(a)), Point(tuple(b))) == bool(want)
+
+
 # ---------------------------------------------------------------------------
 # product space
 
