@@ -11,9 +11,9 @@ from .errors import (DimensionMismatch, DomainError, EvaluationError,
                      ExpressionError, FgfpError, ProblemFileError, SampleError,
                      SeedConditionError, SolveError)
 from .hypotheses import (ContractionFamily, FamilyKind, HypothesisReport,
-                         PairStrategy, SamplerConfig, audit,
-                         check_comparability, check_contraction,
-                         check_mixed_monotone, check_seed, estimate_constants)
+                         SamplerConfig, audit, check_comparability,
+                         check_contraction, check_mixed_monotone, check_seed,
+                         estimate_constants)
 from .maps import (MapSpec, eval_map, eval_map_batch, format_expr,
                    iterate_pair, parse_map)
 from .solver import (FGFixedPointResult, IterationTrace, ProblemSpec,
@@ -30,8 +30,8 @@ __all__ = [
     "DimensionMismatch", "DomainError", "EvaluationError", "ExpressionError",
     "FgfpError", "ProblemFileError", "SampleError", "SeedConditionError",
     "SolveError",
-    "ContractionFamily", "FamilyKind", "HypothesisReport", "PairStrategy",
-    "SamplerConfig", "audit", "check_comparability", "check_contraction",
+    "ContractionFamily", "FamilyKind", "HypothesisReport", "SamplerConfig",
+    "audit", "check_comparability", "check_contraction",
     "check_mixed_monotone", "check_seed", "estimate_constants",
     "MapSpec", "eval_map", "eval_map_batch", "format_expr", "iterate_pair",
     "parse_map",

@@ -7,8 +7,9 @@ Subcommands::
     fgfp corpus list | export ID | run-all
     fgfp unique FILE --seeds SEEDS
 
-Exit codes: 0 success, 1 input error, 2 hypothesis failure,
-3 non-convergence (or bound violations on a converged run).
+Exit codes: 0 success, 1 input error (bad file, expression or flag
+value), 2 hypothesis failure, 3 non-convergence (or bound violations on a
+converged run).
 
 Reports are JSON on stdout (or --out) with numbers at 17 significant
 digits; given the same inputs and --rng-seed they are byte-identical
@@ -18,6 +19,7 @@ across runs.  FGFP_RNG_SEED provides the default for --rng-seed.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -51,14 +53,38 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+# argparse types: a bad value is a usage error (exit 1), not a traceback
+
+def _tolerance(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
+    return value
+
+
+def _int_at_least(minimum: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {text!r}")
+        return value
+    return parse
+
+
 def _default_rng_seed() -> int:
     env = os.environ.get("FGFP_RNG_SEED", "").strip()
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise _UsageError(f"FGFP_RNG_SEED must be an integer, got {env!r}")
-    return 0
+    if not env:
+        return 0
+    try:
+        return _int_at_least(0)(env)
+    except argparse.ArgumentTypeError as exc:
+        raise _UsageError(f"FGFP_RNG_SEED: {exc}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -68,9 +94,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, with_solve_flags=True):
-        p.add_argument("--rng-seed", type=int, default=None,
+        p.add_argument("--rng-seed", type=_int_at_least(0), default=None,
                        help="sampling seed (default: FGFP_RNG_SEED or 0)")
-        p.add_argument("--samples", type=int, default=2000,
+        p.add_argument("--samples", type=_int_at_least(1), default=2000,
                        help="samples per hypothesis check (default 2000)")
         p.add_argument("--out", default=None,
                        help="write the report JSON here instead of stdout")
@@ -78,9 +104,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="include wall-clock milliseconds in the report "
                             "(breaks byte-for-byte determinism)")
         if with_solve_flags:
-            p.add_argument("--tol", type=float, default=1e-10,
+            p.add_argument("--tol", type=_tolerance, default=1e-10,
                            help="stopping tolerance on the step sum (default 1e-10)")
-            p.add_argument("--max-iter", type=int, default=10000,
+            p.add_argument("--max-iter", type=_int_at_least(1), default=10000,
                            help="iteration cap (default 10000)")
 
     p_solve = sub.add_parser("solve", help="audit, iterate and verify bounds")
@@ -146,36 +172,41 @@ def _problem_summary(problem: ProblemSpec, source: str) -> dict:
     return summary
 
 
-def _timing(evals_before: int, wall_start: float, with_wall: bool) -> dict:
+def _start() -> tuple[int, float]:
+    """Evaluation count and clock at the start of a command's work."""
+    return maps_mod.evaluation_count(), time.monotonic()
+
+
+def _timing(start: tuple[int, float], with_wall: bool) -> dict:
+    evals0, t0 = start
     return {
-        "map_evaluations": maps_mod.evaluation_count() - evals_before,
-        "wall_ms": (time.monotonic() - wall_start) * 1000.0 if with_wall else None,
+        "map_evaluations": maps_mod.evaluation_count() - evals0,
+        "wall_ms": (time.monotonic() - t0) * 1000.0 if with_wall else None,
     }
+
+
+def _report(command: str, cfg: SamplerConfig, problem: ProblemSpec, source: str,
+            start: tuple[int, float], with_wall: bool, hypotheses: dict | None = None,
+            solve: dict | None = None, bounds: dict | None = None,
+            uniqueness: dict | None = None) -> dict:
+    """A command's report on one problem: nine keys in a fixed order, with
+    timing for the work since ``start``."""
+    return {"schema": SCHEMA_VERSION, "command": command, "rng_seed": cfg.rng_seed,
+            "problem": _problem_summary(problem, source), "hypotheses": hypotheses,
+            "solve": solve, "bounds": bounds, "uniqueness": uniqueness,
+            "timing": _timing(start, with_wall)}
 
 
 def _run_problem(problem: ProblemSpec, source: str, cfg: SamplerConfig,
                  tol: float, max_iter: int, force: bool,
                  trace_path: str | None, with_wall: bool) -> tuple[dict, int]:
     """solve-command semantics shared with corpus run-all."""
-    evals0 = maps_mod.evaluation_count()
-    t0 = time.monotonic()
-    report: dict = {
-        "schema": SCHEMA_VERSION,
-        "command": "solve",
-        "rng_seed": cfg.rng_seed,
-        "problem": _problem_summary(problem, source),
-        "hypotheses": None,
-        "solve": None,
-        "bounds": None,
-        "uniqueness": None,
-        "timing": None,
-    }
+    start = _start()
     hyp = audit(problem.F, problem.G, problem.X, problem.Y, problem.family,
                 problem.seed[0], problem.seed[1], cfg)
-    report["hypotheses"] = hyp.to_dict()
     if not hyp.passed and not force:
-        report["timing"] = _timing(evals0, t0, with_wall)
-        return report, EXIT_HYPOTHESIS
+        return (_report("solve", cfg, problem, source, start, with_wall, hyp.to_dict()),
+                EXIT_HYPOTHESIS)
 
     trace, result = solve(problem, tol=tol, max_iter=max_iter, force=force)
     solve_dict = result.to_dict()
@@ -188,10 +219,9 @@ def _run_problem(problem: ProblemSpec, source: str, cfg: SamplerConfig,
         solve_dict["distance_to_declared"] = product_metric_distance(
             problem.X, problem.Y, (result.x_star, result.y_star),
             problem.declared_fixed_point)
-    report["solve"] = solve_dict
-    report["bounds"] = {"checked_steps": max(len(trace.step_x) - 1, 0),
-                        "violations": violations}
-    report["timing"] = _timing(evals0, t0, with_wall)
+    report = _report("solve", cfg, problem, source, start, with_wall, hyp.to_dict(),
+                     solve_dict, {"checked_steps": max(len(trace.step_x) - 1, 0),
+                                  "violations": violations})
     if trace_path:
         with open(trace_path, "w", encoding="utf-8", newline="") as fh:
             trace_to_csv(trace, problem.X.dim, problem.Y.dim, fh)
@@ -211,22 +241,11 @@ def cmd_solve(args) -> int:
 def cmd_check(args) -> int:
     problem, _ = load_problem_file(args.file)
     cfg = _cfg(args)
-    evals0 = maps_mod.evaluation_count()
-    t0 = time.monotonic()
+    start = _start()
     hyp = audit(problem.F, problem.G, problem.X, problem.Y, problem.family,
                 problem.seed[0], problem.seed[1], cfg, with_estimates=True)
-    report = {
-        "schema": SCHEMA_VERSION,
-        "command": "check",
-        "rng_seed": cfg.rng_seed,
-        "problem": _problem_summary(problem, args.file),
-        "hypotheses": hyp.to_dict(),
-        "solve": None,
-        "bounds": None,
-        "uniqueness": None,
-        "timing": _timing(evals0, t0, args.timing),
-    }
-    _write_report(report, args.out)
+    _write_report(_report("check", cfg, problem, args.file, start, args.timing,
+                          hyp.to_dict()), args.out)
     return EXIT_OK if hyp.passed else EXIT_HYPOTHESIS
 
 
@@ -245,8 +264,7 @@ def cmd_corpus(args) -> int:
         return EXIT_OK
     # run-all
     cfg = _cfg(args)
-    evals0 = maps_mod.evaluation_count()
-    t0 = time.monotonic()
+    start = _start()
     entries = sorted(builtin_problems(), key=lambda e: e.id)
     entry_reports = []
     all_ok = True
@@ -267,7 +285,7 @@ def cmd_corpus(args) -> int:
         "rng_seed": cfg.rng_seed,
         "all_passed": all_ok,
         "entries": entry_reports,
-        "timing": _timing(evals0, t0, args.timing),
+        "timing": _timing(start, args.timing),
     }
     _write_report(combined, args.out)
     return EXIT_OK if all_ok else EXIT_NOT_CONVERGED
@@ -277,23 +295,12 @@ def cmd_unique(args) -> int:
     problem, _ = load_problem_file(args.file)
     seeds = load_seeds_file(args.seeds)
     cfg = _cfg(args)
-    evals0 = maps_mod.evaluation_count()
-    t0 = time.monotonic()
+    start = _start()
     probe = uniqueness_probe(problem, seeds, tol=args.tol,
                              max_iter=args.max_iter,
                              force_seeds=args.force)
-    report = {
-        "schema": SCHEMA_VERSION,
-        "command": "unique",
-        "rng_seed": cfg.rng_seed,
-        "problem": _problem_summary(problem, args.file),
-        "hypotheses": None,
-        "solve": None,
-        "bounds": None,
-        "uniqueness": probe.to_dict(),
-        "timing": _timing(evals0, t0, args.timing),
-    }
-    _write_report(report, args.out)
+    _write_report(_report("unique", cfg, problem, args.file, start, args.timing,
+                          uniqueness=probe.to_dict()), args.out)
     return EXIT_OK if probe.passed else EXIT_NOT_CONVERGED
 
 

@@ -6,19 +6,31 @@ counterexamples.  Verdicts are sampled evidence over the spaces' sampling
 boxes, not proofs; serialized reports carry ``"evidence": "sampled"``.
 
 The four contraction families bound d(F(x,y), F(u,v)) on order-comparable
-pairs (x >= u, y <= v for the F inequality; mirrored for G):
+pairs (x >= u, y <= v for the F inequality; mirrored for G).  Each
+admits a range of constants and implies geometric envelopes on the steps
+n >= 1 of the coupled iteration, with d1x, d1y the first step distances,
+D = d1x + d1y and theta = (k+l)/2:
 
     SYM_HALF     (k/2) [d_X(x,u) + d_Y(y,v)]            k, l in [0, 1)
+                 x: (k/2) theta^(n-1) D      y: (l/2) theta^(n-1) D
     LIN_ASYM     k d_X(x,u) + l d_Y(y,v)                k + l < 1
+                 x, y: (k+l)^n D
     KANNAN       k d_X(x,F(x,y)) + l d_X(u,F(u,v))      k + l < 1
+                 x: (l/(1-k))^n d1x          y: (k/(1-l))^n d1y
     CHATTERJEA   k d_X(x,F(u,v)) + l d_X(u,F(x,y))      k, l in [0, 1/2)
+                 x: (l/(1-l))^n d1x          y: (k/(1-k))^n d1y
+
+The probe's decay rates are (k/2)^n + (l/2)^n for SYM_HALF and 2(k+l)^n
+for LIN_ASYM (``solver.decay_rate``).  ``_FAMILIES`` is this table in code.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,59 +54,83 @@ class FamilyKind(str, Enum):
     CHATTERJEA = "CHATTERJEA"
 
 
-class PairStrategy(str, Enum):
-    SORT_COORDINATES = "SORT_COORDINATES"
-    REJECTION = "REJECTION"
+class Envelope(NamedTuple):
+    """Geometric envelope of one component's steps: step n >= 1 is at most
+    coef * ratio^(n - lag) * base, where base is d1x + d1y if ``on_sum``
+    and the component's own first step otherwise."""
+
+    coef: float
+    ratio: float
+    lag: int
+    on_sum: bool
+
+
+class _Family(NamedTuple):
+    requires: str                                # admissible (k, l), as text
+    admissible: Callable[[float, float], bool]
+    rates: Callable[[float, float], tuple]       # -> x envelope, y envelope, decay
+    # _ContractionData columns (p, q) of the F and the G side: rhs = k*p + l*q;
+    # None for SYM_HALF, whose rhs are (k/2)(dx + dy) and (l/2)(dx + dy)
+    columns: tuple[tuple[str, str], tuple[str, str]] | None
+
+
+_FAMILIES = {
+    FamilyKind.SYM_HALF: _Family(
+        "k, l in [0, 1)", lambda k, l: k < 1 and l < 1,
+        lambda k, l: (Envelope(0.5 * k, (k + l) / 2.0, 1, True),
+                      Envelope(0.5 * l, (k + l) / 2.0, 1, True),
+                      (k / 2.0, l / 2.0)),
+        None),
+    FamilyKind.LIN_ASYM: _Family(
+        "k + l < 1", lambda k, l: k + l < 1,
+        lambda k, l: (Envelope(1.0, k + l, 0, True),
+                      Envelope(1.0, k + l, 0, True),
+                      (k + l, k + l)),
+        (("dx", "dy"), ("dy", "dx"))),
+    FamilyKind.KANNAN: _Family(
+        "k + l < 1", lambda k, l: k + l < 1,
+        lambda k, l: (Envelope(1.0, l / (1.0 - k), 0, False),
+                      Envelope(1.0, k / (1.0 - l), 0, False),
+                      None),
+        (("f_disp_hi", "f_disp_lo"), ("g_disp_hi", "g_disp_lo"))),
+    FamilyKind.CHATTERJEA: _Family(
+        "k, l in [0, 1/2)", lambda k, l: k < 0.5 and l < 0.5,
+        lambda k, l: (Envelope(1.0, l / (1.0 - l), 0, False),
+                      Envelope(1.0, k / (1.0 - k), 0, False),
+                      None),
+        (("f_cross_hi", "f_cross_lo"), ("g_cross_hi", "g_cross_lo"))),
+}
 
 
 @dataclass(frozen=True)
 class ContractionFamily:
-    """One of the four inequality shapes with its constants."""
+    """One of the four inequality shapes with its constants, and the
+    envelopes and decay factors that ``_FAMILIES`` gives for them."""
 
     kind: FamilyKind
     k: float
     l: float
+    envelope_x: Envelope = field(init=False, repr=False, compare=False)
+    envelope_y: Envelope = field(init=False, repr=False, compare=False)
+    # factors (a, b) of the decay rate a^n + b^n; None where none is claimed
+    decay: tuple[float, float] | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         kind = FamilyKind(self.kind)
-        object.__setattr__(self, "kind", kind)
         k = float(self.k)
         l = float(self.l)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "l", l)
         if not (math.isfinite(k) and math.isfinite(l)) or k < 0 or l < 0:
             raise ValueError("constants k, l must be finite and nonnegative")
-        if kind is FamilyKind.SYM_HALF:
-            if k >= 1 or l >= 1:
-                raise ValueError("SYM_HALF requires k, l in [0, 1)")
-        elif kind in (FamilyKind.LIN_ASYM, FamilyKind.KANNAN):
-            if k + l >= 1:
-                raise ValueError(f"{kind.value} requires k + l < 1")
-        else:  # CHATTERJEA
-            if k >= 0.5 or l >= 0.5:
-                raise ValueError("CHATTERJEA requires k, l in [0, 1/2)")
-
-    @property
-    def step_ratio_x(self) -> float:
-        """Geometric ratio of the per-step bound on the X sequence."""
-        if self.kind is FamilyKind.SYM_HALF:
-            return (self.k + self.l) / 2.0
-        if self.kind is FamilyKind.LIN_ASYM:
-            return self.k + self.l
-        if self.kind is FamilyKind.KANNAN:
-            return self.l / (1.0 - self.k)
-        return self.l / (1.0 - self.l)
-
-    @property
-    def step_ratio_y(self) -> float:
-        """Geometric ratio of the per-step bound on the Y sequence."""
-        if self.kind is FamilyKind.SYM_HALF:
-            return (self.k + self.l) / 2.0
-        if self.kind is FamilyKind.LIN_ASYM:
-            return self.k + self.l
-        if self.kind is FamilyKind.KANNAN:
-            return self.k / (1.0 - self.l)
-        return self.k / (1.0 - self.k)
+        row = _FAMILIES[kind]
+        if not row.admissible(k, l):
+            raise ValueError(f"{kind.value} requires {row.requires}")
+        envelope_x, envelope_y, decay = row.rates(k, l)
+        # the tail bounds sum a geometric series in the ratio
+        if envelope_x.ratio >= 1.0 or envelope_y.ratio >= 1.0:
+            raise ValueError("family ratio must be < 1")
+        for name, value in (("kind", kind), ("k", k), ("l", l), ("envelope_x", envelope_x),
+                            ("envelope_y", envelope_y), ("decay", decay)):
+            object.__setattr__(self, name, value)
 
     def to_dict(self) -> dict:
         return {"kind": self.kind.value, "k": self.k, "l": self.l}
@@ -104,13 +140,10 @@ class ContractionFamily:
 class SamplerConfig:
     samples_per_check: int = 2000
     rng_seed: int = 0
-    comparable_pair_strategy: PairStrategy = PairStrategy.SORT_COORDINATES
 
     def __post_init__(self):
         if not isinstance(self.samples_per_check, int) or self.samples_per_check < 1:
             raise ValueError("samples_per_check must be a positive integer")
-        object.__setattr__(self, "comparable_pair_strategy",
-                           PairStrategy(self.comparable_pair_strategy))
 
     def rng(self) -> np.random.Generator:
         return np.random.default_rng(self.rng_seed)
@@ -119,27 +152,11 @@ class SamplerConfig:
 # ---------------------------------------------------------------------------
 # Sampling helpers
 
-def _ordered_pairs(space: SpaceSpec, n: int, rng: np.random.Generator,
-                   strategy: PairStrategy) -> tuple[np.ndarray, np.ndarray]:
-    """Manufacture n pairs (lo, hi) with lo <= hi in the space order.
-
-    SORT_COORDINATES builds comparable pairs directly (min/max of two draws
-    for componentwise orders, equal pairs plus the listed relations for
-    discrete ones).  REJECTION keeps comparable rows of independent draws
-    and may return fewer than n; zero survivors raise SampleError.
-    """
-    if strategy is PairStrategy.REJECTION:
-        P = sample_points(space, n, rng)
-        Q = sample_points(space, n, rng)
-        le = leq_batch(space, P, Q)
-        ge = leq_batch(space, Q, P)
-        mask = le | ge
-        lo = np.where(le[:, None], P, Q)[mask]
-        hi = np.where(le[:, None], Q, P)[mask]
-        if lo.shape[0] == 0:
-            raise SampleError("no comparable pairs found by rejection; "
-                              "this order is unusable for rejection sampling")
-        return lo, hi
+def _ordered_pairs(space: SpaceSpec, n: int,
+                   rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Manufacture n pairs (lo, hi) with lo <= hi in the space order:
+    min/max of two draws for componentwise orders, equal pairs with every
+    other row set to a listed relation for discrete ones."""
     kind = space.order.kind
     if kind is OrderKind.COMPONENTWISE:
         U = sample_points(space, n, rng)
@@ -154,11 +171,10 @@ def _ordered_pairs(space: SpaceSpec, n: int, rng: np.random.Generator,
     hi = U.copy()
     closure = space.order.closure
     if kind is OrderKind.DISCRETE_PLUS_PAIRS and closure:
-        # devote every other row to a listed relation
-        for i in range(1, n, 2):
-            a, b = closure[(i // 2) % len(closure)]
-            lo[i] = a
-            hi[i] = b
+        rows = np.arange(1, n, 2)
+        pairs = np.asarray(closure, dtype=np.float64)[(rows // 2) % len(closure)]
+        lo[rows] = pairs[:, 0]
+        hi[rows] = pairs[:, 1]
     return lo, hi
 
 
@@ -286,12 +302,11 @@ def check_mixed_monotone(F: MapSpec, G: MapSpec, X: SpaceSpec, Y: SpaceSpec,
     cfg = cfg or SamplerConfig()
     rng = cfg.rng()
     n = cfg.samples_per_check
-    strat = cfg.comparable_pair_strategy
     # fixed draw order keeps the stream deterministic
-    x_lo, x_hi = _ordered_pairs(X, n, rng, strat)
-    y_ctx = sample_points(Y, x_lo.shape[0], rng)
-    y_lo, y_hi = _ordered_pairs(Y, n, rng, strat)
-    x_ctx = sample_points(X, y_lo.shape[0], rng)
+    x_lo, x_hi = _ordered_pairs(X, n, rng)
+    y_ctx = sample_points(Y, n, rng)
+    y_lo, y_hi = _ordered_pairs(Y, n, rng)
+    x_ctx = sample_points(X, n, rng)
 
     f_lo = eval_map_batch(F, x_lo, y_ctx)
     f_hi = eval_map_batch(F, x_hi, y_ctx)
@@ -364,13 +379,8 @@ def _contraction_data(F: MapSpec, G: MapSpec, X: SpaceSpec, Y: SpaceSpec,
                       cfg: SamplerConfig) -> _ContractionData:
     rng = cfg.rng()
     n = cfg.samples_per_check
-    strat = cfg.comparable_pair_strategy
-    x_lo, x_hi = _ordered_pairs(X, n, rng, strat)
-    y_lo, y_hi = _ordered_pairs(Y, n, rng, strat)
-    m = min(x_lo.shape[0], y_lo.shape[0])  # rejection may shorten either side
-    if m == 0:
-        raise SampleError("empty sample set: no comparable pairs available")
-    x_lo, x_hi, y_lo, y_hi = x_lo[:m], x_hi[:m], y_lo[:m], y_hi[:m]
+    x_lo, x_hi = _ordered_pairs(X, n, rng)
+    y_lo, y_hi = _ordered_pairs(Y, n, rng)
 
     # F inequality side conditions: x >= u, y <= v  ->  x = x_hi, u = x_lo,
     # y = y_lo, v = y_hi.  G side mirrors them.
@@ -398,16 +408,13 @@ def _contraction_data(F: MapSpec, G: MapSpec, X: SpaceSpec, Y: SpaceSpec,
 
 def _family_rhs(family: ContractionFamily, data: _ContractionData) -> tuple[np.ndarray, np.ndarray]:
     k, l = family.k, family.l
-    if family.kind is FamilyKind.SYM_HALF:
+    columns = _FAMILIES[family.kind].columns
+    if columns is None:
         s = data.dx + data.dy
         return 0.5 * k * s, 0.5 * l * s
-    if family.kind is FamilyKind.LIN_ASYM:
-        return k * data.dx + l * data.dy, k * data.dy + l * data.dx
-    if family.kind is FamilyKind.KANNAN:
-        return (k * data.f_disp_hi + l * data.f_disp_lo,
-                k * data.g_disp_hi + l * data.g_disp_lo)
-    return (k * data.f_cross_hi + l * data.f_cross_lo,
-            k * data.g_cross_hi + l * data.g_cross_lo)
+    (pf, qf), (pg, qg) = columns
+    return (k * getattr(data, pf) + l * getattr(data, qf),
+            k * getattr(data, pg) + l * getattr(data, qg))
 
 
 def _side_result(data: _ContractionData, lhs: np.ndarray, rhs: np.ndarray,
@@ -497,7 +504,8 @@ def estimate_constants(F: MapSpec, G: MapSpec, X: SpaceSpec, Y: SpaceSpec,
     kind = FamilyKind(kind)
     cfg = cfg or SamplerConfig()
     data = _contraction_data(F, G, X, Y, cfg)
-    if kind is FamilyKind.SYM_HALF:
+    columns = _FAMILIES[kind].columns
+    if columns is None:
         s = data.dx + data.dy
         usable = s >= RATIO_FLOOR
         if not usable.any():
@@ -505,15 +513,9 @@ def estimate_constants(F: MapSpec, G: MapSpec, X: SpaceSpec, Y: SpaceSpec,
         k_hat = float((2.0 * data.lhs_f[usable] / s[usable]).max())
         l_hat = float((2.0 * data.lhs_g[usable] / s[usable]).max())
         return k_hat, l_hat
-    if kind is FamilyKind.LIN_ASYM:
-        p = np.concatenate([data.dx, data.dy])
-        q = np.concatenate([data.dy, data.dx])
-    elif kind is FamilyKind.KANNAN:
-        p = np.concatenate([data.f_disp_hi, data.g_disp_hi])
-        q = np.concatenate([data.f_disp_lo, data.g_disp_lo])
-    else:  # CHATTERJEA
-        p = np.concatenate([data.f_cross_hi, data.g_cross_hi])
-        q = np.concatenate([data.f_cross_lo, data.g_cross_lo])
+    (pf, qf), (pg, qg) = columns
+    p = np.concatenate([getattr(data, pf), getattr(data, pg)])
+    q = np.concatenate([getattr(data, qf), getattr(data, qg)])
     c = np.concatenate([data.lhs_f, data.lhs_g])
     if not bool((np.maximum(p, q) >= RATIO_FLOOR).any()):
         raise SampleError("degenerate samples: all inequality right-hand sides are zero")

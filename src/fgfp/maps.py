@@ -125,11 +125,24 @@ def _is_literal_zero(node: Expr) -> bool:
 class _Parser:
     """Recursive-descent parser with the usual precedence (+- < */ < unary)."""
 
+    # Deepest nesting of parentheses, calls and unary signs.  Each level
+    # takes up to five Python frames, so this stays far below the
+    # interpreter's recursion limit.
+    MAX_DEPTH = 100
+
     def __init__(self, tokens: list[Token], first_arg_dim: int, second_arg_dim: int):
         self.tokens = tokens
         self.i = 0
         self.adim = first_arg_dim
         self.bdim = second_arg_dim
+        self.depth = 0
+
+    def nest(self, tok: Token) -> None:
+        """Enter one nesting level opened by ``tok``."""
+        self.depth += 1
+        if self.depth > self.MAX_DEPTH:
+            raise ExpressionError(
+                f"expression nested deeper than {self.MAX_DEPTH} levels", tok.pos)
 
     def peek(self) -> Token:
         return self.tokens[self.i]
@@ -175,12 +188,12 @@ class _Parser:
 
     def unary(self) -> Expr:
         tok = self.peek()
-        if tok.kind == "OP" and tok.text == "-":
+        if tok.kind == "OP" and tok.text in "+-":
             self.advance()
-            return Neg(self.unary())
-        if tok.kind == "OP" and tok.text == "+":
-            self.advance()
-            return self.unary()
+            self.nest(tok)
+            node = self.unary()
+            self.depth -= 1
+            return Neg(node) if tok.text == "-" else node
         return self.primary()
 
     def primary(self) -> Expr:
@@ -195,8 +208,10 @@ class _Parser:
             return self.variable(tok)
         if tok.kind == "LPAREN":
             self.advance()
+            self.nest(tok)
             node = self.expr()
             self.expect("RPAREN", "')'")
+            self.depth -= 1
             return node
         raise ExpressionError(
             f"expected expression, found {tok.text!r}" if tok.text
@@ -206,12 +221,13 @@ class _Parser:
         name = name_tok.text
         if name not in _FUNCTIONS:
             raise ExpressionError(f"unknown function {name!r}", name_tok.pos)
-        self.expect("LPAREN", "'('")
+        self.nest(self.expect("LPAREN", "'('"))
         args = [self.expr()]
         while self.peek().kind == "COMMA":
             self.advance()
             args.append(self.expr())
         self.expect("RPAREN", "')'")
+        self.depth -= 1
         if name == "abs" and len(args) != 1:
             raise ExpressionError("abs takes exactly one argument", name_tok.pos)
         if name in ("min", "max") and len(args) < 2:

@@ -6,28 +6,22 @@ From a seed (x0, y0) satisfying the launch condition, the iteration
 
 produces a nondecreasing X sequence and a nonincreasing Y sequence whose
 step distances are dominated, family by family, by geometric envelopes
-computable from the first step alone.  With d1x = d_X(x1, x0),
-d1y = d_Y(y1, y0), D = d1x + d1y, theta = (k+l)/2 and delta the family
-ratio, the per-step bounds for n >= 1 are
-
-    SYM_HALF     bx = (k/2) theta^(n-1) D      by = (l/2) theta^(n-1) D
-    LIN_ASYM     bx = by = (k+l)^n D
-    KANNAN       bx = (l/(1-k))^n d1x          by = (k/(1-l))^n d1y
-    CHATTERJEA   bx = (l/(1-l))^n d1x          by = (k/(1-k))^n d1y
-
-and the Cauchy tail bound on d_X(x_m, x_n), m >= n, is the corresponding
-geometric series sum from n.  ``verify_trace_bounds`` replays a recorded
-trace against these envelopes.
+computable from the first step alone: ``ContractionFamily.envelope_x``
+and ``envelope_y`` (the family table is in ``hypotheses``).  The Cauchy
+tail bound on d_X(x_m, x_n), m >= n, is the corresponding geometric
+series sum from n.  ``verify_trace_bounds`` replays a recorded trace
+against these envelopes.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 
 from .errors import (DimensionMismatch, DomainError, EvaluationError,
                      SeedConditionError, SolveError)
-from .hypotheses import ContractionFamily, FamilyKind, check_seed
+from .hypotheses import ContractionFamily, check_seed
 from .maps import MapSpec, coupled_step
 from .spaces import (Point, SpaceSpec, coords_distance, coords_leq,
                      product_leq, product_metric_distance)
@@ -142,17 +136,10 @@ def step_bound(family: ContractionFamily, n: int, d1x: float, d1y: float) -> tup
         raise ValueError("step bounds are defined for n >= 1")
     if d1x < 0 or d1y < 0:
         raise ValueError("base distances must be nonnegative")
-    k, l = family.k, family.l
-    if family.kind is FamilyKind.SYM_HALF:
-        theta = (k + l) / 2.0
-        base = theta ** (n - 1) * (d1x + d1y)
-        return 0.5 * k * base, 0.5 * l * base
-    if family.kind is FamilyKind.LIN_ASYM:
-        b = (k + l) ** n * (d1x + d1y)
-        return b, b
-    if family.kind is FamilyKind.KANNAN:
-        return (l / (1.0 - k)) ** n * d1x, (k / (1.0 - l)) ** n * d1y
-    return (l / (1.0 - l)) ** n * d1x, (k / (1.0 - k)) ** n * d1y
+    cx, rx, lx, sum_x = family.envelope_x
+    cy, ry, ly, sum_y = family.envelope_y
+    return (cx * (rx ** (n - lx) * (d1x + d1y if sum_x else d1x)),
+            cy * (ry ** (n - ly) * (d1x + d1y if sum_y else d1y)))
 
 
 def tail_bound(family: ContractionFamily, n: int, d1x: float, d1y: float,
@@ -168,26 +155,9 @@ def tail_bound(family: ContractionFamily, n: int, d1x: float, d1y: float,
         raise ValueError("base distances must be nonnegative")
     if component not in ("x", "y"):
         raise ValueError("component must be 'x' or 'y'")
-    k, l = family.k, family.l
-    if family.kind is FamilyKind.SYM_HALF:
-        theta = (k + l) / 2.0
-        if theta >= 1.0:
-            raise ValueError("family ratio must be < 1")
-        coeff = 0.5 * (k if component == "x" else l)
-        return coeff * theta ** (n - 1) / (1.0 - theta) * (d1x + d1y)
-    if family.kind is FamilyKind.LIN_ASYM:
-        delta = k + l
-        if delta >= 1.0:
-            raise ValueError("family ratio must be < 1")
-        return delta ** n / (1.0 - delta) * (d1x + d1y)
-    if family.kind is FamilyKind.KANNAN:
-        delta = l / (1.0 - k) if component == "x" else k / (1.0 - l)
-    else:  # CHATTERJEA
-        delta = l / (1.0 - l) if component == "x" else k / (1.0 - k)
-    if delta >= 1.0:
-        raise ValueError("family ratio must be < 1")
-    base = d1x if component == "x" else d1y
-    return delta ** n / (1.0 - delta) * base
+    coef, ratio, lag, on_sum = family.envelope_x if component == "x" else family.envelope_y
+    base = d1x + d1y if on_sum else (d1x if component == "x" else d1y)
+    return coef * ratio ** (n - lag) / (1.0 - ratio) * base
 
 
 def verify_trace_bounds(trace: IterationTrace,
@@ -216,8 +186,8 @@ def solve(problem: ProblemSpec, tol: float = DEFAULT_TOL,
 
     The seed must satisfy the launch condition unless ``force`` is given.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     if not force:
@@ -306,11 +276,10 @@ def decay_rate(family: ContractionFamily, n: int) -> float | None:
     does at n = 2).  The sound envelope is theta^n * D0 with
     theta = (k+l)/2.  The LIN_ASYM rate 2(k+l)^n is sound.
     """
-    if family.kind is FamilyKind.SYM_HALF:
-        return (family.k / 2.0) ** n + (family.l / 2.0) ** n
-    if family.kind is FamilyKind.LIN_ASYM:
-        return 2.0 * (family.k + family.l) ** n
-    return None
+    if family.decay is None:
+        return None
+    a, b = family.decay
+    return a ** n + b ** n
 
 
 @dataclass(frozen=True)

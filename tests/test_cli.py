@@ -232,6 +232,41 @@ def test_usage_error_exits_1(capsys):
     assert main(["frobnicate"]) == 1
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("solve", "--tol", "-1"), ("solve", "--tol", "0"), ("solve", "--tol", "inf"),
+    ("solve", "--tol", "nan"), ("solve", "--tol", "abc"), ("solve", "--max-iter", "0"),
+    ("solve", "--max-iter", "-5"), ("solve", "--samples", "0"), ("check", "--samples", "0"),
+    ("check", "--samples", "2.5"), ("check", "--rng-seed", "-1"), ("unique", "--tol", "nan"),
+    ("unique", "--max-iter", "0"), ("run-all", "--tol", "inf")])
+def test_bad_flag_values_exit_1_with_one_error_line(ex1_file, capsys, command, flag, value):
+    argv = {"solve": ["solve", str(ex1_file)], "check": ["check", str(ex1_file)],
+            "unique": ["unique", str(ex1_file), "--seeds", str(ex1_file)],
+            "run-all": ["corpus", "run-all"]}[command]
+    assert main(argv + [flag, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"fgfp: error: argument {flag}: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_bad_rng_seed_env_exits_1(ex1_file, capsys, monkeypatch):
+    for value in ("-3", "seven"):
+        monkeypatch.setenv("FGFP_RNG_SEED", value)
+        assert main(["check", str(ex1_file)]) == 1
+        assert capsys.readouterr().err.startswith("fgfp: error: FGFP_RNG_SEED: ")
+
+
+def test_deeply_nested_map_exits_1(tmp_path, capsys):
+    doc = read_json_from_export()
+    doc["maps"]["F"] = "(" * 3000 + "a1" + ")" * 3000
+    bad = tmp_path / "deep.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["solve", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("fgfp: error: ") and err.count("\n") == 1
+    assert "maps.F" in err and "nested deeper than" in err
+
+
 def test_rng_seed_env_default(ex1_file, tmp_path, monkeypatch):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

@@ -1,0 +1,165 @@
+"""The family table against the closed forms it replaced, bit for bit.
+
+Each reference below spells one family's formula out in the float
+operation order of the per-family code that the table replaced, so any
+change of rounding in ``step_bound``, ``tail_bound``, ``decay_rate`` or
+the contraction right-hand sides fails with ``==``.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from fgfp import (ContractionFamily, FamilyKind, SamplerConfig,
+                  estimate_constants, step_bound, tail_bound)
+from fgfp.hypotheses import (_ContractionData, _contraction_data,
+                             _family_rhs, _min_sum_constants)
+from fgfp.solver import decay_rate
+
+SYM, LIN, KAN, CHA = (FamilyKind.SYM_HALF, FamilyKind.LIN_ASYM,
+                      FamilyKind.KANNAN, FamilyKind.CHATTERJEA)
+BELOW_HALF = math.nextafter(0.5, 0.0)
+BELOW_ONE = math.nextafter(1.0, 0.0)
+
+
+def largest_admissible_l(kind, k):
+    l = 1.0 - k
+    while True:
+        try:
+            return ContractionFamily(kind, k, l)
+        except ValueError:
+            l = math.nextafter(l, 0.0)
+
+
+EDGES = [
+    ContractionFamily(SYM, BELOW_ONE, BELOW_ONE),
+    largest_admissible_l(LIN, 0.5),
+    largest_admissible_l(KAN, 1.0 / 3.0),
+    largest_admissible_l(KAN, 1e-17),
+    ContractionFamily(CHA, BELOW_HALF, BELOW_HALF),
+    ContractionFamily(CHA, 0.1, BELOW_HALF),
+]
+FAMILIES = EDGES + [
+    ContractionFamily(SYM, 2.0 / 3.0, 2.0 / 5.0),
+    ContractionFamily(SYM, 0.0, 0.7),
+    ContractionFamily(LIN, 4.0 / 17.0, 3.0 / 17.0),
+    ContractionFamily(LIN, 0.0, 0.0),
+    ContractionFamily(KAN, 1.0 / 3.0, 1.0 / 2.0),
+    ContractionFamily(KAN, 0.9, 0.0),
+    ContractionFamily(CHA, 0.25, 0.25),
+]
+STEPS = (1, 2, 7, 40)
+BASES = [(0.0, 0.0), (0.3, 0.0), (0.0, 0.7), (1.0 / 3.0, 3.0 / 5.0),
+         (1e-300, 2.5), (123.456, 1e-9)]
+
+
+def ref_step_bound(family, n, d1x, d1y):
+    k, l = family.k, family.l
+    if family.kind is SYM:
+        theta = (k + l) / 2.0
+        base = theta ** (n - 1) * (d1x + d1y)
+        return 0.5 * k * base, 0.5 * l * base
+    if family.kind is LIN:
+        b = (k + l) ** n * (d1x + d1y)
+        return b, b
+    if family.kind is KAN:
+        return (l / (1.0 - k)) ** n * d1x, (k / (1.0 - l)) ** n * d1y
+    return (l / (1.0 - l)) ** n * d1x, (k / (1.0 - k)) ** n * d1y
+
+
+def ref_tail_bound(family, n, d1x, d1y, component):
+    k, l = family.k, family.l
+    if family.kind is SYM:
+        theta = (k + l) / 2.0
+        coeff = 0.5 * (k if component == "x" else l)
+        return coeff * theta ** (n - 1) / (1.0 - theta) * (d1x + d1y)
+    if family.kind is LIN:
+        delta = k + l
+        return delta ** n / (1.0 - delta) * (d1x + d1y)
+    if family.kind is KAN:
+        delta = l / (1.0 - k) if component == "x" else k / (1.0 - l)
+    else:
+        delta = l / (1.0 - l) if component == "x" else k / (1.0 - k)
+    base = d1x if component == "x" else d1y
+    return delta ** n / (1.0 - delta) * base
+
+
+def ref_decay_rate(family, n):
+    if family.kind is SYM:
+        return (family.k / 2.0) ** n + (family.l / 2.0) ** n
+    if family.kind is LIN:
+        return 2.0 * (family.k + family.l) ** n
+    return None
+
+
+def ref_rhs(family, d):
+    k, l = family.k, family.l
+    if family.kind is SYM:
+        s = d.dx + d.dy
+        return 0.5 * k * s, 0.5 * l * s
+    if family.kind is LIN:
+        return k * d.dx + l * d.dy, k * d.dy + l * d.dx
+    if family.kind is KAN:
+        return (k * d.f_disp_hi + l * d.f_disp_lo,
+                k * d.g_disp_hi + l * d.g_disp_lo)
+    return (k * d.f_cross_hi + l * d.f_cross_lo,
+            k * d.g_cross_hi + l * d.g_cross_lo)
+
+
+def ref_constraint_columns(kind, d):
+    if kind is LIN:
+        return np.concatenate([d.dx, d.dy]), np.concatenate([d.dy, d.dx])
+    if kind is KAN:
+        return (np.concatenate([d.f_disp_hi, d.g_disp_hi]),
+                np.concatenate([d.f_disp_lo, d.g_disp_lo]))
+    return (np.concatenate([d.f_cross_hi, d.g_cross_hi]),
+            np.concatenate([d.f_cross_lo, d.g_cross_lo]))
+
+
+def test_edge_families_sit_on_the_boundary():
+    for family in EDGES:
+        with pytest.raises(ValueError):
+            ContractionFamily(family.kind, family.k, math.nextafter(family.l, 1.0))
+
+
+def family_id(family):
+    return f"{family.kind.value}-{family.k!r}-{family.l!r}"
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=family_id)
+def test_step_and_tail_bounds_match_closed_forms(family):
+    for n in STEPS:
+        for d1x, d1y in BASES:
+            assert step_bound(family, n, d1x, d1y) == ref_step_bound(family, n, d1x, d1y)
+            for component in ("x", "y"):
+                assert (tail_bound(family, n, d1x, d1y, component)
+                        == ref_tail_bound(family, n, d1x, d1y, component))
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=family_id)
+def test_decay_rate_matches_closed_form(family):
+    for n in STEPS:
+        assert decay_rate(family, n) == ref_decay_rate(family, n)
+    assert (decay_rate(family, 1) is None) == (family.kind in (KAN, CHA))
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=family_id)
+def test_contraction_rhs_matches_closed_form(family):
+    rng = np.random.default_rng(5)
+    columns = {name: rng.uniform(0.0, 3.0, 64) for name in _ContractionData.__dataclass_fields__}
+    columns["dx"][:4] = 0.0
+    data = _ContractionData(**columns)
+    for got, want in zip(_family_rhs(family, data), ref_rhs(family, data)):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("eid", ["ex1", "ex2", "ex3", "ex4"])
+@pytest.mark.parametrize("kind", [LIN, KAN, CHA])
+def test_estimated_constants_use_the_family_columns(corpus, eid, kind):
+    p = corpus[eid].problem
+    cfg = SamplerConfig(samples_per_check=300, rng_seed=2)
+    data = _contraction_data(p.F, p.G, p.X, p.Y, cfg)
+    p_col, q_col = ref_constraint_columns(kind, data)
+    want = _min_sum_constants(p_col, q_col, np.concatenate([data.lhs_f, data.lhs_g]))
+    assert estimate_constants(p.F, p.G, p.X, p.Y, kind, cfg) == want

@@ -1,10 +1,13 @@
+import numpy as np
 import pytest
 
-from fgfp import (ContractionFamily, FamilyKind, PairStrategy, SampleError,
+from fgfp import (ContractionFamily, FamilyKind, SampleError,
                   SamplerConfig, box_space, check_comparability,
                   check_contraction, check_mixed_monotone, check_seed,
                   estimate_constants, eval_map, parse_map, point)
-from fgfp.spaces import OrderKind, OrderSpec, leq, metric_distance
+from fgfp.hypotheses import _ordered_pairs
+from fgfp.spaces import (OrderKind, OrderSpec, leq, metric_distance,
+                         sample_points)
 
 INF = float("inf")
 CFG = SamplerConfig(samples_per_check=500, rng_seed=0)
@@ -105,22 +108,20 @@ def test_contraction_fail_for_expanding_map():
     assert abs(lhs - v["lhs"]) < 1e-12 and abs(rhs - v["rhs"]) < 1e-12
 
 
-def test_contraction_rejection_strategy_on_discrete_order_errors():
-    X = box_space((0.0,), (1.0,), order=OrderSpec(kind=OrderKind.DISCRETE))
-    F = parse_map("a1/3", 1, 1, 1)
-    G = parse_map("-b1/3", 1, 1, 1)
-    cfg = SamplerConfig(samples_per_check=100, rng_seed=0,
-                        comparable_pair_strategy=PairStrategy.REJECTION)
-    fam = ContractionFamily(FamilyKind.CHATTERJEA, 0.25, 0.25)
-    with pytest.raises(SampleError):
-        check_contraction(F, G, X, X, fam, cfg)
-
-
-def test_contraction_rejection_strategy_works_on_total_orders(corpus):
-    F, G, X, Y, fam = ex(corpus, "ex1")
-    cfg = SamplerConfig(samples_per_check=500, rng_seed=1,
-                        comparable_pair_strategy=PairStrategy.REJECTION)
-    assert check_contraction(F, G, X, Y, fam, cfg).passed
+@pytest.mark.parametrize("n", [1, 2, 7, 100])
+def test_ordered_pairs_on_listed_relations_match_the_row_loop(n):
+    order = OrderSpec(kind=OrderKind.DISCRETE_PLUS_PAIRS,
+                      extra_pairs=((point(0.0, 0.5), point(1.0, 0.25)),
+                                   (point(1.0, 0.25), point(2.0, 2.0)),
+                                   (point(0.5, 0.5), point(0.75, 1.5))))
+    space = box_space((0.0, 0.0), (2.0, 2.0), order=order)
+    lo, hi = _ordered_pairs(space, n, np.random.default_rng(4))
+    want_lo = sample_points(space, n, np.random.default_rng(4))
+    want_hi = want_lo.copy()
+    closure = space.order.closure
+    for i in range(1, n, 2):
+        want_lo[i], want_hi[i] = closure[(i // 2) % len(closure)]
+    assert np.array_equal(lo, want_lo) and np.array_equal(hi, want_hi)
 
 
 def test_checkers_are_deterministic(corpus):

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from fgfp import (DimensionMismatch, EvaluationError, ExpressionError, Point,
                   eval_map, eval_map_batch, iterate_pair, parse_map, point)
-from fgfp.maps import format_expr
+from fgfp.maps import _Parser, format_expr
 
 EX1_F = parse_map("(a1 - b1)/3", 1, 1, 1)
 EX1_G = parse_map("(a1 - b1)/5", 1, 1, 1)
@@ -87,6 +87,35 @@ def test_expression_count_must_match_out_dim():
         parse_map("a1; a2", 2, 1, 1)
     with pytest.raises(ExpressionError):
         parse_map("a1", 1, 1, 2)
+
+
+LIMIT = _Parser.MAX_DEPTH
+
+
+# opener, closer, levels per opener (each sign, parenthesis and call is
+# one), offset in the opener of the token that goes one level too deep
+@pytest.mark.parametrize("open_, close, levels, offset", [
+    ("(", ")", 1, 0), ("-", "", 1, 0), ("+", "", 1, 0), ("abs(", ")", 1, 3),
+    ("max(b1, ", ")", 1, 3), ("-(", ")", 2, 0)])
+def test_nesting_limit(open_, close, levels, offset):
+    n = LIMIT // levels
+    m = parse_map(open_ * n + "a1" + close * n, 1, 1, 1)
+    assert abs(eval_map(m, point(0.5), point(-1.0))[0]) == 0.5
+    with pytest.raises(ExpressionError, match="nested deeper than") as err:
+        parse_map(open_ * (n + 1) + "a1" + close * (n + 1), 1, 1, 1)
+    assert err.value.position == len(open_) * n + offset
+
+
+@pytest.mark.parametrize("text", ["(" * 3000 + "a1" + ")" * 3000, "-" * 3000 + "a1",
+                                  "abs(" * 2000 + "a1" + ")" * 2000])
+def test_deep_nesting_is_an_expression_error(text):
+    with pytest.raises(ExpressionError):
+        parse_map(text, 1, 1, 1)
+
+
+def test_long_flat_sums_are_not_nesting():
+    m = parse_map(" + ".join(["(a1)"] * 3 * LIMIT), 1, 1, 1)
+    assert eval_map(m, point(1.0), point(0.0)) == point(3.0 * LIMIT)
 
 
 def test_literal_zero_division_rejected_at_parse():

@@ -121,8 +121,9 @@ def test_solve_affine_shift_problem(corpus, corpus_runs):
 
 
 def test_solve_argument_validation(corpus):
-    with pytest.raises(ValueError):
-        solve(corpus["ex1"].problem, tol=0.0)
+    for tol in (0.0, -1.0, INF, float("nan")):
+        with pytest.raises(ValueError):
+            solve(corpus["ex1"].problem, tol=tol)
     with pytest.raises(ValueError):
         solve(corpus["ex1"].problem, max_iter=0)
 
@@ -159,7 +160,7 @@ def test_residual_consistency_on_corpus(corpus, corpus_runs):
         if not result.converged:
             continue
         fam = corpus[eid].problem.family
-        ratio = max(fam.step_ratio_x, fam.step_ratio_y)
+        ratio = max(fam.envelope_x.ratio, fam.envelope_y.ratio)
         budget = 1e-10 * (1.0 + ratio / (1.0 - ratio))
         assert result.residual_x + result.residual_y <= budget
 
