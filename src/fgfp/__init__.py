@@ -14,8 +14,7 @@ from .hypotheses import (ContractionFamily, FamilyKind, HypothesisReport,
                          SamplerConfig, audit, check_comparability,
                          check_contraction, check_mixed_monotone, check_seed,
                          estimate_constants)
-from .maps import (MapSpec, eval_map, eval_map_batch, format_expr,
-                   iterate_pair, parse_map)
+from .maps import MapSpec, eval_map, eval_map_batch, iterate_pair, parse_map
 from .solver import (FGFixedPointResult, IterationTrace, ProblemSpec,
                      UniquenessReport, solve, step_bound, tail_bound,
                      trace_to_csv, uniqueness_probe, verify_trace_bounds)
@@ -33,8 +32,7 @@ __all__ = [
     "ContractionFamily", "FamilyKind", "HypothesisReport", "SamplerConfig",
     "audit", "check_comparability", "check_contraction",
     "check_mixed_monotone", "check_seed", "estimate_constants",
-    "MapSpec", "eval_map", "eval_map_batch", "format_expr", "iterate_pair",
-    "parse_map",
+    "MapSpec", "eval_map", "eval_map_batch", "iterate_pair", "parse_map",
     "FGFixedPointResult", "IterationTrace", "ProblemSpec", "UniquenessReport",
     "solve", "step_bound", "tail_bound", "trace_to_csv", "uniqueness_probe",
     "verify_trace_bounds",

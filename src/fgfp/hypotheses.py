@@ -20,8 +20,10 @@ D = d1x + d1y and theta = (k+l)/2:
     CHATTERJEA   k d_X(x,F(u,v)) + l d_X(u,F(x,y))      k, l in [0, 1/2)
                  x: (l/(1-l))^n d1x          y: (k/(1-k))^n d1y
 
-The probe's decay rates are (k/2)^n + (l/2)^n for SYM_HALF and 2(k+l)^n
-for LIN_ASYM (``solver.decay_rate``).  ``_FAMILIES`` is this table in code.
+SYM_HALF and LIN_ASYM bound d_X + d_Y of two comparable pairs, so their
+envelopes are sum-based and that sum shrinks by the envelope ratio per
+coupled step; ``solver.uniqueness_probe`` checks it.  ``_FAMILIES`` is
+this table in code.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import SampleError
+from .errors import EvaluationError, SampleError
 from .maps import MapSpec, eval_map, eval_map_batch
 from .spaces import (OrderKind, Point, SpaceSpec, distance_batch, leq,
                      leq_batch, sample_points)
@@ -57,7 +59,11 @@ class FamilyKind(str, Enum):
 class Envelope(NamedTuple):
     """Geometric envelope of one component's steps: step n >= 1 is at most
     coef * ratio^(n - lag) * base, where base is d1x + d1y if ``on_sum``
-    and the component's own first step otherwise."""
+    and the component's own first step otherwise.
+
+    A sum-based envelope comes from a product contraction: d_X + d_Y of two
+    comparable pairs shrinks by ``ratio`` per coupled step, which the
+    uniqueness probe checks."""
 
     coef: float
     ratio: float
@@ -68,7 +74,7 @@ class Envelope(NamedTuple):
 class _Family(NamedTuple):
     requires: str                                # admissible (k, l), as text
     admissible: Callable[[float, float], bool]
-    rates: Callable[[float, float], tuple]       # -> x envelope, y envelope, decay
+    rates: Callable[[float, float], tuple]       # -> x envelope, y envelope
     # _ContractionData columns (p, q) of the F and the G side: rhs = k*p + l*q;
     # None for SYM_HALF, whose rhs are (k/2)(dx + dy) and (l/2)(dx + dy)
     columns: tuple[tuple[str, str], tuple[str, str]] | None
@@ -78,26 +84,22 @@ _FAMILIES = {
     FamilyKind.SYM_HALF: _Family(
         "k, l in [0, 1)", lambda k, l: k < 1 and l < 1,
         lambda k, l: (Envelope(0.5 * k, (k + l) / 2.0, 1, True),
-                      Envelope(0.5 * l, (k + l) / 2.0, 1, True),
-                      (k / 2.0, l / 2.0)),
+                      Envelope(0.5 * l, (k + l) / 2.0, 1, True)),
         None),
     FamilyKind.LIN_ASYM: _Family(
         "k + l < 1", lambda k, l: k + l < 1,
         lambda k, l: (Envelope(1.0, k + l, 0, True),
-                      Envelope(1.0, k + l, 0, True),
-                      (k + l, k + l)),
+                      Envelope(1.0, k + l, 0, True)),
         (("dx", "dy"), ("dy", "dx"))),
     FamilyKind.KANNAN: _Family(
         "k + l < 1", lambda k, l: k + l < 1,
         lambda k, l: (Envelope(1.0, l / (1.0 - k), 0, False),
-                      Envelope(1.0, k / (1.0 - l), 0, False),
-                      None),
+                      Envelope(1.0, k / (1.0 - l), 0, False)),
         (("f_disp_hi", "f_disp_lo"), ("g_disp_hi", "g_disp_lo"))),
     FamilyKind.CHATTERJEA: _Family(
         "k, l in [0, 1/2)", lambda k, l: k < 0.5 and l < 0.5,
         lambda k, l: (Envelope(1.0, l / (1.0 - l), 0, False),
-                      Envelope(1.0, k / (1.0 - k), 0, False),
-                      None),
+                      Envelope(1.0, k / (1.0 - k), 0, False)),
         (("f_cross_hi", "f_cross_lo"), ("g_cross_hi", "g_cross_lo"))),
 }
 
@@ -105,15 +107,13 @@ _FAMILIES = {
 @dataclass(frozen=True)
 class ContractionFamily:
     """One of the four inequality shapes with its constants, and the
-    envelopes and decay factors that ``_FAMILIES`` gives for them."""
+    envelopes that ``_FAMILIES`` gives for them."""
 
     kind: FamilyKind
     k: float
     l: float
     envelope_x: Envelope = field(init=False, repr=False, compare=False)
     envelope_y: Envelope = field(init=False, repr=False, compare=False)
-    # factors (a, b) of the decay rate a^n + b^n; None where none is claimed
-    decay: tuple[float, float] | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         kind = FamilyKind(self.kind)
@@ -124,12 +124,12 @@ class ContractionFamily:
         row = _FAMILIES[kind]
         if not row.admissible(k, l):
             raise ValueError(f"{kind.value} requires {row.requires}")
-        envelope_x, envelope_y, decay = row.rates(k, l)
+        envelope_x, envelope_y = row.rates(k, l)
         # the tail bounds sum a geometric series in the ratio
         if envelope_x.ratio >= 1.0 or envelope_y.ratio >= 1.0:
             raise ValueError("family ratio must be < 1")
-        for name, value in (("kind", kind), ("k", k), ("l", l), ("envelope_x", envelope_x),
-                            ("envelope_y", envelope_y), ("decay", decay)):
+        for name, value in (("kind", kind), ("k", k), ("l", l),
+                            ("envelope_x", envelope_x), ("envelope_y", envelope_y)):
             object.__setattr__(self, name, value)
 
     def to_dict(self) -> dict:
@@ -345,8 +345,12 @@ def check_mixed_monotone(F: MapSpec, G: MapSpec, X: SpaceSpec, Y: SpaceSpec,
 def check_seed(F: MapSpec, G: MapSpec, X: SpaceSpec, Y: SpaceSpec,
                x0: Point, y0: Point) -> SeedCheck:
     """Launch condition: x0 <= F(x0, y0) in X and G(y0, x0) <= y0 in Y."""
-    fx0 = eval_map(F, x0, y0)
-    gy0 = eval_map(G, y0, x0)
+    try:
+        fx0 = eval_map(F, x0, y0)
+        gy0 = eval_map(G, y0, x0)
+    except EvaluationError as exc:
+        raise EvaluationError(f"evaluation failed at the seed x0={list(x0.coords)}, "
+                              f"y0={list(y0.coords)}: {exc}") from None
     x_ok = leq(X, x0, fx0)
     y_ok = leq(Y, gy0, y0)
     return SeedCheck(x_ok and y_ok, x_ok, y_ok, x0, y0, fx0, gy0)

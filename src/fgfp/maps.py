@@ -1,4 +1,4 @@
-"""Arithmetic map parsing, printing and evaluation.
+"""Arithmetic map parsing and evaluation.
 
 A map takes two vector arguments.  Variables ``a1..aM`` read coordinates
 of the first argument and ``b1..bN`` coordinates of the second; the
@@ -250,30 +250,6 @@ class _Parser:
 
 
 # ---------------------------------------------------------------------------
-# Pretty printing (minimal parentheses; reparses to an equivalent tree)
-
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2}
-
-
-def format_expr(node: Expr, _prec: int = 0) -> str:
-    if isinstance(node, Num):
-        return repr(node.value)
-    if isinstance(node, Var):
-        return f"{node.group}{node.index}"
-    if isinstance(node, Neg):
-        inner = format_expr(node.arg, 3)
-        text = f"-{inner}"
-        return f"({text})" if _prec > 2 else text
-    if isinstance(node, Call):
-        return f"{node.func}({', '.join(format_expr(a) for a in node.args)})"
-    prec = _PREC[node.op]
-    left = format_expr(node.left, prec)
-    right = format_expr(node.right, prec + 1)
-    text = f"{left} {node.op} {right}"
-    return f"({text})" if _prec > prec else text
-
-
-# ---------------------------------------------------------------------------
 # Compilation: one walk of the expression tree emits straight-line Python
 # in two modes.  The scalar mode runs on tuples of floats, the vector mode
 # on (n, dim) numpy columns; both apply the same IEEE operations in the
@@ -400,7 +376,6 @@ class MapSpec:
     first_arg_dim: int
     second_arg_dim: int
     out_dim: int
-    exprs: tuple[Expr, ...]
     scalar_source: str = field(repr=False)
     vector_source: str = field(repr=False)
 
@@ -429,7 +404,7 @@ def parse_map(text: str, first_arg_dim: int, second_arg_dim: int, out_dim: int) 
     if len(exprs) != out_dim:
         raise ExpressionError(
             f"expected {out_dim} expression(s) separated by ';', got {len(exprs)}")
-    return MapSpec(text, first_arg_dim, second_arg_dim, out_dim, exprs, *_generate(exprs))
+    return MapSpec(text, first_arg_dim, second_arg_dim, out_dim, *_generate(exprs))
 
 
 _eval_rows = 0
@@ -446,7 +421,6 @@ def eval_map_batch(m: MapSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     Returns (n, out_dim).  Raises EvaluationError if any output is non-finite
     (runtime division by zero shows up here as inf/nan).
     """
-    global _eval_rows
     A = np.ascontiguousarray(A, dtype=np.float64)
     B = np.ascontiguousarray(B, dtype=np.float64)
     if A.ndim != 2 or B.ndim != 2 or A.shape[0] != B.shape[0]:
@@ -455,16 +429,24 @@ def eval_map_batch(m: MapSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         raise DimensionMismatch(
             f"map expects argument dims ({m.first_arg_dim}, {m.second_arg_dim}), "
             f"got ({A.shape[1]}, {B.shape[1]})")
+    return _eval_vector(m, A, B, single=False)
+
+
+def _eval_vector(m: MapSpec, A: np.ndarray, B: np.ndarray, single: bool) -> np.ndarray:
+    """Vector-mode evaluation of checked float64 batches, counting the rows.
+    The EvaluationError for a non-finite output names its sample row, or
+    only the inputs when the batch is a ``single`` point."""
+    global _eval_rows
     n = A.shape[0]
     out = np.empty((n, m.out_dim), dtype=np.float64)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         m.vector(A, B, out)
     _eval_rows += n
     if not np.isfinite(out).all():
-        bad = np.argwhere(~np.isfinite(out))[0]
-        raise EvaluationError(
-            f"non-finite value in output coordinate {bad[1] + 1} at sample {bad[0]} "
-            f"(inputs a={A[bad[0]].tolist()}, b={B[bad[0]].tolist()})")
+        i, j = np.argwhere(~np.isfinite(out))[0]
+        where = f"a={A[i].tolist()}, b={B[i].tolist()}"
+        raise EvaluationError(f"non-finite value in output coordinate {j + 1} at "
+                              + (where if single else f"sample {i} (inputs {where})"))
     return out
 
 
@@ -478,7 +460,9 @@ def _eval_coords(m: MapSpec, a: tuple[float, ...], b: tuple[float, ...]) -> tupl
     if out is None:
         # inf/nan on the way or at the end: one vector-mode row gives the
         # IEEE result (min(1/0, 5) is 5) or the EvaluationError, and counts it
-        return tuple(eval_map_batch(m, np.asarray([a]), np.asarray([b]))[0].tolist())
+        row = _eval_vector(m, np.asarray([a], dtype=np.float64),
+                           np.asarray([b], dtype=np.float64), single=True)
+        return tuple(row[0].tolist())
     _eval_rows += 1
     return out
 

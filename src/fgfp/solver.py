@@ -266,22 +266,6 @@ def solve(problem: ProblemSpec, tol: float = DEFAULT_TOL,
     return trace, result
 
 
-def decay_rate(family: ContractionFamily, n: int) -> float | None:
-    """Advertised decay factor for the product distance of two comparable
-    starting pairs after n coupled steps; None where no rate is claimed.
-
-    For SYM_HALF this is the paper's rate as stated, (k/2)^n + (l/2)^n,
-    and it is not sound: the family inequality only contracts the sum of
-    the two component distances, so comparable pairs can exceed it (ex1
-    does at n = 2).  The sound envelope is theta^n * D0 with
-    theta = (k+l)/2.  The LIN_ASYM rate 2(k+l)^n is sound.
-    """
-    if family.decay is None:
-        return None
-    a, b = family.decay
-    return a ** n + b ** n
-
-
 @dataclass(frozen=True)
 class DecayCheck:
     seed_i: int
@@ -323,6 +307,16 @@ class UniquenessReport:
         }
 
 
+def _orbit(problem: ProblemSpec, trace: IterationTrace,
+           steps: int) -> list[tuple[tuple[float, ...], tuple[float, ...]]]:
+    """Iterates 0..steps of a run as coordinate tuples: the recorded ones
+    from ``trace``, then coupled steps past its last point."""
+    orbit = [(x.coords, y.coords) for x, y in trace.points[:steps + 1]]
+    while len(orbit) <= steps:
+        orbit.append(coupled_step(problem.F, problem.G, *orbit[-1]))
+    return orbit
+
+
 def uniqueness_probe(problem: ProblemSpec,
                      extra_seeds: list[tuple[Point, Point]],
                      tol: float = DEFAULT_TOL,
@@ -332,13 +326,13 @@ def uniqueness_probe(problem: ProblemSpec,
     """Solve from several seeds and compare the limits.
 
     PASS iff all pairwise product distances between limits stay below
-    10*tol.  For product-comparable seed pairs the probe also replays the
-    advertised decay rate (SYM_HALF and LIN_ASYM only) against the
-    observed iterate distances; exceedances are recorded as data, they do
-    not fail the probe.  The SYM_HALF rate is the paper's as stated and is
-    not sound, so exceedances on comparable pairs are expected there; the
-    sound SYM_HALF envelope is theta^n * D0 with theta = (k+l)/2.  The
-    LIN_ASYM rate 2(k+l)^n is sound.
+    10*tol.  For product-comparable seed pairs of a family whose envelope
+    is sum-based (SYM_HALF and LIN_ASYM), the probe also checks the
+    product contraction d_X + d_Y <= ratio^n * D0 at steps 1..decay_steps,
+    with D0 the seeds' distance and ratio that of the envelope: (k+l)/2
+    for SYM_HALF, k+l for LIN_ASYM.  The orbits are read from the runs'
+    traces and stepped on past their ends.  Exceedances are recorded as
+    data; they do not fail the probe.
     """
     seeds = [problem.seed] + [
         (s[0] if isinstance(s[0], Point) else Point(tuple(s[0])),
@@ -362,28 +356,24 @@ def uniqueness_probe(problem: ProblemSpec,
     passed = all_converged and max_dist < 10.0 * tol
 
     decay_checks: list[DecayCheck] = []
-    if decay_rate(problem.family, 1) is not None:
-        for i in range(len(seeds)):
-            for j in range(i + 1, len(seeds)):
-                si, sj = seeds[i], seeds[j]
-                if not (product_leq(problem.X, problem.Y, si, sj)
-                        or product_leq(problem.X, problem.Y, sj, si)):
-                    continue
-                d0 = product_metric_distance(problem.X, problem.Y, si, sj)
-                pi = (si[0].coords, si[1].coords)
-                pj = (sj[0].coords, sj[1].coords)
-                violations = []
-                for n in range(1, decay_steps + 1):
-                    pi = coupled_step(problem.F, problem.G, *pi)
-                    pj = coupled_step(problem.F, problem.G, *pj)
-                    observed = (coords_distance(problem.X, pi[0], pj[0])
-                                + coords_distance(problem.Y, pi[1], pj[1]))
-                    allowed = decay_rate(problem.family, n) * d0 + DECAY_SLACK
-                    if observed > allowed:
-                        violations.append({"n": n, "observed": observed,
-                                           "allowed": allowed})
-                decay_checks.append(DecayCheck(i, j, d0, decay_steps,
-                                               tuple(violations)))
+    if problem.family.envelope_x.on_sum:
+        X, Y = problem.X, problem.Y
+        pairs = [(i, j) for i in range(len(seeds)) for j in range(i + 1, len(seeds))
+                 if product_leq(X, Y, seeds[i], seeds[j])
+                 or product_leq(X, Y, seeds[j], seeds[i])]
+        orbits = {i: _orbit(problem, runs[i][0], decay_steps) for i in set().union(*pairs)}
+        ratio = problem.family.envelope_x.ratio
+        for i, j in pairs:
+            d0 = product_metric_distance(X, Y, seeds[i], seeds[j])
+            violations = []
+            for n in range(1, decay_steps + 1):
+                (xi, yi), (xj, yj) = orbits[i][n], orbits[j][n]
+                observed = coords_distance(X, xi, xj) + coords_distance(Y, yi, yj)
+                allowed = ratio ** n * d0 + DECAY_SLACK
+                if observed > allowed:
+                    violations.append({"n": n, "observed": observed,
+                                       "allowed": allowed})
+            decay_checks.append(DecayCheck(i, j, d0, decay_steps, tuple(violations)))
 
     return UniquenessReport(
         seeds=tuple(seeds),

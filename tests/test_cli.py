@@ -267,6 +267,20 @@ def test_deeply_nested_map_exits_1(tmp_path, capsys):
     assert "maps.F" in err and "nested deeper than" in err
 
 
+@pytest.mark.parametrize("command", ["check", "solve"])
+def test_map_singular_at_the_seed_exits_1_naming_the_seed(tmp_path, capsys, command):
+    doc = read_json_from_export()
+    # non-finite only at a1 = -1: the sampled checks miss it, the seed hits it
+    doc["maps"]["F"] = "(a1 - b1)/3 + 0*(1/(a1+1))"
+    bad = tmp_path / "singular.json"
+    bad.write_text(json.dumps(doc))
+    assert main([command, str(bad), "--out", str(tmp_path / "r.json")]) == 1
+    err = capsys.readouterr().err
+    assert err == ("fgfp: error: evaluation failed at the seed x0=[-1.0], y0=[1.0]: "
+                   "non-finite value in output coordinate 1 at a=[-1.0], b=[1.0]\n")
+    assert "sample" not in err
+
+
 def test_rng_seed_env_default(ex1_file, tmp_path, monkeypatch):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

@@ -2,10 +2,12 @@
 
 Every corpus entry is run through ``solve``, ``check`` and ``unique`` (no
 extra seeds) at ``--rng-seed`` 0 and 7, together with ``corpus run-all``
-and ``unique`` on ex1 from the comparable seeds (-2, 2) and (-3, 3).  A
+and ``unique`` from the comparable seeds (-2, 2) and (-3, 3) on ex1
+(SYM_HALF) and ex2 (LIN_ASYM), whose reports carry the decay checks.  A
 refactor must leave every digest and exit code unchanged; a change that
 alters report bytes on purpose must say which and why, and update the
-table below.
+table below.  ``python tests/test_determinism.py`` (with ``src`` on
+``PYTHONPATH``) prints the current table.
 
 The corpus is all 1-d with L1 metrics, so every distance is a single
 term and the digests do not depend on the BLAS build or the machine.
@@ -56,8 +58,10 @@ EXPECTED = {
     'unique ex3 7': (0, '0f6d72ee6f462714387be7d8ac665ee78b9f8b2e9254cfb4b372a2745d25f87e'),
     'unique ex4 0': (0, 'da66fa440baa1fa34f6ceaf13077a8d8ddde6a7b6dd73b482b4ab011170dec3b'),
     'unique ex4 7': (0, '1eefe988c103993006032ca54bc5bbad86481a8a8f642fa8e393b870979e5743'),
-    'unique-seeds ex1 0': (0, 'a4c3bbfa7f6ebcc51a5902efaac2b015d43b63c3e18ca89811a53b4c6d202025'),
-    'unique-seeds ex1 7': (0, '4995fce37d85090cb76d5753d34cb51559d64f0e6d3dc7131b5c99320bfa309a'),
+    'unique-seeds ex1 0': (0, 'ca3bcaa4e47c8a63b1063c89f699e04ee996c7639d3a1107219c8411f44eb2db'),
+    'unique-seeds ex1 7': (0, 'd10aa807f5059159452d75152f61d4d8fe7d849ff9241e1857ae73418a0f2686'),
+    'unique-seeds ex2 0': (0, '7bb5b4c13103aa5687e81e2221e5fa1b3b1f33a1eef745fe8a37c2344f1a1a50'),
+    'unique-seeds ex2 7': (0, 'd25dd7475be7cffb706d81df723e6c460ab4d53a16c7db559bff38e51e76f1cd'),
 }
 
 
@@ -84,7 +88,7 @@ def report_digests(workdir) -> dict[str, tuple[int, str]]:
 def _report_digests() -> dict[str, tuple[int, str]]:
     with open("no_seeds.json", "w", encoding="utf-8") as fh:
         json.dump({"seeds": []}, fh)
-    with open("ex1_seeds.json", "w", encoding="utf-8") as fh:
+    with open("extra_seeds.json", "w", encoding="utf-8") as fh:
         json.dump({"seeds": [{"x0": [-2.0], "y0": [2.0]},
                              {"x0": [-3.0], "y0": [3.0]}]}, fh)
     digests = {}
@@ -97,9 +101,9 @@ def _report_digests() -> dict[str, tuple[int, str]]:
                 digests[f"{command} {entry.id} {seed}"] = _run([command, problem] + rng)
             digests[f"unique {entry.id} {seed}"] = _run(
                 ["unique", problem, "--seeds", "no_seeds.json"] + rng)
-            if entry.id == "ex1":
+            if entry.id in ("ex1", "ex2"):
                 digests[f"unique-seeds {entry.id} {seed}"] = _run(
-                    ["unique", problem, "--seeds", "ex1_seeds.json"] + rng)
+                    ["unique", problem, "--seeds", "extra_seeds.json"] + rng)
     for seed in RNG_SEEDS:
         digests[f"run-all {seed}"] = _run(["corpus", "run-all", "--rng-seed", str(seed)])
     return digests
@@ -117,3 +121,11 @@ def test_pinned_runs_are_all_run(digests):
 @pytest.mark.parametrize("name", sorted(EXPECTED))
 def test_report_bytes_match_pinned_digest(digests, name):
     assert digests[name] == EXPECTED[name]
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as workdir:
+        for name, pinned in sorted(report_digests(workdir).items()):
+            print(f"    {name!r}: {pinned!r},")

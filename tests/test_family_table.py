@@ -2,8 +2,8 @@
 
 Each reference below spells one family's formula out in the float
 operation order of the per-family code that the table replaced, so any
-change of rounding in ``step_bound``, ``tail_bound``, ``decay_rate`` or
-the contraction right-hand sides fails with ``==``.
+change of rounding in ``step_bound``, ``tail_bound`` or the contraction
+right-hand sides fails with ``==``.
 """
 
 import math
@@ -15,7 +15,6 @@ from fgfp import (ContractionFamily, FamilyKind, SamplerConfig,
                   estimate_constants, step_bound, tail_bound)
 from fgfp.hypotheses import (_ContractionData, _contraction_data,
                              _family_rhs, _min_sum_constants)
-from fgfp.solver import decay_rate
 
 SYM, LIN, KAN, CHA = (FamilyKind.SYM_HALF, FamilyKind.LIN_ASYM,
                       FamilyKind.KANNAN, FamilyKind.CHATTERJEA)
@@ -85,14 +84,6 @@ def ref_tail_bound(family, n, d1x, d1y, component):
     return delta ** n / (1.0 - delta) * base
 
 
-def ref_decay_rate(family, n):
-    if family.kind is SYM:
-        return (family.k / 2.0) ** n + (family.l / 2.0) ** n
-    if family.kind is LIN:
-        return 2.0 * (family.k + family.l) ** n
-    return None
-
-
 def ref_rhs(family, d):
     k, l = family.k, family.l
     if family.kind is SYM:
@@ -135,13 +126,6 @@ def test_step_and_tail_bounds_match_closed_forms(family):
             for component in ("x", "y"):
                 assert (tail_bound(family, n, d1x, d1y, component)
                         == ref_tail_bound(family, n, d1x, d1y, component))
-
-
-@pytest.mark.parametrize("family", FAMILIES, ids=family_id)
-def test_decay_rate_matches_closed_form(family):
-    for n in STEPS:
-        assert decay_rate(family, n) == ref_decay_rate(family, n)
-    assert (decay_rate(family, 1) is None) == (family.kind in (KAN, CHA))
 
 
 @pytest.mark.parametrize("family", FAMILIES, ids=family_id)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from fgfp import (DimensionMismatch, EvaluationError, ExpressionError, Point,
                   eval_map, eval_map_batch, iterate_pair, parse_map, point)
-from fgfp.maps import _Parser, format_expr
+from fgfp.maps import _Parser
 
 EX1_F = parse_map("(a1 - b1)/3", 1, 1, 1)
 EX1_G = parse_map("(a1 - b1)/5", 1, 1, 1)
@@ -118,6 +118,14 @@ def test_long_flat_sums_are_not_nesting():
     assert eval_map(m, point(1.0), point(0.0)) == point(3.0 * LIMIT)
 
 
+def test_repr_of_a_long_flat_sum_returns():
+    # a MapSpec keeps its text and generated code, not the parse tree,
+    # whose left-deep "+" chain would take one frame per term
+    m = parse_map("+".join(["a1"] * 2000), 1, 1, 1)
+    assert repr(m).startswith("MapSpec(text='a1+a1+")
+    assert eval_map(m, point(1.0), point(0.0)) == point(2000.0)
+
+
 def test_literal_zero_division_rejected_at_parse():
     with pytest.raises(ExpressionError):
         parse_map("a1/0", 1, 1, 1)
@@ -208,7 +216,7 @@ def test_affine_maps_match_matrix_oracle():
 
 
 # ---------------------------------------------------------------------------
-# batch evaluation and pretty-print round trips
+# batch evaluation
 
 def test_batch_matches_scalar_bitwise():
     m = parse_map("(4*a1 - 3*b1)/17; min(a1, b1)", 1, 1, 2)
@@ -219,56 +227,3 @@ def test_batch_matches_scalar_bitwise():
     for i in range(A.shape[0]):
         row = eval_map(m, as_point(A[i]), as_point(B[i]))
         assert tuple(out[i]) == row.coords
-
-
-ROUND_TRIP_TEXTS = [
-    "(a1 - b1)/3",
-    "-a1/4 + 1",
-    "min(a1, max(b1, 0.25)) - abs(a1 - b1)",
-    "a1 - b1 - 2",
-    "a1 - (b1 - 2)",
-    "2*(a1 + b1)*a1",
-    "a1/(b1 + 10)/4",
-    "-(a1 + b1)",
-]
-
-
-@pytest.mark.parametrize("text", ROUND_TRIP_TEXTS)
-def test_pretty_print_round_trip_preserves_values(text):
-    m = parse_map(text, 1, 1, 1)
-    printed = "; ".join(format_expr(e) for e in m.exprs)
-    m2 = parse_map(printed, 1, 1, 1)
-    rng = np.random.default_rng(9)
-    A = rng.uniform(-5, 5, (128, 1))
-    B = rng.uniform(-5, 5, (128, 1))
-    assert np.array_equal(eval_map_batch(m, A, B), eval_map_batch(m2, A, B))
-
-
-_leaf = st.one_of(
-    st.floats(min_value=-4, max_value=4, allow_nan=False).map(
-        lambda v: f"{abs(v)!r}"),
-    st.sampled_from(["a1", "b1", "a2", "b2"]),
-)
-
-
-def _combine(children):
-    op = st.sampled_from(["+", "-", "*"])
-    return st.one_of(
-        st.tuples(op, children, children).map(lambda t: f"({t[1]} {t[0]} {t[2]})"),
-        children.map(lambda s: f"-({s})"),
-        children.map(lambda s: f"abs({s})"),
-        st.tuples(children, children).map(lambda t: f"min({t[0]}, {t[1]})"),
-        st.tuples(children, children).map(lambda t: f"max({t[0]}, {t[1]})"),
-    )
-
-
-@given(text=st.recursive(_leaf, _combine, max_leaves=12))
-@settings(max_examples=80, deadline=None)
-def test_generated_expressions_round_trip(text):
-    m = parse_map(text, 2, 2, 1)
-    printed = "; ".join(format_expr(e) for e in m.exprs)
-    m2 = parse_map(printed, 2, 2, 1)
-    rng = np.random.default_rng(11)
-    A = rng.uniform(-3, 3, (32, 2))
-    B = rng.uniform(-3, 3, (32, 2))
-    assert np.array_equal(eval_map_batch(m, A, B), eval_map_batch(m2, A, B))

@@ -7,7 +7,8 @@ from fgfp import (ContractionFamily, FamilyKind, ProblemSpec,
                   SeedConditionError, box_space, parse_map, point, solve,
                   step_bound, tail_bound, uniqueness_probe,
                   verify_trace_bounds)
-from fgfp.solver import decay_rate, trace_to_csv
+from fgfp.maps import evaluation_count, iterate_pair
+from fgfp.solver import trace_to_csv
 from fgfp.spaces import leq, product_metric_distance
 
 INF = float("inf")
@@ -240,7 +241,7 @@ def test_probe_single_seed_trivially_passes(corpus):
 
 
 def test_probe_linear_pair_decay_rate_holds(corpus):
-    # the 2(k+l)^n envelope is sound for the linear-asymmetric family
+    # the (k+l)^n envelope is sound for the linear-asymmetric family
     p = corpus["ex2"].problem
     probe = uniqueness_probe(p, [(point(-3.0), point(4.0))])
     assert probe.passed
@@ -249,32 +250,72 @@ def test_probe_linear_pair_decay_rate_holds(corpus):
         assert chk.violations == ()
 
 
-def test_probe_symmetric_half_decay_rate_is_reported_violated(corpus):
-    # the advertised (k/2)^n + (l/2)^n envelope is NOT sound: with the
-    # reference averaging pair, comparable seeds (-1,1) and (-2,2) give
-    # distances 2/3 + 2/5 = 16/15 at n=1 (tight) but 16/45 + 16/75 =
-    # 128/225 at n=2, above the advertised ((1/9) + (1/25)) * 2 = 68/225.
-    # The probe records this honestly as data.
+def test_probe_symmetric_half_checks_the_sound_envelope(corpus):
+    # the probe checks d_X + d_Y <= theta^n * D0, theta = (k+l)/2, which
+    # the family inequality implies; from the comparable seeds (-1,1) and
+    # (-2,2) ex1 meets it with equality, so no step is recorded
     p = corpus["ex1"].problem
     probe = uniqueness_probe(p, [(point(-2.0), point(2.0))])
-    assert probe.passed  # the limits still coincide
-    chk = probe.decay_checks[0]
-    assert chk.violations
-    assert chk.violations[0]["n"] == 2
-    assert abs(chk.violations[0]["observed"] - 128.0 / 225.0) < 1e-12
+    assert probe.passed
+    [chk] = probe.decay_checks
+    assert (chk.seed_i, chk.seed_j, chk.initial_distance) == (0, 1, 2.0)
+    assert chk.steps_checked == 40
+    assert chk.violations == ()
+    # the paper's rate (k/2)^n + (l/2)^n is not sound: at n = 2 it allows
+    # ((1/3)^2 + (1/5)^2) * 2 = 68/225, below the 128/225 the orbits reach
+    k, l = p.family.k, p.family.l
+    paper = ((k / 2.0) ** 2 + (l / 2.0) ** 2) * chk.initial_distance
+    assert abs(paper - 68.0 / 225.0) < 1e-15
+    observed = product_metric_distance(
+        p.X, p.Y, iterate_pair(p.F, p.G, point(-1.0), point(1.0), 2),
+        iterate_pair(p.F, p.G, point(-2.0), point(2.0), 2))
+    assert abs(observed - 128.0 / 225.0) < 1e-15
+    assert paper < observed
 
 
-def test_probe_decay_rate_values():
-    assert decay_rate(SYM, 2) == (1.0 / 3.0) ** 2 + (1.0 / 5.0) ** 2
-    assert decay_rate(LIN, 3) == 2.0 * 0.5 ** 3
-    assert decay_rate(KAN, 1) is None
-    assert decay_rate(CHA, 1) is None
+def test_probe_extends_orbits_past_the_traces(corpus):
+    # ratio 0.5 is below ex1's actual 8/15, so most steps are recorded;
+    # at tol 1e-3 the solves stop long before the 40 steps checked
+    p = corpus["ex1"].problem
+    p = ProblemSpec(p.X, p.Y, p.F, p.G,
+                    ContractionFamily(FamilyKind.SYM_HALF, 0.5, 0.5), p.seed)
+    extra = (point(-2.0), point(2.0))
+    e0 = evaluation_count()
+    probe = uniqueness_probe(p, [extra], tol=1e-3)
+    evaluations = evaluation_count() - e0
+    [chk] = probe.decay_checks
+    assert chk.violations[0]["n"] == 1
+    assert max(v["n"] for v in chk.violations) > max(probe.iterations)
+    for v in chk.violations:
+        observed = product_metric_distance(
+            p.X, p.Y, iterate_pair(p.F, p.G, *p.seed, v["n"]),
+            iterate_pair(p.F, p.G, *extra, v["n"]))
+        assert v["observed"] == observed
+        assert v["allowed"] == 0.5 ** v["n"] * 2.0 + 1e-10
+    # each solve evaluates F and G at the seed, once per iteration and at
+    # the end; the probe adds one coupled step per orbit point missing
+    solves = sum(2 * (n + 2) for n in probe.iterations)
+    extension = sum(2 * (chk.steps_checked - n) for n in probe.iterations)
+    assert evaluations == solves + extension
+
+
+def test_probe_steps_no_orbit_outside_comparable_pairs(corpus):
+    # (-1,1) and (-2,0.5) are not product-comparable: no decay check, and
+    # the probe evaluates the maps exactly as often as its two solves
+    p = corpus["ex1"].problem
+    extra = (point(-2.0), point(0.5))
+    e0 = evaluation_count()
+    solve(p)
+    solve(p.with_seed(extra))
+    e1 = evaluation_count()
+    probe = uniqueness_probe(p, [extra])
+    assert probe.decay_checks == ()
+    assert evaluation_count() - e1 == e1 - e0
 
 
 def test_probe_iterate_distances_obey_mean_ratio_envelope(corpus):
     # what actually holds for the symmetric-half family: the SUM of the
     # two distances contracts by theta = (k+l)/2 per step
-    from fgfp.maps import iterate_pair
     p = corpus["ex1"].problem
     s1 = (point(-1.0), point(1.0))
     s2 = (point(-2.0), point(2.0))
