@@ -38,8 +38,8 @@ import numpy as np
 
 from .errors import EvaluationError, SampleError
 from .maps import MapSpec, eval_map, eval_map_batch
-from .spaces import (OrderKind, Point, SpaceSpec, distance_batch, leq,
-                     leq_batch, sample_points)
+from .spaces import (OrderKind, Point, SpaceSpec, common_bounds_batch,
+                     distance_batch, leq, leq_batch, sample_points)
 
 # Additive slack when comparing inequality sides along samples.
 CONTRACTION_SLACK = 1e-12
@@ -259,9 +259,10 @@ class HypothesisReport:
     """Aggregate of all sampled checks for one problem.
 
     ``passed`` covers the existence hypotheses (mixed monotonicity, seed
-    condition, contraction inequality).  Comparability only matters for
-    uniqueness and is reported without gating the verdict; the Lipschitz
-    ratio is informational (continuity is not machine-checkable).
+    condition, contraction inequality).  Comparability, the uniqueness
+    hypothesis decided per sampled pair from the orders, is reported
+    without gating ``passed``; the Lipschitz ratio is informational
+    (continuity is not machine-checkable).
     """
 
     family: ContractionFamily
@@ -444,8 +445,12 @@ def check_contraction(F: MapSpec, G: MapSpec, X: SpaceSpec, Y: SpaceSpec,
                       family: ContractionFamily,
                       cfg: SamplerConfig | None = None) -> ContractionCheck:
     """Sample the family inequality for F (on d_X) and G (on d_Y)."""
-    cfg = cfg or SamplerConfig()
-    data = _contraction_data(F, G, X, Y, cfg)
+    return _check_contraction(_contraction_data(F, G, X, Y, cfg or SamplerConfig()),
+                              family)
+
+
+def _check_contraction(data: _ContractionData,
+                       family: ContractionFamily) -> ContractionCheck:
     rhs_f, rhs_g = _family_rhs(family, data)
     f_side = _side_result(data, data.lhs_f, rhs_f, "F")
     g_side = _side_result(data, data.lhs_g, rhs_g, "G")
@@ -457,7 +462,8 @@ def _min_sum_constants(p: np.ndarray, q: np.ndarray, c: np.ndarray) -> tuple[flo
 
     All coefficients are nonnegative.  l(k) = max over usable rows of
     (c_i - k p_i)/q_i is convex piecewise-linear, so k + l(k) is minimized
-    by ternary search over the feasible k interval.
+    by ternary search over the feasible k interval, for 200 steps or until
+    the bracket stops moving.
     """
     active = c > RATIO_FLOOR
     if not active.any():
@@ -486,10 +492,10 @@ def _min_sum_constants(p: np.ndarray, q: np.ndarray, c: np.ndarray) -> tuple[flo
     for _ in range(200):
         m1 = lo + (hi - lo) / 3.0
         m2 = hi - (hi - lo) / 3.0
-        if m1 + l_of(m1) <= m2 + l_of(m2):
-            hi = m2
-        else:
-            lo = m1
+        bracket = (lo, m2) if m1 + l_of(m1) <= m2 + l_of(m2) else (m1, hi)
+        if bracket == (lo, hi):
+            break  # a step depends on (lo, hi) alone, so every later one stalls too
+        lo, hi = bracket
     candidates = [k_floor, lo, (lo + hi) / 2.0, hi]
     best_k = min(candidates, key=lambda k: k + l_of(k))
     return best_k, l_of(best_k)
@@ -502,12 +508,14 @@ def estimate_constants(F: MapSpec, G: MapSpec, X: SpaceSpec, Y: SpaceSpec,
 
     SYM_HALF maximizes the two independent ratios; the other families share
     (k, l) across both inequalities, so the estimate minimizes k + l over
-    the sampled linear constraints.  Uses the same sample stream as
-    check_contraction for the same config.
+    the sampled linear constraints.  Uses the same sample as
+    check_contraction for the same config; ``audit`` draws it once for both.
     """
-    kind = FamilyKind(kind)
-    cfg = cfg or SamplerConfig()
-    data = _contraction_data(F, G, X, Y, cfg)
+    return _estimate_constants(_contraction_data(F, G, X, Y, cfg or SamplerConfig()),
+                               FamilyKind(kind))
+
+
+def _estimate_constants(data: _ContractionData, kind: FamilyKind) -> tuple[float, float]:
     columns = _FAMILIES[kind].columns
     if columns is None:
         s = data.dx + data.dy
@@ -528,65 +536,26 @@ def estimate_constants(F: MapSpec, G: MapSpec, X: SpaceSpec, Y: SpaceSpec,
 
 def check_comparability(X: SpaceSpec, Y: SpaceSpec,
                         cfg: SamplerConfig | None = None) -> ComparabilityCheck:
-    """Can every two product points be bridged by a third comparable to both?
+    """Uniqueness hypothesis: does each of min(samples, 200) sampled pairs of
+    product points have a third point comparable to both?
 
-    For sampled pairs of product points, searches sampled candidates plus
-    the componentwise meet/join constructions; PASS iff every pair admits
-    a candidate comparable (in the product order) to both.
+    A pair passes iff its X parts and its Y parts each have a common lower
+    and upper bound, which ``spaces.common_bounds_batch`` decides from the
+    orders: always under componentwise orders, iff comparable under
+    discrete ones.
     """
     cfg = cfg or SamplerConfig()
     rng = cfg.rng()
     n_pairs = min(cfg.samples_per_check, 200)
-    n_cand = min(cfg.samples_per_check, 200)
     X1 = sample_points(X, n_pairs, rng)
     Y1 = sample_points(Y, n_pairs, rng)
     X2 = sample_points(X, n_pairs, rng)
     Y2 = sample_points(Y, n_pairs, rng)
-    CX = sample_points(X, n_cand, rng)
-    CY = sample_points(Y, n_cand, rng)
-
-    def meet(kind: OrderKind, a, b):
-        if kind is OrderKind.COMPONENTWISE:
-            return np.minimum(a, b)
-        if kind is OrderKind.COMPONENTWISE_REVERSED:
-            return np.maximum(a, b)
-        return None
-
-    def join(kind: OrderKind, a, b):
-        if kind is OrderKind.COMPONENTWISE:
-            return np.maximum(a, b)
-        if kind is OrderKind.COMPONENTWISE_REVERSED:
-            return np.minimum(a, b)
-        return None
-
-    failures: list[dict] = []
-    for i in range(n_pairs):
-        cand_x = [CX, X1[i:i + 1], X2[i:i + 1]]
-        cand_y = [CY, Y1[i:i + 1], Y2[i:i + 1]]
-        mx, jy = meet(X.order.kind, X1[i], X2[i]), join(Y.order.kind, Y1[i], Y2[i])
-        jx, my = join(X.order.kind, X1[i], X2[i]), meet(Y.order.kind, Y1[i], Y2[i])
-        if mx is not None and jy is not None:
-            cand_x.append(np.stack([mx, jx]))
-            cand_y.append(np.stack([jy, my]))
-        cx = np.concatenate(cand_x, axis=0)
-        cy = np.concatenate(cand_y, axis=0)
-        ok = None
-        for px, py in ((X1[i], Y1[i]), (X2[i], Y2[i])):
-            PX = np.broadcast_to(px, cx.shape)
-            PY = np.broadcast_to(py, cy.shape)
-            below = leq_batch(X, cx, PX) & leq_batch(Y, PY, cy)
-            above = leq_batch(X, PX, cx) & leq_batch(Y, cy, PY)
-            comp = below | above
-            ok = comp if ok is None else (ok & comp)
-        if not bool(ok.any()):
-            if len(failures) < MAX_WITNESSES:
-                failures.append({
-                    "p1_x": _rows(X1, i), "p1_y": _rows(Y1, i),
-                    "p2_x": _rows(X2, i), "p2_y": _rows(Y2, i),
-                })
-            else:
-                break
-    return ComparabilityCheck(not failures, n_pairs, tuple(failures))
+    ok = common_bounds_batch(X, X1, X2) & common_bounds_batch(Y, Y1, Y2)
+    failures = tuple({"p1_x": _rows(X1, i), "p1_y": _rows(Y1, i),
+                      "p2_x": _rows(X2, i), "p2_y": _rows(Y2, i)}
+                     for i in np.flatnonzero(~ok)[:MAX_WITNESSES])
+    return ComparabilityCheck(not failures, n_pairs, failures)
 
 
 def estimate_lipschitz(F: MapSpec, G: MapSpec, X: SpaceSpec, Y: SpaceSpec,
@@ -624,15 +593,24 @@ def audit(F: MapSpec, G: MapSpec, X: SpaceSpec, Y: SpaceSpec,
           with_estimates: bool = False) -> HypothesisReport:
     """Run every checker and aggregate the verdicts into one report."""
     cfg = cfg or SamplerConfig()
-    estimates = None
+    estimates = contraction = None
     if with_estimates:
-        k_hat, l_hat = estimate_constants(F, G, X, Y, family.kind, cfg)
+        # one contraction sample serves both; it is dropped before the other
+        # checkers draw theirs, so their peak memory does not add up
+        data = _contraction_data(F, G, X, Y, cfg)
+        k_hat, l_hat = _estimate_constants(data, family.kind)
         estimates = {"k": k_hat, "l": l_hat}
+        contraction = _check_contraction(data, family)
+        del data
+    mixed_monotone = check_mixed_monotone(F, G, X, Y, cfg)
+    seed = check_seed(F, G, X, Y, x0, y0)
+    if contraction is None:
+        contraction = check_contraction(F, G, X, Y, family, cfg)
     return HypothesisReport(
         family=family,
-        mixed_monotone=check_mixed_monotone(F, G, X, Y, cfg),
-        seed=check_seed(F, G, X, Y, x0, y0),
-        contraction=check_contraction(F, G, X, Y, family, cfg),
+        mixed_monotone=mixed_monotone,
+        seed=seed,
+        contraction=contraction,
         comparability=check_comparability(X, Y, cfg),
         lipschitz=estimate_lipschitz(F, G, X, Y, cfg),
         estimated_constants=estimates,

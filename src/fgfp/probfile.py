@@ -58,7 +58,14 @@ def _check_keys(d: dict, required: set[str], optional: set[str], where: str):
 def _number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ProblemFileError(f"expected a number, got {value!r}", where)
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # json.load reads integers of any length
+        raise ProblemFileError("expected a finite number, got an integer beyond "
+                               "the float range", where) from None
+    if not math.isfinite(number):  # json.load reads NaN, Infinity and 1e400
+        raise ProblemFileError(f"expected a finite number, got {value!r}", where)
+    return number
 
 
 def _edge(value, where: str) -> float:
@@ -208,15 +215,20 @@ def parse_problem_dict(doc: dict, where: str = "problem") -> tuple[ProblemSpec, 
     return problem, expected
 
 
-def load_problem_file(path: str) -> tuple[ProblemSpec, dict | None]:
+def _read_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ProblemFileError(
                 f"invalid JSON: {exc.msg} (line {exc.lineno} column {exc.colno})",
                 path) from None
-    return parse_problem_dict(doc, where=path)
+        except ValueError as exc:  # bytes that are not UTF-8, overlong integers
+            raise ProblemFileError(f"invalid JSON: {exc}", path) from None
+
+
+def load_problem_file(path: str) -> tuple[ProblemSpec, dict | None]:
+    return parse_problem_dict(_read_json(path), where=path)
 
 
 def _edge_out(v: float):
@@ -264,14 +276,7 @@ def problem_to_dict(problem: ProblemSpec, expected_unique: bool | None = None) -
 
 def load_seeds_file(path: str) -> list[tuple[Point, Point]]:
     """Read extra seeds: {"seeds": [{"x0": [...], "y0": [...]}, ...]}."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ProblemFileError(
-                f"invalid JSON: {exc.msg} (line {exc.lineno} column {exc.colno})",
-                path) from None
-    d = _require_dict(doc, path)
+    d = _require_dict(_read_json(path), path)
     _check_keys(d, {"seeds"}, set(), path)
     if not isinstance(d["seeds"], list):
         raise ProblemFileError("seeds must be an array", f"{path}.seeds")

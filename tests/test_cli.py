@@ -267,6 +267,62 @@ def test_deeply_nested_map_exits_1(tmp_path, capsys):
     assert "maps.F" in err and "nested deeper than" in err
 
 
+INF = float("inf")
+NAN = float("nan")
+
+
+def _set_seed_x0(doc, value):
+    doc["seed"]["x0"] = [value]
+
+
+def _set_fixed_point(doc, value):
+    doc["expected"] = {"fixed_point": [[value], [0.0]]}
+
+
+def _set_extra_pair(doc, value):
+    doc["spaces"]["Y"]["order"] = {"kind": "DISCRETE_PLUS_PAIRS",
+                                   "extra_pairs": [[[value], [0.0]]]}
+
+
+def _set_lower(doc, value):
+    doc["spaces"]["X"]["lower"] = [value]
+
+
+@pytest.mark.parametrize("edit, value, where", [
+    (_set_seed_x0, NAN, "seed.x0[0]"),
+    (_set_fixed_point, NAN, "expected.fixed_point[0][0]"),
+    (_set_extra_pair, NAN, "spaces.Y.order.extra_pairs[0][0]"),
+    (None, NAN, "seeds[0].x0[0]"),
+    (_set_lower, -INF, "spaces.X.lower[0]"),    # unbounded sides are spelled "-inf"
+    (_set_seed_x0, 10 ** 400, "seed.x0[0]"),    # an integer beyond the float range
+], ids=["seed", "fixed_point", "extra_pairs", "seeds_file", "Infinity", "overlong_int"])
+def test_non_finite_numbers_exit_1_with_one_error_line(tmp_path, capsys, edit, value, where):
+    # json.dumps writes NaN and -Infinity literals, which json.load accepts
+    doc = read_json_from_export()
+    problem = tmp_path / "problem.json"
+    argv = ["check", str(problem)]
+    if edit is None:
+        seeds = tmp_path / "seeds.json"
+        seeds.write_text(json.dumps({"seeds": [{"x0": [value], "y0": [1.0]}]}))
+        argv = ["unique", str(problem), "--seeds", str(seeds)]
+    else:
+        edit(doc, value)
+    problem.write_text(json.dumps(doc))
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("fgfp: error: ") and err.count("\n") == 1
+    assert f"{where}: expected a finite number" in err
+
+
+def test_bytes_that_are_not_utf8_exit_1(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{")
+    assert main(["check", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("fgfp: error: ") and err.count("\n") == 1
+    assert "invalid JSON" in err
+
+
 @pytest.mark.parametrize("command", ["check", "solve"])
 def test_map_singular_at_the_seed_exits_1_naming_the_seed(tmp_path, capsys, command):
     doc = read_json_from_export()

@@ -26,16 +26,16 @@ RNG_SEEDS = (0, 7)
 
 # (exit code, SHA-256 of the report bytes) per run
 EXPECTED = {
-    'check coupled-reg 0': (0, '3f66788618a2054fdaec596cf6885ed0c0078eada1cf88745abc3463498be833'),
-    'check coupled-reg 7': (0, 'b0f1de181ef51389790fed4c09754cda8e7aa13902b2087cdebcc5619d150c6b'),
-    'check ex1 0': (0, '646f01bce1fa9a982a9bb8852b31585aa05b391c530f587779f28aa0cf01fc79'),
-    'check ex1 7': (0, '061a46b3e574fe5112e6bb195efacaa482ea0c1c5f47eb4f892db91e9217ecf6'),
-    'check ex2 0': (0, 'bb4942ef1f63dca1d09c3afc900561969b2f8327cccaa6f8bb49047b71fed9f2'),
-    'check ex2 7': (0, '01eb92ba5496b4651d638106292308de98bc18b8c0857f65e8c408bf08638f0e'),
-    'check ex3 0': (0, '3f95cdc5b6ddbfb7425702a6ed2ce168fbf04405da20a2932c397f389af00148'),
-    'check ex3 7': (0, '620cc0959d7b939bf4dd45f2f81b6e2462cdec7a1477501e8a91e1c003052d3c'),
-    'check ex4 0': (0, 'b563d0086d43dfecaf6d3f488159fe82781fc4c8b819ce2f925e66a3183f4211'),
-    'check ex4 7': (0, '639df5c2a4851f40c2fa273b454a7f76b2378cd4f17b9120fbaef3682c7a27da'),
+    'check coupled-reg 0': (0, '77113e3d60abf35605b47eb2223bad0d245ba32d646d8e01cd302fafcfc6eca5'),
+    'check coupled-reg 7': (0, '9655d234bb9ffadcb7a65ff80499fa3cc7b7bd90f75be42c2226bb3602896f9c'),
+    'check ex1 0': (0, 'e39fd9390c4a6763fcf0b163475ca7a425352224588255999f3fdd8357f30b32'),
+    'check ex1 7': (0, 'a4369b78d442e60fc84b023569cc3475b010f8e2a3c4f92635be490cde0211ab'),
+    'check ex2 0': (0, 'da0739721a0b5312552e9d79c350b5c141e75d553ac3676fd800ff5a6d3ba835'),
+    'check ex2 7': (0, 'fa6184807f1967c854e658c23de1d32e0fce592a13b91d9cbbcf65c7253b06ed'),
+    'check ex3 0': (0, '78aac67ec5a41750b74b5ca8180d4b22d88f6058385d110f429ee7a03d9b97cd'),
+    'check ex3 7': (0, 'cb0a9cf4a2777598589e20d2a265e534daa6f690ae8f25ab24ae381041c80038'),
+    'check ex4 0': (0, 'a0c6ab1fc94eb5ed51fbe0eb5719b95e2d9e3565ef10920fd71e348549a7e4ef'),
+    'check ex4 7': (0, 'f3d063fc1beb89a609a96ad5e71f1d6adedc24b797a608bcfcc3dd74b9701fb6'),
     'run-all 0': (0, '107cca877c5031325583f20a64cfc12ceb644ff318ac069b07bf7a1fea82fb51'),
     'run-all 7': (0, 'dffcc7be59f098c3e9029dc1cc42b7797b4776b69fcee98aa57a9f90a5bc9d96'),
     'solve coupled-reg 0': (0, 'c0fa89d12a64cb7a91578ecdd0c472b86b37c12ab76e9f976ede3143707b6024'),

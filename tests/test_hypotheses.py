@@ -5,7 +5,10 @@ from fgfp import (ContractionFamily, FamilyKind, SampleError,
                   SamplerConfig, box_space, check_comparability,
                   check_contraction, check_mixed_monotone, check_seed,
                   estimate_constants, eval_map, parse_map, point)
-from fgfp.hypotheses import _ordered_pairs
+from fgfp.hypotheses import (_FAMILIES, MAX_WITNESSES, RATIO_FLOOR,
+                             _contraction_data, _min_sum_constants,
+                             _ordered_pairs, audit)
+from fgfp.maps import evaluation_count
 from fgfp.spaces import (OrderKind, OrderSpec, leq, metric_distance,
                          sample_points)
 
@@ -189,6 +192,74 @@ def test_estimate_degenerate_single_point_box():
         estimate_constants(F, G, X, X, FamilyKind.SYM_HALF, CFG)
 
 
+def _min_sum_constants_200_steps(p, q, c):
+    """_min_sum_constants with its ternary search run for all 200 steps."""
+    active = c > RATIO_FLOOR
+    if not active.any():
+        return 0.0, 0.0
+    p, q, c = p[active], q[active], c[active]
+    p_ok, q_ok = p > RATIO_FLOOR, q > RATIO_FLOOR
+    if (~p_ok & ~q_ok).any():
+        return INF, INF
+    k_floor = float((c[~q_ok] / p[~q_ok]).max()) if (~q_ok).any() else 0.0
+    pq, qq, cq = p[q_ok], q[q_ok], c[q_ok]
+
+    def l_of(k):
+        return max(0.0, float(((cq - k * pq) / qq).max())) if qq.size else 0.0
+
+    k_hi = max(k_floor, float((c[p_ok] / p[p_ok]).max())) if p_ok.any() else k_floor
+    lo, hi = k_floor, k_hi
+    for _ in range(200):
+        m1 = lo + (hi - lo) / 3.0
+        m2 = hi - (hi - lo) / 3.0
+        if m1 + l_of(m1) <= m2 + l_of(m2):
+            hi = m2
+        else:
+            lo = m1
+    best = min([k_floor, lo, (lo + hi) / 2.0, hi], key=lambda k: k + l_of(k))
+    return best, l_of(best)
+
+
+def _lp_instances(corpus):
+    for eid, entry in corpus.items():
+        p = entry.problem
+        for rng_seed in (0, 7):
+            data = _contraction_data(p.F, p.G, p.X, p.Y, SamplerConfig(2000, rng_seed))
+            for kind in (FamilyKind.LIN_ASYM, FamilyKind.KANNAN, FamilyKind.CHATTERJEA):
+                (pf, qf), (pg, qg) = _FAMILIES[kind].columns
+                yield (np.concatenate([getattr(data, pf), getattr(data, pg)]),
+                       np.concatenate([getattr(data, qf), getattr(data, qg)]),
+                       np.concatenate([data.lhs_f, data.lhs_g]))
+    # k_floor == k_hi: the row without l-leverage pins k
+    yield np.array([1.0, 1.0]), np.array([0.0, 1.0]), np.array([2.0, 1.0])
+    rng = np.random.default_rng(8)
+    for _ in range(300):
+        n = int(rng.integers(1, 40))
+        p, q, c = rng.uniform(0.0, 2.0, (3, n)) * (rng.random((3, n)) > 0.25)
+        yield p, q, c
+
+
+def test_min_sum_constants_stall_exit_returns_the_200_step_bits(corpus):
+    for p, q, c in _lp_instances(corpus):
+        assert _min_sum_constants(p, q, c) == _min_sum_constants_200_steps(p, q, c)
+
+
+def test_audit_takes_one_contraction_sample_for_the_estimate_and_the_check(corpus):
+    F, G, X, Y, fam = ex(corpus, "ex3")
+    x0, y0 = corpus["ex3"].problem.seed
+    cfg = SamplerConfig(samples_per_check=700, rng_seed=5)
+    before = evaluation_count()
+    rep = audit(F, G, X, Y, fam, x0, y0, cfg, with_estimates=True)
+    with_estimates = evaluation_count() - before
+    assert rep.contraction.to_dict() == check_contraction(F, G, X, Y, fam, cfg).to_dict()
+    k_hat, l_hat = estimate_constants(F, G, X, Y, fam.kind, cfg)
+    assert rep.estimated_constants == {"k": k_hat, "l": l_hat}
+    before = evaluation_count()
+    plain = audit(F, G, X, Y, fam, x0, y0, cfg).to_dict()
+    assert evaluation_count() - before == with_estimates
+    assert rep.to_dict() == {**plain, "estimated_constants": {"k": k_hat, "l": l_hat}}
+
+
 # ---------------------------------------------------------------------------
 # comparability
 
@@ -226,3 +297,37 @@ def test_iterates_are_ordered_when_hypotheses_hold(corpus, corpus_runs):
             xn1, yn1 = trace.points[n + 1]
             assert leq(p.X, xn, xn1)
             assert leq(p.Y, yn1, yn)
+
+
+@pytest.mark.parametrize("rng_seed", range(5))
+def test_comparability_box_with_a_single_point_discrete_factor_passes(rng_seed):
+    # the componentwise min of the two x parts, with y = 0, lies below both
+    # points; a candidate search missed it on seeds 0 and 4
+    X = box_space((0.0, 0.0), (1.0, 1.0))
+    Y = box_space((0.0,), (0.0,), order=OrderSpec(kind=OrderKind.DISCRETE))
+    rep = check_comparability(X, Y, SamplerConfig(rng_seed=rng_seed))
+    assert rep.passed and rep.failures == ()
+
+
+def test_comparability_discrete_slack_fails_exactly_the_far_pairs():
+    slack = 0.05
+    X = box_space((0.0,), (1.0,), order=OrderSpec(kind=OrderKind.DISCRETE, slack=slack))
+    Y = box_space((0.0, 0.0), (1.0, 1.0))
+    cfg = SamplerConfig(rng_seed=4)
+    rep = check_comparability(X, Y, cfg)
+    rng = cfg.rng()
+    X1, Y1, X2, Y2 = (sample_points(S, 200, rng) for S in (X, Y, X, Y))
+    far = np.flatnonzero(np.abs(X1 - X2)[:, 0] > slack)[:MAX_WITNESSES]
+    assert len(far) == MAX_WITNESSES and far[-1] > MAX_WITNESSES  # near pairs skipped
+    assert not rep.passed
+    assert list(rep.failures) == [
+        {"p1_x": list(X1[i]), "p1_y": list(Y1[i]), "p2_x": list(X2[i]), "p2_y": list(Y2[i])}
+        for i in far]
+
+
+@pytest.mark.parametrize("samples", [1, 50, 200, 2000])
+def test_comparability_checks_at_most_200_pairs(samples):
+    X = box_space((0.0,), (1.0,), order=OrderSpec(kind=OrderKind.DISCRETE))
+    rep = check_comparability(X, X, SamplerConfig(samples_per_check=samples))
+    assert rep.pairs_checked == min(samples, 200)
+    assert len(rep.failures) == min(samples, MAX_WITNESSES)

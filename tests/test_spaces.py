@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from fgfp import (DimensionMismatch, DomainError, MetricKind, MetricSpec,
                   OrderKind, OrderSpec, Point, box_space, comparable,
                   distance, leq, point, product_distance, product_leq)
-from fgfp.spaces import leq_batch, sample_points
+from fgfp.spaces import common_bounds_batch, leq_batch, sample_points
 
 INF = float("inf")
 
@@ -159,6 +159,33 @@ def test_leq_matches_leq_batch_row_by_row(order):
     assert batch.any() and not batch.all()
     for a, b, want in zip(A, B, batch):
         assert leq(space, Point(tuple(a)), Point(tuple(b))) == bool(want)
+
+
+# rows: comparable, an antichain, equal within the slack, a listed relation
+# read backwards, and a relation through the transitive closure
+BOUND_A = np.array([[0.0, 0.0], [0.0, 1.0], [0.5, 0.5], [1.0, 0.5], [0.0, 0.0]])
+BOUND_B = np.array([[1.0, 1.0], [1.0, 0.0], [0.5, 0.5 + 1e-13], [0.0, 0.0], [2.0, -1.0]])
+
+
+@pytest.mark.parametrize("order, want", [
+    (OrderSpec(kind=OrderKind.COMPONENTWISE), [True] * 5),
+    (OrderSpec(kind=OrderKind.COMPONENTWISE_REVERSED), [True] * 5),
+    (OrderSpec(kind=OrderKind.DISCRETE), [False, False, True, False, False]),
+    (OrderSpec(kind=OrderKind.DISCRETE_PLUS_PAIRS,
+               extra_pairs=((point(0.0, 0.0), point(1.0, 0.5)),
+                            (point(1.0, 0.5), point(2.0, -1.0)))),
+     [False, False, True, True, True]),
+], ids=[kind.value for kind in OrderKind])
+def test_common_bounds_batch_per_order_kind(order, want):
+    space = box_space((-3.0, -3.0), (3.0, 3.0), order=order)
+    assert common_bounds_batch(space, BOUND_A, BOUND_B).tolist() == want
+    if order.kind in (OrderKind.COMPONENTWISE, OrderKind.COMPONENTWISE_REVERSED):
+        # the rowwise min and max are the two bounds, in some order
+        lo, hi = np.minimum(BOUND_A, BOUND_B), np.maximum(BOUND_A, BOUND_B)
+        if order.kind is OrderKind.COMPONENTWISE_REVERSED:
+            lo, hi = hi, lo
+        for C in (BOUND_A, BOUND_B):
+            assert leq_batch(space, lo, C).all() and leq_batch(space, C, hi).all()
 
 
 # ---------------------------------------------------------------------------
