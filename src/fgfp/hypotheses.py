@@ -6,18 +6,20 @@ counterexamples.  Verdicts are sampled evidence over the spaces' sampling
 boxes, not proofs; serialized reports carry ``"evidence": "sampled"``.
 
 The four contraction families bound d(F(x,y), F(u,v)) on order-comparable
-pairs (x >= u, y <= v for the F inequality; mirrored for G).  Each
-admits a range of constants and implies geometric envelopes on the steps
-n >= 1 of the coupled iteration, with d1x, d1y the first step distances,
-D = d1x + d1y and theta = (k+l)/2:
+pairs (x >= u, y <= v) by k p + l q for the distance terms (p, q) below; the
+G inequality mirrors F's (x, u, F, d_X swap with y, v, G, d_Y), except on
+SYM_HALF's G side, written out.  Each admits a range of constants and
+implies geometric envelopes on the steps n >= 1 of the coupled iteration,
+with d1x, d1y the first step distances, D = d1x + d1y and theta = (k+l)/2:
 
-    SYM_HALF     (k/2) [d_X(x,u) + d_Y(y,v)]            k, l in [0, 1)
+    SYM_HALF     F: ((d_X(x,u) + d_Y(y,v))/2, 0)            k, l in [0, 1)
+                 G: (0, (d_X(x,u) + d_Y(y,v))/2)
                  x: (k/2) theta^(n-1) D      y: (l/2) theta^(n-1) D
-    LIN_ASYM     k d_X(x,u) + l d_Y(y,v)                k + l < 1
+    LIN_ASYM     (d_X(x,u), d_Y(y,v))                       k + l < 1
                  x, y: (k+l)^n D
-    KANNAN       k d_X(x,F(x,y)) + l d_X(u,F(u,v))      k + l < 1
+    KANNAN       (d_X(x,F(x,y)), d_X(u,F(u,v)))             k + l < 1
                  x: (l/(1-k))^n d1x          y: (k/(1-l))^n d1y
-    CHATTERJEA   k d_X(x,F(u,v)) + l d_X(u,F(x,y))      k, l in [0, 1/2)
+    CHATTERJEA   (d_X(x,F(u,v)), d_X(u,F(x,y)))             k, l in [0, 1/2)
                  x: (l/(1-l))^n d1x          y: (k/(1-k))^n d1y
 
 SYM_HALF and LIN_ASYM bound d_X + d_Y of two comparable pairs, so their
@@ -32,14 +34,15 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import EvaluationError, SampleError
 from .maps import MapSpec, eval_map, eval_map_batch
-from .spaces import (OrderKind, Point, SpaceSpec, common_bounds_batch,
-                     distance_batch, leq, leq_batch, sample_points)
+from .spaces import (Point, SpaceSpec, common_bounds_batch, distance_batch, leq,
+                     leq_batch, sample_ordered_pairs, sample_points)
 
 # Additive slack when comparing inequality sides along samples.
 CONTRACTION_SLACK = 1e-12
@@ -71,13 +74,39 @@ class Envelope(NamedTuple):
     on_sum: bool
 
 
+class _Pairs(NamedTuple):
+    """Sampled order-comparable pairs and their images.  The F inequality
+    reads x = x_hi, u = x_lo, y = y_lo, v = y_hi; the G one mirrors them."""
+
+    dX: Callable            # distance_batch on X
+    dY: Callable            # distance_batch on Y
+    x_lo: np.ndarray
+    x_hi: np.ndarray
+    y_lo: np.ndarray
+    y_hi: np.ndarray
+    F_xy: np.ndarray        # F(x_hi, y_lo)
+    F_uv: np.ndarray        # F(x_lo, y_hi)
+    G_yx: np.ndarray        # G(y_hi, x_lo)
+    G_vu: np.ndarray        # G(y_lo, x_hi)
+
+
+def _half_sum_columns(s: _Pairs):
+    half = (s.dX(s.x_hi, s.x_lo) + s.dY(s.y_hi, s.y_lo)) / 2.0
+    zero = np.zeros_like(half)
+    return (half, zero), (zero, half)
+
+
+def _step_columns(s: _Pairs):
+    dx, dy = s.dX(s.x_hi, s.x_lo), s.dY(s.y_hi, s.y_lo)
+    return (dx, dy), (dy, dx)
+
+
 class _Family(NamedTuple):
     requires: str                                # admissible (k, l), as text
     admissible: Callable[[float, float], bool]
     rates: Callable[[float, float], tuple]       # -> x envelope, y envelope
-    # _ContractionData columns (p, q) of the F and the G side: rhs = k*p + l*q;
-    # None for SYM_HALF, whose rhs are (k/2)(dx + dy) and (l/2)(dx + dy)
-    columns: tuple[tuple[str, str], tuple[str, str]] | None
+    # -> (p, q) of the F and of the G side at the sampled pairs: rhs = k*p + l*q
+    columns: Callable[[_Pairs], tuple]
 
 
 _FAMILIES = {
@@ -85,22 +114,24 @@ _FAMILIES = {
         "k, l in [0, 1)", lambda k, l: k < 1 and l < 1,
         lambda k, l: (Envelope(0.5 * k, (k + l) / 2.0, 1, True),
                       Envelope(0.5 * l, (k + l) / 2.0, 1, True)),
-        None),
+        _half_sum_columns),
     FamilyKind.LIN_ASYM: _Family(
         "k + l < 1", lambda k, l: k + l < 1,
         lambda k, l: (Envelope(1.0, k + l, 0, True),
                       Envelope(1.0, k + l, 0, True)),
-        (("dx", "dy"), ("dy", "dx"))),
+        _step_columns),
     FamilyKind.KANNAN: _Family(
         "k + l < 1", lambda k, l: k + l < 1,
         lambda k, l: (Envelope(1.0, l / (1.0 - k), 0, False),
                       Envelope(1.0, k / (1.0 - l), 0, False)),
-        (("f_disp_hi", "f_disp_lo"), ("g_disp_hi", "g_disp_lo"))),
+        lambda s: ((s.dX(s.x_hi, s.F_xy), s.dX(s.x_lo, s.F_uv)),
+                   (s.dY(s.y_hi, s.G_yx), s.dY(s.y_lo, s.G_vu)))),
     FamilyKind.CHATTERJEA: _Family(
         "k, l in [0, 1/2)", lambda k, l: k < 0.5 and l < 0.5,
         lambda k, l: (Envelope(1.0, l / (1.0 - l), 0, False),
                       Envelope(1.0, k / (1.0 - k), 0, False)),
-        (("f_cross_hi", "f_cross_lo"), ("g_cross_hi", "g_cross_lo"))),
+        lambda s: ((s.dX(s.x_hi, s.F_uv), s.dX(s.x_lo, s.F_xy)),
+                   (s.dY(s.y_hi, s.G_vu), s.dY(s.y_lo, s.G_yx)))),
 }
 
 
@@ -147,35 +178,6 @@ class SamplerConfig:
 
     def rng(self) -> np.random.Generator:
         return np.random.default_rng(self.rng_seed)
-
-
-# ---------------------------------------------------------------------------
-# Sampling helpers
-
-def _ordered_pairs(space: SpaceSpec, n: int,
-                   rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Manufacture n pairs (lo, hi) with lo <= hi in the space order:
-    min/max of two draws for componentwise orders, equal pairs with every
-    other row set to a listed relation for discrete ones."""
-    kind = space.order.kind
-    if kind is OrderKind.COMPONENTWISE:
-        U = sample_points(space, n, rng)
-        V = sample_points(space, n, rng)
-        return np.minimum(U, V), np.maximum(U, V)
-    if kind is OrderKind.COMPONENTWISE_REVERSED:
-        U = sample_points(space, n, rng)
-        V = sample_points(space, n, rng)
-        return np.maximum(U, V), np.minimum(U, V)
-    U = sample_points(space, n, rng)
-    lo = U.copy()
-    hi = U.copy()
-    closure = space.order.closure
-    if kind is OrderKind.DISCRETE_PLUS_PAIRS and closure:
-        rows = np.arange(1, n, 2)
-        pairs = np.asarray(closure, dtype=np.float64)[(rows // 2) % len(closure)]
-        lo[rows] = pairs[:, 0]
-        hi[rows] = pairs[:, 1]
-    return lo, hi
 
 
 def _rows(arr: np.ndarray, idx: int) -> list[float]:
@@ -304,9 +306,9 @@ def check_mixed_monotone(F: MapSpec, G: MapSpec, X: SpaceSpec, Y: SpaceSpec,
     rng = cfg.rng()
     n = cfg.samples_per_check
     # fixed draw order keeps the stream deterministic
-    x_lo, x_hi = _ordered_pairs(X, n, rng)
+    x_lo, x_hi = sample_ordered_pairs(X, n, rng)
     y_ctx = sample_points(Y, n, rng)
-    y_lo, y_hi = _ordered_pairs(Y, n, rng)
+    y_lo, y_hi = sample_ordered_pairs(Y, n, rng)
     x_ctx = sample_points(X, n, rng)
 
     f_lo = eval_map_batch(F, x_lo, y_ctx)
@@ -359,83 +361,51 @@ def check_seed(F: MapSpec, G: MapSpec, X: SpaceSpec, Y: SpaceSpec,
 
 @dataclass(frozen=True)
 class _ContractionData:
-    """Sampled quantities shared by check_contraction and estimate_constants."""
+    """One family's contraction sample, shared by check_contraction and
+    estimate_constants: the pairs, the left sides and the family's (p, q)
+    columns of ``_FAMILIES``, so that the right sides are k*p + l*q."""
 
     x_lo: np.ndarray
     x_hi: np.ndarray
     y_lo: np.ndarray
     y_hi: np.ndarray
-    dx: np.ndarray          # d_X(x_hi, x_lo)
-    dy: np.ndarray          # d_Y(y_hi, y_lo)
     lhs_f: np.ndarray       # d_X(F(x_hi, y_lo), F(x_lo, y_hi))
     lhs_g: np.ndarray       # d_Y(G(y_hi, x_lo), G(y_lo, x_hi))
-    # displacement distances for the self/cross families
-    f_disp_hi: np.ndarray   # d_X(x_hi, F(x_hi, y_lo))
-    f_disp_lo: np.ndarray   # d_X(x_lo, F(x_lo, y_hi))
-    g_disp_hi: np.ndarray   # d_Y(y_hi, G(y_hi, x_lo))
-    g_disp_lo: np.ndarray   # d_Y(y_lo, G(y_lo, x_hi))
-    f_cross_hi: np.ndarray  # d_X(x_hi, F(x_lo, y_hi))
-    f_cross_lo: np.ndarray  # d_X(x_lo, F(x_hi, y_lo))
-    g_cross_hi: np.ndarray  # d_Y(y_hi, G(y_lo, x_hi))
-    g_cross_lo: np.ndarray  # d_Y(y_lo, G(y_hi, x_lo))
+    p_f: np.ndarray
+    q_f: np.ndarray
+    p_g: np.ndarray
+    q_g: np.ndarray
 
 
 def _contraction_data(F: MapSpec, G: MapSpec, X: SpaceSpec, Y: SpaceSpec,
-                      cfg: SamplerConfig) -> _ContractionData:
+                      kind: FamilyKind, cfg: SamplerConfig) -> _ContractionData:
     rng = cfg.rng()
     n = cfg.samples_per_check
-    x_lo, x_hi = _ordered_pairs(X, n, rng)
-    y_lo, y_hi = _ordered_pairs(Y, n, rng)
-
-    # F inequality side conditions: x >= u, y <= v  ->  x = x_hi, u = x_lo,
-    # y = y_lo, v = y_hi.  G side mirrors them.
-    F_xy = eval_map_batch(F, x_hi, y_lo)
-    F_uv = eval_map_batch(F, x_lo, y_hi)
-    G_yx = eval_map_batch(G, y_hi, x_lo)
-    G_vu = eval_map_batch(G, y_lo, x_hi)
-
-    return _ContractionData(
-        x_lo=x_lo, x_hi=x_hi, y_lo=y_lo, y_hi=y_hi,
-        dx=distance_batch(X, x_hi, x_lo),
-        dy=distance_batch(Y, y_hi, y_lo),
-        lhs_f=distance_batch(X, F_xy, F_uv),
-        lhs_g=distance_batch(Y, G_yx, G_vu),
-        f_disp_hi=distance_batch(X, x_hi, F_xy),
-        f_disp_lo=distance_batch(X, x_lo, F_uv),
-        g_disp_hi=distance_batch(Y, y_hi, G_yx),
-        g_disp_lo=distance_batch(Y, y_lo, G_vu),
-        f_cross_hi=distance_batch(X, x_hi, F_uv),
-        f_cross_lo=distance_batch(X, x_lo, F_xy),
-        g_cross_hi=distance_batch(Y, y_hi, G_vu),
-        g_cross_lo=distance_batch(Y, y_lo, G_yx),
-    )
+    x_lo, x_hi = sample_ordered_pairs(X, n, rng)
+    y_lo, y_hi = sample_ordered_pairs(Y, n, rng)
+    pairs = _Pairs(partial(distance_batch, X), partial(distance_batch, Y),
+                   x_lo, x_hi, y_lo, y_hi,
+                   eval_map_batch(F, x_hi, y_lo), eval_map_batch(F, x_lo, y_hi),
+                   eval_map_batch(G, y_hi, x_lo), eval_map_batch(G, y_lo, x_hi))
+    (p_f, q_f), (p_g, q_g) = _FAMILIES[kind].columns(pairs)
+    return _ContractionData(x_lo, x_hi, y_lo, y_hi, pairs.dX(pairs.F_xy, pairs.F_uv),
+                            pairs.dY(pairs.G_yx, pairs.G_vu), p_f, q_f, p_g, q_g)
 
 
 def _family_rhs(family: ContractionFamily, data: _ContractionData) -> tuple[np.ndarray, np.ndarray]:
     k, l = family.k, family.l
-    columns = _FAMILIES[family.kind].columns
-    if columns is None:
-        s = data.dx + data.dy
-        return 0.5 * k * s, 0.5 * l * s
-    (pf, qf), (pg, qg) = columns
-    return (k * getattr(data, pf) + l * getattr(data, qf),
-            k * getattr(data, pg) + l * getattr(data, qg))
+    return k * data.p_f + l * data.q_f, k * data.p_g + l * data.q_g
 
 
-def _side_result(data: _ContractionData, lhs: np.ndarray, rhs: np.ndarray,
-                 side: str) -> InequalitySide:
+def _side_result(side: str, lhs: np.ndarray, rhs: np.ndarray,
+                 roles: tuple[np.ndarray, ...]) -> InequalitySide:
+    """One inequality's verdict; ``roles`` are the x, u, y, v arrays."""
     bad = lhs > rhs + CONTRACTION_SLACK
     usable = rhs >= RATIO_FLOOR
     max_ratio = float((lhs[usable] / rhs[usable]).max()) if usable.any() else None
     violations = []
     for i in np.flatnonzero(bad)[:MAX_WITNESSES]:
-        if side == "F":
-            roles = {"x": _rows(data.x_hi, i), "u": _rows(data.x_lo, i),
-                     "y": _rows(data.y_lo, i), "v": _rows(data.y_hi, i)}
-        else:
-            roles = {"x": _rows(data.x_lo, i), "u": _rows(data.x_hi, i),
-                     "y": _rows(data.y_hi, i), "v": _rows(data.y_lo, i)}
-        violations.append({"side": side, **roles,
+        violations.append({"side": side, **{r: _rows(a, i) for r, a in zip("xuyv", roles)},
                            "lhs": float(lhs[i]), "rhs": float(rhs[i])})
     return InequalitySide(not bool(bad.any()), int(lhs.shape[0]), max_ratio,
                           tuple(violations))
@@ -445,15 +415,15 @@ def check_contraction(F: MapSpec, G: MapSpec, X: SpaceSpec, Y: SpaceSpec,
                       family: ContractionFamily,
                       cfg: SamplerConfig | None = None) -> ContractionCheck:
     """Sample the family inequality for F (on d_X) and G (on d_Y)."""
-    return _check_contraction(_contraction_data(F, G, X, Y, cfg or SamplerConfig()),
-                              family)
+    return _check_contraction(
+        _contraction_data(F, G, X, Y, family.kind, cfg or SamplerConfig()), family)
 
 
 def _check_contraction(data: _ContractionData,
                        family: ContractionFamily) -> ContractionCheck:
     rhs_f, rhs_g = _family_rhs(family, data)
-    f_side = _side_result(data, data.lhs_f, rhs_f, "F")
-    g_side = _side_result(data, data.lhs_g, rhs_g, "G")
+    f_side = _side_result("F", data.lhs_f, rhs_f, (data.x_hi, data.x_lo, data.y_lo, data.y_hi))
+    g_side = _side_result("G", data.lhs_g, rhs_g, (data.x_lo, data.x_hi, data.y_hi, data.y_lo))
     return ContractionCheck(f_side.passed and g_side.passed, family, f_side, g_side)
 
 
@@ -504,34 +474,23 @@ def _min_sum_constants(p: np.ndarray, q: np.ndarray, c: np.ndarray) -> tuple[flo
 def estimate_constants(F: MapSpec, G: MapSpec, X: SpaceSpec, Y: SpaceSpec,
                        kind: FamilyKind | str,
                        cfg: SamplerConfig | None = None) -> tuple[float, float]:
-    """Smallest constants making all sampled family inequalities hold.
-
-    SYM_HALF maximizes the two independent ratios; the other families share
-    (k, l) across both inequalities, so the estimate minimizes k + l over
-    the sampled linear constraints.  Uses the same sample as
-    check_contraction for the same config; ``audit`` draws it once for both.
+    """Smallest constants making all sampled family inequalities hold: the
+    (k, l) minimizing k + l subject to k*p + l*q >= lhs on every F and G row.
+    SYM_HALF's constraints separate (q = 0 on its F rows, p = 0 on its G
+    rows), so its k and l are the largest sampled ratios lhs/p and lhs/q.
+    Uses the same sample as check_contraction for the same config;
+    ``audit`` draws it once for both.
     """
-    return _estimate_constants(_contraction_data(F, G, X, Y, cfg or SamplerConfig()),
-                               FamilyKind(kind))
+    return _estimate_constants(
+        _contraction_data(F, G, X, Y, FamilyKind(kind), cfg or SamplerConfig()))
 
 
-def _estimate_constants(data: _ContractionData, kind: FamilyKind) -> tuple[float, float]:
-    columns = _FAMILIES[kind].columns
-    if columns is None:
-        s = data.dx + data.dy
-        usable = s >= RATIO_FLOOR
-        if not usable.any():
-            raise SampleError("degenerate samples: all inequality right-hand sides are zero")
-        k_hat = float((2.0 * data.lhs_f[usable] / s[usable]).max())
-        l_hat = float((2.0 * data.lhs_g[usable] / s[usable]).max())
-        return k_hat, l_hat
-    (pf, qf), (pg, qg) = columns
-    p = np.concatenate([getattr(data, pf), getattr(data, pg)])
-    q = np.concatenate([getattr(data, qf), getattr(data, qg)])
-    c = np.concatenate([data.lhs_f, data.lhs_g])
+def _estimate_constants(data: _ContractionData) -> tuple[float, float]:
+    p = np.concatenate([data.p_f, data.p_g])
+    q = np.concatenate([data.q_f, data.q_g])
     if not bool((np.maximum(p, q) >= RATIO_FLOOR).any()):
         raise SampleError("degenerate samples: all inequality right-hand sides are zero")
-    return _min_sum_constants(p, q, c)
+    return _min_sum_constants(p, q, np.concatenate([data.lhs_f, data.lhs_g]))
 
 
 def check_comparability(X: SpaceSpec, Y: SpaceSpec,
@@ -593,19 +552,17 @@ def audit(F: MapSpec, G: MapSpec, X: SpaceSpec, Y: SpaceSpec,
           with_estimates: bool = False) -> HypothesisReport:
     """Run every checker and aggregate the verdicts into one report."""
     cfg = cfg or SamplerConfig()
-    estimates = contraction = None
+    # the contraction sample serves the check and the estimate; it is dropped
+    # before the other checkers draw theirs, so their peak memory does not add up
+    data = _contraction_data(F, G, X, Y, family.kind, cfg)
+    contraction = _check_contraction(data, family)
+    estimates = None
     if with_estimates:
-        # one contraction sample serves both; it is dropped before the other
-        # checkers draw theirs, so their peak memory does not add up
-        data = _contraction_data(F, G, X, Y, cfg)
-        k_hat, l_hat = _estimate_constants(data, family.kind)
+        k_hat, l_hat = _estimate_constants(data)
         estimates = {"k": k_hat, "l": l_hat}
-        contraction = _check_contraction(data, family)
-        del data
+    del data
     mixed_monotone = check_mixed_monotone(F, G, X, Y, cfg)
     seed = check_seed(F, G, X, Y, x0, y0)
-    if contraction is None:
-        contraction = check_contraction(F, G, X, Y, family, cfg)
     return HypothesisReport(
         family=family,
         mixed_monotone=mixed_monotone,

@@ -122,15 +122,18 @@ def _parse_space(value, where: str) -> SpaceSpec:
             raise ProblemFileError(f"unknown order kind {od['kind']!r}",
                                    f"{where}.order.kind") from None
         slack = _number(od.get("slack", OrderSpec().slack), f"{where}.order.slack")
+        extra = od.get("extra_pairs", [])
+        if not isinstance(extra, list):
+            raise ProblemFileError("expected an array of pairs", f"{where}.order.extra_pairs")
         pairs = []
-        for i, pair in enumerate(od.get("extra_pairs", [])):
+        for i, pair in enumerate(extra):
             pw = f"{where}.order.extra_pairs[{i}]"
             if not isinstance(pair, list) or len(pair) != 2:
                 raise ProblemFileError("each pair must be [[...], [...]]", pw)
             pairs.append((Point(_vector(pair[0], pw)), Point(_vector(pair[1], pw))))
         try:
             order = OrderSpec(kind=okind, extra_pairs=tuple(pairs), slack=slack)
-        except ValueError as exc:
+        except (ValueError, FgfpError) as exc:
             raise ProblemFileError(str(exc), f"{where}.order") from None
 
     sampling_box = None

@@ -390,3 +390,24 @@ def sample_points(space: SpaceSpec, n: int, rng: np.random.Generator) -> np.ndar
     """Uniform samples from the sampling box, shape (n, dim)."""
     lo, hi = space.sampling_box
     return rng.uniform(lo, hi, size=(n, space.dim))
+
+
+def sample_ordered_pairs(space: SpaceSpec, n: int,
+                         rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """n pairs (lo, hi) with lo <= hi in the space order: the rowwise min
+    and max of two draws for componentwise orders, equal pairs with every
+    other row set to a listed relation for discrete ones."""
+    kind = space.order.kind
+    U = sample_points(space, n, rng)
+    if kind is OrderKind.COMPONENTWISE or kind is OrderKind.COMPONENTWISE_REVERSED:
+        V = sample_points(space, n, rng)
+        lo, hi = np.minimum(U, V), np.maximum(U, V)
+        return (hi, lo) if kind is OrderKind.COMPONENTWISE_REVERSED else (lo, hi)
+    hi = U.copy()
+    closure = space.order.closure
+    if kind is OrderKind.DISCRETE_PLUS_PAIRS and closure:
+        rows = np.arange(1, n, 2)
+        pairs = np.asarray(closure, dtype=np.float64)[(rows // 2) % len(closure)]
+        U[rows] = pairs[:, 0]
+        hi[rows] = pairs[:, 1]
+    return U, hi

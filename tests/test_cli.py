@@ -337,6 +337,39 @@ def test_map_singular_at_the_seed_exits_1_naming_the_seed(tmp_path, capsys, comm
     assert "sample" not in err
 
 
+@pytest.mark.parametrize("value, message", [
+    (5, "order.extra_pairs: expected an array of pairs"),
+    (None, "order.extra_pairs: expected an array of pairs"),
+    (True, "order.extra_pairs: expected an array of pairs"),
+    ([[[-1.0], [0.0, 1.0]]], "order: extra_pairs mix dimensions"),
+], ids=["number", "null", "bool", "mixed_dims"])
+def test_bad_extra_pairs_exit_1_with_one_error_line(tmp_path, capsys, value, message):
+    doc = read_json_from_export()
+    doc["spaces"]["Y"]["order"] = {"kind": "DISCRETE_PLUS_PAIRS", "extra_pairs": value}
+    bad = tmp_path / "pairs.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["check", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("fgfp: error: ") and err.count("\n") == 1
+    assert f"spaces.Y.{message}" in err
+
+
+def test_solve_and_check_name_the_same_sample_for_a_singular_map(tmp_path, capsys):
+    doc = read_json_from_export()
+    # 1/(a1 - a1*a1/a1) divides by zero, or by rounding noise, on sampled points
+    doc["maps"]["F"] = "(a1 - b1)/3 + 1/(a1 - a1*a1/a1)"
+    bad = tmp_path / "singular.json"
+    bad.write_text(json.dumps(doc))
+    errors = []
+    for command in ("solve", "check"):
+        assert main([command, str(bad), "--out", str(tmp_path / "r.json")]) == 1
+        errors.append(capsys.readouterr().err)
+    # the contraction sample is evaluated first by both commands
+    assert errors[0] == errors[1]
+    assert errors[0].startswith("fgfp: error: non-finite value in output coordinate 1 "
+                                "at sample 0 (inputs a=[-0.22718933780937256], ")
+
+
 def test_rng_seed_env_default(ex1_file, tmp_path, monkeypatch):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

@@ -2,19 +2,24 @@
 
 Each reference below spells one family's formula out in the float
 operation order of the per-family code that the table replaced, so any
-change of rounding in ``step_bound``, ``tail_bound`` or the contraction
-right-hand sides fails with ``==``.
+change of rounding in ``step_bound``, ``tail_bound``, the contraction
+right-hand sides or the constant estimates fails with ``==``.  The
+contraction references are built from a sample's points and fresh map
+images, not from the sample's own columns.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from fgfp import (ContractionFamily, FamilyKind, SamplerConfig,
                   estimate_constants, step_bound, tail_bound)
-from fgfp.hypotheses import (_ContractionData, _contraction_data,
-                             _family_rhs, _min_sum_constants)
+from fgfp.hypotheses import (RATIO_FLOOR, _contraction_data, _family_rhs,
+                             _min_sum_constants)
+from fgfp.maps import eval_map_batch
+from fgfp.spaces import distance_batch
 
 SYM, LIN, KAN, CHA = (FamilyKind.SYM_HALF, FamilyKind.LIN_ASYM,
                       FamilyKind.KANNAN, FamilyKind.CHATTERJEA)
@@ -84,6 +89,29 @@ def ref_tail_bound(family, n, d1x, d1y, component):
     return delta ** n / (1.0 - delta) * base
 
 
+def ref_distances(p, data):
+    """Every distance term of the four families at the sample's pairs, with
+    x = x_hi, u = x_lo, y = y_lo, v = y_hi on the F side."""
+    X, Y = p.X, p.Y
+    F_xy = eval_map_batch(p.F, data.x_hi, data.y_lo)
+    F_uv = eval_map_batch(p.F, data.x_lo, data.y_hi)
+    G_yx = eval_map_batch(p.G, data.y_hi, data.x_lo)
+    G_vu = eval_map_batch(p.G, data.y_lo, data.x_hi)
+    return SimpleNamespace(
+        dx=distance_batch(X, data.x_hi, data.x_lo),
+        dy=distance_batch(Y, data.y_hi, data.y_lo),
+        lhs_f=distance_batch(X, F_xy, F_uv),
+        lhs_g=distance_batch(Y, G_yx, G_vu),
+        f_disp_hi=distance_batch(X, data.x_hi, F_xy),
+        f_disp_lo=distance_batch(X, data.x_lo, F_uv),
+        g_disp_hi=distance_batch(Y, data.y_hi, G_yx),
+        g_disp_lo=distance_batch(Y, data.y_lo, G_vu),
+        f_cross_hi=distance_batch(X, data.x_hi, F_uv),
+        f_cross_lo=distance_batch(X, data.x_lo, F_xy),
+        g_cross_hi=distance_batch(Y, data.y_hi, G_vu),
+        g_cross_lo=distance_batch(Y, data.y_lo, G_yx))
+
+
 def ref_rhs(family, d):
     k, l = family.k, family.l
     if family.kind is SYM:
@@ -129,21 +157,30 @@ def test_step_and_tail_bounds_match_closed_forms(family):
 
 
 @pytest.mark.parametrize("family", FAMILIES, ids=family_id)
-def test_contraction_rhs_matches_closed_form(family):
-    rng = np.random.default_rng(5)
-    columns = {name: rng.uniform(0.0, 3.0, 64) for name in _ContractionData.__dataclass_fields__}
-    columns["dx"][:4] = 0.0
-    data = _ContractionData(**columns)
-    for got, want in zip(_family_rhs(family, data), ref_rhs(family, data)):
+def test_contraction_rhs_matches_closed_form(corpus, family):
+    # ex4's discrete orders give equal pairs, so zero distances, on even rows
+    p = corpus["ex4"].problem
+    data = _contraction_data(p.F, p.G, p.X, p.Y, family.kind, SamplerConfig(64, rng_seed=5))
+    d = ref_distances(p, data)
+    assert not (d.dx + d.dy)[::2].any() and (d.dx + d.dy)[1::2].all()
+    assert np.array_equal(data.lhs_f, d.lhs_f) and np.array_equal(data.lhs_g, d.lhs_g)
+    for got, want in zip(_family_rhs(family, data), ref_rhs(family, d)):
         assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("eid", ["ex1", "ex2", "ex3", "ex4"])
-@pytest.mark.parametrize("kind", [LIN, KAN, CHA])
+@pytest.mark.parametrize("kind", [SYM, LIN, KAN, CHA])
 def test_estimated_constants_use_the_family_columns(corpus, eid, kind):
     p = corpus[eid].problem
     cfg = SamplerConfig(samples_per_check=300, rng_seed=2)
-    data = _contraction_data(p.F, p.G, p.X, p.Y, cfg)
-    p_col, q_col = ref_constraint_columns(kind, data)
-    want = _min_sum_constants(p_col, q_col, np.concatenate([data.lhs_f, data.lhs_g]))
+    d = ref_distances(p, _contraction_data(p.F, p.G, p.X, p.Y, kind, cfg))
+    if kind is SYM:
+        # the two independent maxima over the rows with a usable sum
+        s = d.dx + d.dy
+        usable = s >= RATIO_FLOOR
+        want = (float((2.0 * d.lhs_f[usable] / s[usable]).max()),
+                float((2.0 * d.lhs_g[usable] / s[usable]).max()))
+    else:
+        p_col, q_col = ref_constraint_columns(kind, d)
+        want = _min_sum_constants(p_col, q_col, np.concatenate([d.lhs_f, d.lhs_g]))
     assert estimate_constants(p.F, p.G, p.X, p.Y, kind, cfg) == want

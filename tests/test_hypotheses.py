@@ -5,12 +5,11 @@ from fgfp import (ContractionFamily, FamilyKind, SampleError,
                   SamplerConfig, box_space, check_comparability,
                   check_contraction, check_mixed_monotone, check_seed,
                   estimate_constants, eval_map, parse_map, point)
-from fgfp.hypotheses import (_FAMILIES, MAX_WITNESSES, RATIO_FLOOR,
-                             _contraction_data, _min_sum_constants,
-                             _ordered_pairs, audit)
+from fgfp.hypotheses import (MAX_WITNESSES, RATIO_FLOOR, _contraction_data,
+                             _min_sum_constants, audit)
 from fgfp.maps import evaluation_count
 from fgfp.spaces import (OrderKind, OrderSpec, leq, metric_distance,
-                         sample_points)
+                         sample_ordered_pairs, sample_points)
 
 INF = float("inf")
 CFG = SamplerConfig(samples_per_check=500, rng_seed=0)
@@ -118,7 +117,7 @@ def test_ordered_pairs_on_listed_relations_match_the_row_loop(n):
                                    (point(1.0, 0.25), point(2.0, 2.0)),
                                    (point(0.5, 0.5), point(0.75, 1.5))))
     space = box_space((0.0, 0.0), (2.0, 2.0), order=order)
-    lo, hi = _ordered_pairs(space, n, np.random.default_rng(4))
+    lo, hi = sample_ordered_pairs(space, n, np.random.default_rng(4))
     want_lo = sample_points(space, n, np.random.default_rng(4))
     want_hi = want_lo.copy()
     closure = space.order.closure
@@ -192,6 +191,30 @@ def test_estimate_degenerate_single_point_box():
         estimate_constants(F, G, X, X, FamilyKind.SYM_HALF, CFG)
 
 
+def test_sym_half_estimate_ignores_left_sides_at_the_ratio_floor(corpus):
+    # every left side is about 1e-20 |x - u|, at most 1e-19: below RATIO_FLOOR
+    F, G, X, Y, _ = ex(corpus, "ex1")
+    tiny = parse_map("1e-20*(a1 - b1)", 1, 1, 1)
+    x0, y0 = corpus["ex1"].problem.seed
+    fam = ContractionFamily(FamilyKind.SYM_HALF, 0.5, 0.4)
+    rep = audit(tiny, G, X, Y, fam, x0, y0, SamplerConfig(), with_estimates=True)
+    _, l_hat = estimate_constants(F, G, X, Y, FamilyKind.SYM_HALF, SamplerConfig())
+    assert rep.estimated_constants == {"k": 0.0, "l": l_hat}
+
+
+def test_sym_half_left_side_over_a_zero_right_side_admits_no_constants():
+    # X = [0, 1e-11]: some pairs have (d_X + d_Y)/2 <= RATIO_FLOOR < lhs = 1000 d_X
+    X = box_space((0.0,), (1e-11,))
+    Y = box_space((0.0,), (0.0,))
+    F = parse_map("1000*a1", 1, 1, 1)
+    G = parse_map("a1", 1, 1, 1)
+    cfg = SamplerConfig(samples_per_check=2000, rng_seed=0)
+    for kind in (FamilyKind.SYM_HALF, FamilyKind.LIN_ASYM):
+        assert estimate_constants(F, G, X, Y, kind, cfg) == (INF, INF)
+    fam = ContractionFamily(FamilyKind.SYM_HALF, 0.5, 0.5)
+    assert not check_contraction(F, G, X, Y, fam, cfg).passed
+
+
 def _min_sum_constants_200_steps(p, q, c):
     """_min_sum_constants with its ternary search run for all 200 steps."""
     active = c > RATIO_FLOOR
@@ -224,11 +247,10 @@ def _lp_instances(corpus):
     for eid, entry in corpus.items():
         p = entry.problem
         for rng_seed in (0, 7):
-            data = _contraction_data(p.F, p.G, p.X, p.Y, SamplerConfig(2000, rng_seed))
             for kind in (FamilyKind.LIN_ASYM, FamilyKind.KANNAN, FamilyKind.CHATTERJEA):
-                (pf, qf), (pg, qg) = _FAMILIES[kind].columns
-                yield (np.concatenate([getattr(data, pf), getattr(data, pg)]),
-                       np.concatenate([getattr(data, qf), getattr(data, qg)]),
+                data = _contraction_data(p.F, p.G, p.X, p.Y, kind, SamplerConfig(2000, rng_seed))
+                yield (np.concatenate([data.p_f, data.p_g]),
+                       np.concatenate([data.q_f, data.q_g]),
                        np.concatenate([data.lhs_f, data.lhs_g]))
     # k_floor == k_hi: the row without l-leverage pins k
     yield np.array([1.0, 1.0]), np.array([0.0, 1.0]), np.array([2.0, 1.0])

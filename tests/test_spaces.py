@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from fgfp import (DimensionMismatch, DomainError, MetricKind, MetricSpec,
                   OrderKind, OrderSpec, Point, box_space, comparable,
                   distance, leq, point, product_distance, product_leq)
-from fgfp.spaces import common_bounds_batch, leq_batch, sample_points
+from fgfp.spaces import (common_bounds_batch, leq_batch, sample_ordered_pairs,
+                         sample_points)
 
 INF = float("inf")
 
@@ -186,6 +187,22 @@ def test_common_bounds_batch_per_order_kind(order, want):
             lo, hi = hi, lo
         for C in (BOUND_A, BOUND_B):
             assert leq_batch(space, lo, C).all() and leq_batch(space, C, hi).all()
+
+
+@pytest.mark.parametrize("order", [
+    OrderSpec(kind=OrderKind.COMPONENTWISE),
+    OrderSpec(kind=OrderKind.COMPONENTWISE_REVERSED),
+    OrderSpec(kind=OrderKind.DISCRETE),
+    OrderSpec(kind=OrderKind.DISCRETE_PLUS_PAIRS,
+              extra_pairs=((point(0.0, 0.0), point(1.0, 0.5)),)),
+], ids=[kind.value for kind in OrderKind])
+def test_sample_ordered_pairs_are_ordered(order):
+    space = box_space((-3.0, -3.0), (3.0, 3.0), order=order)
+    lo, hi = sample_ordered_pairs(space, 50, np.random.default_rng(2))
+    assert leq_batch(space, lo, hi).all()
+    # only the discrete orders give equal pairs
+    equal = np.all(lo == hi, axis=1)
+    assert equal.any() == (order.kind in (OrderKind.DISCRETE, OrderKind.DISCRETE_PLUS_PAIRS))
 
 
 # ---------------------------------------------------------------------------
