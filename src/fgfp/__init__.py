@@ -19,8 +19,7 @@ from .solver import (FGFixedPointResult, IterationTrace, ProblemSpec,
                      UniquenessReport, solve, step_bound, tail_bound,
                      trace_to_csv, uniqueness_probe, verify_trace_bounds)
 from .spaces import (MetricKind, MetricSpec, OrderKind, OrderSpec, Point,
-                     SpaceSpec, box_space, comparable, distance, leq, point,
-                     product_distance, product_leq)
+                     SpaceSpec, box_space, leq, point, product_leq)
 
 __version__ = "0.1.0"
 
@@ -37,7 +36,6 @@ __all__ = [
     "solve", "step_bound", "tail_bound", "trace_to_csv", "uniqueness_probe",
     "verify_trace_bounds",
     "MetricKind", "MetricSpec", "OrderKind", "OrderSpec", "Point", "SpaceSpec",
-    "box_space", "comparable", "distance", "leq", "point", "product_distance",
-    "product_leq",
+    "box_space", "leq", "point", "product_leq",
     "__version__",
 ]

@@ -428,12 +428,27 @@ def _check_contraction(data: _ContractionData,
 
 
 def _min_sum_constants(p: np.ndarray, q: np.ndarray, c: np.ndarray) -> tuple[float, float]:
-    """Minimize k + l subject to k*p_i + l*q_i >= c_i, k >= 0, l >= 0.
+    """Minimize k + l subject to k*p_i + l*q_i >= c_i, k >= 0, l >= 0, exactly
+    up to rounding.
 
-    All coefficients are nonnegative.  l(k) = max over usable rows of
-    (c_i - k p_i)/q_i is convex piecewise-linear, so k + l(k) is minimized
-    by ternary search over the feasible k interval, for 200 steps or until
-    the bracket stops moving.
+    All coefficients are nonnegative.  Rows with no l-leverage (q_i at or
+    below RATIO_FLOOR) give the floor k >= c_i/p_i; every other row is a
+    line l_i(k) = (c_i - k p_i)/q_i, and so is the zero line l = 0.  With
+    l(k) the highest line at k, f(k) = k + l(k) is convex and piecewise
+    linear, of slope 1 - p_i/q_i where line i is on top.  On [k_floor,
+    k_hi], where k_hi makes every row with k-leverage hold at l = 0, the
+    walk keeps a left line a of negative slope on top at lo and a right
+    line b of nonnegative slope on top at hi.  f >= max(a, b), so their
+    crossing k is optimal if no line lies higher there; else the line m on
+    top there lies strictly above both, and replaces a (lo = k) if its
+    slope is negative, b (hi = k) if not.  A replaced line lies below the
+    other current line on the rest of [lo, hi], where every later crossing
+    falls, so no line is used twice: the walk ends after at most one step
+    per line, each one pass over the rows (a handful on sampled data).
+    Where f is flat at its minimum (a row with p_i == q_i on top), that row
+    becomes the right line, so the walk returns the smallest optimal k.  l
+    is the highest line at the returned k, so every row holds up to
+    rounding.
     """
     active = c > RATIO_FLOOR
     if not active.any():
@@ -445,30 +460,40 @@ def _min_sum_constants(p: np.ndarray, q: np.ndarray, c: np.ndarray) -> tuple[flo
         return math.inf, math.inf  # some sampled inequality admits no constants
     # rows with no l-leverage force a floor on k
     k_floor = float((c[~q_ok] / p[~q_ok]).max()) if bool((~q_ok).any()) else 0.0
-
-    pq = p[q_ok]
-    qq = q[q_ok]
-    cq = c[q_ok]
-
-    def l_of(k: float) -> float:
-        if qq.shape[0] == 0:
-            return 0.0
-        return max(0.0, float(((cq - k * pq) / qq).max()))
-
     k_hi = k_floor
     if p_ok.any():
         k_hi = max(k_hi, float((c[p_ok] / p[p_ok]).max()))
+
+    # line 0 is the zero line, so a tie at l = 0 picks it
+    lp = np.concatenate(([0.0], p[q_ok]))
+    lq = np.concatenate(([1.0], q[q_ok]))
+    lc = np.concatenate(([0.0], c[q_ok]))
+
+    def top(k: float) -> tuple[np.ndarray, int]:
+        l = (lc - k * lp) / lq
+        return l, int(l.argmax())
+
+    def falls(i: int) -> bool:
+        return bool(lp[i] > lq[i])
+
     lo, hi = k_floor, k_hi
-    for _ in range(200):
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        bracket = (lo, m2) if m1 + l_of(m1) <= m2 + l_of(m2) else (m1, hi)
-        if bracket == (lo, hi):
-            break  # a step depends on (lo, hi) alone, so every later one stalls too
-        lo, hi = bracket
-    candidates = [k_floor, lo, (lo + hi) / 2.0, hi]
-    best_k = min(candidates, key=lambda k: k + l_of(k))
-    return best_k, l_of(best_k)
+    l, a = top(lo)
+    if not falls(a):
+        return lo, float(l[a])
+    l, b = top(hi)
+    if falls(b):
+        return hi, float(l[b])
+    while True:
+        pa, qa, ca, pb, qb, cb = (float(v) for v in (lp[a], lq[a], lc[a], lp[b], lq[b], lc[b]))
+        den = pa * qb - pb * qa  # > 0 in exact arithmetic; 0 if parallel to rounding
+        k = min(max((ca * qb - cb * qa) / den, lo), hi) if den > 0.0 else lo
+        l, m = top(k)
+        if l[m] <= max(l[a], l[b]):
+            return k, float(l[m])
+        if falls(m):
+            lo, a = k, m
+        else:
+            hi, b = k, m
 
 
 def estimate_constants(F: MapSpec, G: MapSpec, X: SpaceSpec, Y: SpaceSpec,

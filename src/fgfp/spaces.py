@@ -18,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError
+from .errors import DimensionMismatch
 
 # Absolute tolerance for box-membership checks; iterates may graze a face.
 DOMAIN_TOL = 1e-9
@@ -268,20 +268,6 @@ def metric_distance(space: SpaceSpec, a: Point, b: Point) -> float:
     return coords_distance(space, a.coords, b.coords)
 
 
-def distance(space: SpaceSpec, a: Point, b: Point) -> float:
-    """Distance between two points of the space.
-
-    Raises DimensionMismatch on shape errors and DomainError if either
-    point lies outside the box (up to DOMAIN_TOL).
-    """
-    d = metric_distance(space, a, b)  # checks dimensions first
-    for p in (a, b):
-        if not space.contains(p):
-            raise DomainError(f"point {p.coords} lies outside the box "
-                              f"[{space.lower}, {space.upper}]")
-    return d
-
-
 def leq_batch(space: SpaceSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Rowwise order test for (n, dim) coordinate arrays."""
     A = np.asarray(A, dtype=np.float64)
@@ -356,20 +342,10 @@ def leq(space: SpaceSpec, a: Point, b: Point) -> bool:
     return coords_leq(space, a.coords, b.coords)
 
 
-def comparable(space: SpaceSpec, a: Point, b: Point) -> bool:
-    """True iff a <= b or b <= a."""
-    return leq(space, a, b) or leq(space, b, a)
-
-
-def product_distance(X: SpaceSpec, Y: SpaceSpec,
-                     p: tuple[Point, Point], q: tuple[Point, Point]) -> float:
-    """Sum metric on X x Y: d(p, q) = d_X(p0, q0) + d_Y(p1, q1)."""
-    return distance(X, p[0], q[0]) + distance(Y, p[1], q[1])
-
-
 def product_metric_distance(X: SpaceSpec, Y: SpaceSpec,
                             p: tuple[Point, Point], q: tuple[Point, Point]) -> float:
-    """Like product_distance, without domain checks (for trace points)."""
+    """Sum metric on X x Y: d(p, q) = d_X(p0, q0) + d_Y(p1, q1), without
+    domain checks (for trace points)."""
     return metric_distance(X, p[0], q[0]) + metric_distance(Y, p[1], q[1])
 
 

@@ -30,10 +30,10 @@ EXPECTED = {
     'check coupled-reg 7': (0, '9655d234bb9ffadcb7a65ff80499fa3cc7b7bd90f75be42c2226bb3602896f9c'),
     'check ex1 0': (0, 'e39fd9390c4a6763fcf0b163475ca7a425352224588255999f3fdd8357f30b32'),
     'check ex1 7': (0, 'a4369b78d442e60fc84b023569cc3475b010f8e2a3c4f92635be490cde0211ab'),
-    'check ex2 0': (0, 'da0739721a0b5312552e9d79c350b5c141e75d553ac3676fd800ff5a6d3ba835'),
-    'check ex2 7': (0, 'fa6184807f1967c854e658c23de1d32e0fce592a13b91d9cbbcf65c7253b06ed'),
-    'check ex3 0': (0, '78aac67ec5a41750b74b5ca8180d4b22d88f6058385d110f429ee7a03d9b97cd'),
-    'check ex3 7': (0, 'cb0a9cf4a2777598589e20d2a265e534daa6f690ae8f25ab24ae381041c80038'),
+    'check ex2 0': (0, 'c6ac32366b68c9b63ed858013171f60e80eedcee170c24f2c79b7ce8a734359f'),
+    'check ex2 7': (0, '2a62cb6da1c21aa7c8844eb056f3a5e68556c48fe0996b6184d3326ce0d19b20'),
+    'check ex3 0': (0, 'f1e9dfd49b8e908c29a77b51da663335972911a3462da19dac6360d107ec1caa'),
+    'check ex3 7': (0, '6d6892588638ef1e36362a3b8578bd664cbbc8969bead5d2870a3580e5d65ffd'),
     'check ex4 0': (0, 'a0c6ab1fc94eb5ed51fbe0eb5719b95e2d9e3565ef10920fd71e348549a7e4ef'),
     'check ex4 7': (0, 'f3d063fc1beb89a609a96ad5e71f1d6adedc24b797a608bcfcc3dd74b9701fb6'),
     'run-all 0': (0, '107cca877c5031325583f20a64cfc12ceb644ff318ac069b07bf7a1fea82fb51'),

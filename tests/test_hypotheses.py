@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fgfp import (ContractionFamily, FamilyKind, SampleError,
                   SamplerConfig, box_space, check_comparability,
@@ -215,32 +217,58 @@ def test_sym_half_left_side_over_a_zero_right_side_admits_no_constants():
     assert not check_contraction(F, G, X, Y, fam, cfg).passed
 
 
-def _min_sum_constants_200_steps(p, q, c):
-    """_min_sum_constants with its ternary search run for all 200 steps."""
+def _lp_reference(p, q, c):
+    """min k + l over the vertices of the LP that _min_sum_constants solves.
+
+    Rows with c at or below RATIO_FLOOR are dropped and q at or below it is
+    taken as 0, as the solver does.  Every pair of constraint lines, k = 0
+    and l = 0 included, is intersected, and the least k + l over the
+    feasible vertices (checked against every row) is the minimum.  Row i
+    reads k a_i + l b_i >= 1 with (a_i, b_i) = (p_i, q_i)/c_i, so a row whose
+    point lies on or above the lower-left convex hull of the points is
+    implied by the rows on it; only the hull rows are paired, which keeps
+    sampled instances of thousands of rows small.
+    """
+    keep = c > RATIO_FLOOR
+    p, q, c = p[keep], q[keep], c[keep]
+    if not keep.any():
+        return 0.0
+    q = np.where(q > RATIO_FLOOR, q, 0.0)
+    if ((p <= RATIO_FLOOR) & (q == 0.0)).any():
+        return INF
+    a, b = p / c, q / c
+    order = np.lexsort((b, a))
+    prior_min = np.minimum.accumulate(np.concatenate(([INF], b[order])))[:-1]
+    rows = []
+    for r in order[b[order] < prior_min]:
+        while len(rows) >= 2 and ((a[rows[-1]] - a[rows[-2]]) * (b[r] - b[rows[-2]])
+                                  <= (b[rows[-1]] - b[rows[-2]]) * (a[r] - a[rows[-2]])):
+            rows.pop()
+        rows.append(r)
+    rows = np.array(rows, dtype=int)
+    lp = np.concatenate((p[rows], [1.0, 0.0]))
+    lq = np.concatenate((q[rows], [0.0, 1.0]))
+    lc = np.concatenate((c[rows], [0.0, 0.0]))
+    i, j = np.triu_indices(len(lp), 1)
+    det = lp[i] * lq[j] - lp[j] * lq[i]
+    i, j, det = i[det != 0.0], j[det != 0.0], det[det != 0.0]
+    k = (lc[i] * lq[j] - lc[j] * lq[i]) / det
+    l = (lp[i] * lc[j] - lp[j] * lc[i]) / det
+    feasible = ((k >= 0.0) & (l >= 0.0)
+                & (np.outer(k, p) + np.outer(l, q) >= c - 1e-12 * (1.0 + c)).all(axis=1))
+    return float((k + l)[feasible].min())
+
+
+def _assert_solves_the_lp(p, q, c):
+    k, l = _min_sum_constants(p, q, c)
+    best = _lp_reference(p, q, c)
+    if best == INF:
+        assert (k, l) == (INF, INF)
+        return
+    assert k >= 0.0 and l >= 0.0
+    assert abs((k + l) - best) <= 1e-12 * best
     active = c > RATIO_FLOOR
-    if not active.any():
-        return 0.0, 0.0
-    p, q, c = p[active], q[active], c[active]
-    p_ok, q_ok = p > RATIO_FLOOR, q > RATIO_FLOOR
-    if (~p_ok & ~q_ok).any():
-        return INF, INF
-    k_floor = float((c[~q_ok] / p[~q_ok]).max()) if (~q_ok).any() else 0.0
-    pq, qq, cq = p[q_ok], q[q_ok], c[q_ok]
-
-    def l_of(k):
-        return max(0.0, float(((cq - k * pq) / qq).max())) if qq.size else 0.0
-
-    k_hi = max(k_floor, float((c[p_ok] / p[p_ok]).max())) if p_ok.any() else k_floor
-    lo, hi = k_floor, k_hi
-    for _ in range(200):
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        if m1 + l_of(m1) <= m2 + l_of(m2):
-            hi = m2
-        else:
-            lo = m1
-    best = min([k_floor, lo, (lo + hi) / 2.0, hi], key=lambda k: k + l_of(k))
-    return best, l_of(best)
+    assert (k * p + l * q >= c - 1e-12 * (1.0 + c))[active].all()
 
 
 def _lp_instances(corpus):
@@ -261,9 +289,49 @@ def _lp_instances(corpus):
         yield p, q, c
 
 
-def test_min_sum_constants_stall_exit_returns_the_200_step_bits(corpus):
+def test_min_sum_constants_matches_vertex_enumeration(corpus):
     for p, q, c in _lp_instances(corpus):
-        assert _min_sum_constants(p, q, c) == _min_sum_constants_200_steps(p, q, c)
+        _assert_solves_the_lp(p, q, c)
+
+
+def _lp(*rows):
+    """(p, q, c) columns from (p, q, c) rows."""
+    return tuple(np.array(column, dtype=float) for column in zip(*rows))
+
+
+# (p, q, c) rows per case and the exact (k, l), or None to check against
+# the reference alone
+LP_EDGE_CASES = {
+    "duplicated_rows": (_lp((2, 1, 2), (2, 1, 2), (1, 2, 2), (1, 2, 2)), None),
+    "one_line_on_top_at_lo_and_hi": (_lp((0, 1, 5), (1, 1, 1)), (0.0, 5.0)),
+    "k_floor_equal_to_k_hi": (_lp((1, 0, 2), (1, 1, 1)), (2.0, 0.0)),
+    "collinear_rows": (_lp((2, 1, 2), (4, 2, 4), (6, 3, 6)), (1.0, 0.0)),
+    "collinear_rows_with_p_equal_to_q": (_lp((1, 1, 1), (2, 2, 2)), (0.0, 1.0)),
+    "p_equal_to_q_on_top_takes_the_smallest_k": (_lp((2, 1, 2), (1, 1, 1.5)), (0.5, 1.0)),
+    "single_falling_row": (_lp((3, 1, 3)), (1.0, 0.0)),
+    "single_rising_row": (_lp((1, 3, 3)), (0.0, 1.0)),
+    "only_q_zero_rows": (_lp((1, 0, 1), (2, 0, 4)), (2.0, 0.0)),
+    "only_p_zero_rows": (_lp((0, 1, 1), (0, 2, 4)), (0.0, 2.0)),
+    "no_row_above_the_ratio_floor": (_lp((1, 1, 1e-15), (2, 0, 0)), (0.0, 0.0)),
+    "row_without_leverage": (_lp((1e-15, 0, 1), (1, 1, 1)), (INF, INF)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LP_EDGE_CASES))
+def test_min_sum_constants_edge_cases(case):
+    (p, q, c), want = LP_EDGE_CASES[case]
+    if want is not None:
+        assert _min_sum_constants(p, q, c) == want
+    _assert_solves_the_lp(p, q, c)
+
+
+small_int = st.integers(0, 4).map(float)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(small_int, small_int, small_int), min_size=1, max_size=8))
+def test_min_sum_constants_on_small_integer_rows(rows):
+    _assert_solves_the_lp(*_lp(*rows))
 
 
 def test_audit_takes_one_contraction_sample_for_the_estimate_and_the_check(corpus):

@@ -3,11 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fgfp import (DimensionMismatch, DomainError, MetricKind, MetricSpec,
-                  OrderKind, OrderSpec, Point, box_space, comparable,
-                  distance, leq, point, product_distance, product_leq)
-from fgfp.spaces import (common_bounds_batch, leq_batch, sample_ordered_pairs,
-                         sample_points)
+from fgfp import (DimensionMismatch, MetricKind, MetricSpec, OrderKind,
+                  OrderSpec, Point, box_space, leq, point, product_leq)
+from fgfp.spaces import (DOMAIN_TOL, common_bounds_batch, leq_batch,
+                         metric_distance, product_metric_distance,
+                         sample_ordered_pairs, sample_points)
 
 INF = float("inf")
 
@@ -31,38 +31,40 @@ def test_point_requires_a_coordinate():
 
 
 # ---------------------------------------------------------------------------
-# distance
+# metric_distance
 
 def test_distance_1d_l1():
-    assert distance(R1, point(-1.0), point(0.0)) == 1.0
+    assert metric_distance(R1, point(-1.0), point(0.0)) == 1.0
 
 
 def test_distance_identical_points_is_zero():
     space = box_space((-1.0, -1.0), (1.0, 1.0))
     p = point(0.5, -0.5)
-    assert distance(space, p, p) == 0.0
+    assert metric_distance(space, p, p) == 0.0
 
 
 def test_distance_weighted_l1_hand_value():
     # weights (2, 3): 2*|0-1| + 3*|0-1| = 5
     space = box_space((-5.0, -5.0), (5.0, 5.0),
                       metric=MetricSpec(MetricKind.WEIGHTED_L1, (2.0, 3.0)))
-    assert distance(space, point(0.0, 0.0), point(1.0, 1.0)) == 5.0
+    assert metric_distance(space, point(0.0, 0.0), point(1.0, 1.0)) == 5.0
 
 
 def test_distance_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        distance(R1, point(0.0), point(0.0, 1.0))
+        metric_distance(R1, point(0.0), point(0.0, 1.0))
 
 
-def test_distance_outside_domain():
+def test_contains_rejects_points_outside_the_box():
     space = box_space((0.0,), (1.0,))
-    with pytest.raises(DomainError):
-        distance(space, point(2.0), point(0.5))
+    assert space.contains(point(1.0 + DOMAIN_TOL / 2))
+    assert not space.contains(point(2.0))
+    with pytest.raises(DimensionMismatch):
+        space.contains(point(0.5, 0.5))
 
 
 # ---------------------------------------------------------------------------
-# leq / comparable
+# leq, and comparability as leq either way
 
 def test_leq_componentwise_usual_order():
     assert leq(R1, point(-1.0), point(0.0))
@@ -86,19 +88,23 @@ def test_leq_reflexive_on_samples():
         assert leq_batch(space, pts, pts).all()
 
 
+def _comparable(space, a, b):
+    return leq(space, a, b) or leq(space, b, a)
+
+
 def test_comparable_total_order_1d():
     rng = np.random.default_rng(1)
     a, b = sample_points(R1, 2, rng)
-    assert comparable(R1, Point(tuple(a)), Point(tuple(b)))
+    assert _comparable(R1, Point(tuple(a)), Point(tuple(b)))
 
 
 def test_comparable_discrete_distinct_points():
     space = box_space((0.0,), (1.0,), order=OrderSpec(kind=OrderKind.DISCRETE))
-    assert not comparable(space, point(0.25), point(0.75))
+    assert not _comparable(space, point(0.25), point(0.75))
 
 
 def test_comparable_2d_antichain():
-    assert not comparable(R2, point(0.0, 1.0), point(1.0, 0.0))
+    assert not _comparable(R2, point(0.0, 1.0), point(1.0, 0.0))
 
 
 def test_transitive_closure_of_listed_pairs():
@@ -210,13 +216,13 @@ def test_sample_ordered_pairs_are_ordered(order):
 
 def test_product_distance_zero_on_equal_pairs():
     p = (point(-1.0), point(1.0))
-    assert product_distance(R1, R1, p, p) == 0.0
+    assert product_metric_distance(R1, R1, p, p) == 0.0
 
 
 def test_product_distance_hand_value():
     p = (point(-1.0), point(1.0))
     q = (point(0.0), point(0.0))
-    assert product_distance(R1, R1, p, q) == 2.0
+    assert product_metric_distance(R1, R1, p, q) == 2.0
 
 
 def test_product_leq_reverses_second_component():
@@ -244,9 +250,10 @@ def test_metric_axioms_sampled(a, b, c):
     space = box_space((-10.0, -10.0), (10.0, 10.0),
                       metric=MetricSpec(MetricKind.WEIGHTED_L1, (2.0, 0.5)))
     pa, pb, pc = Point(a), Point(b), Point(c)
-    assert distance(space, pa, pa) == 0.0
-    assert distance(space, pa, pb) == distance(space, pb, pa)
-    assert distance(space, pa, pc) <= distance(space, pa, pb) + distance(space, pb, pc) + 1e-12
+    assert metric_distance(space, pa, pa) == 0.0
+    assert metric_distance(space, pa, pb) == metric_distance(space, pb, pa)
+    assert metric_distance(space, pa, pc) <= \
+        metric_distance(space, pa, pb) + metric_distance(space, pb, pc) + 1e-12
 
 
 @given(a=st.tuples(coords, coords), b=st.tuples(coords, coords))
@@ -267,7 +274,7 @@ def test_antisymmetry_up_to_slack(a, eps):
     pb = Point(tuple(x + e for x, e in zip(a, eps)))
     if leq(space, pa, pb) and leq(space, pb, pa):
         slack_bound = space.dim * space.order.slack
-        assert distance(space, pa, pb) <= slack_bound + 1e-15
+        assert metric_distance(space, pa, pb) <= slack_bound + 1e-15
 
 
 @given(a=st.tuples(coords, coords), b=st.tuples(coords, coords))
@@ -275,8 +282,8 @@ def test_antisymmetry_up_to_slack(a, eps):
 def test_product_ops_agree_with_components(a, b):
     pa, pb = Point(a), Point(b)
     qa, qb = Point(b), Point(a)
-    assert product_distance(R2, R2, (pa, pb), (qa, qb)) == \
-        distance(R2, pa, qa) + distance(R2, pb, qb)
+    assert product_metric_distance(R2, R2, (pa, pb), (qa, qb)) == \
+        metric_distance(R2, pa, qa) + metric_distance(R2, pb, qb)
     assert product_leq(R2, R2, (pa, pb), (qa, qb)) == \
         (leq(R2, pa, qa) and leq(R2, qb, pb))
 
