@@ -19,6 +19,7 @@ across runs.  FGFP_RNG_SEED provides the default for --rng-seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -87,6 +88,7 @@ def _default_rng_seed() -> int:
         raise _UsageError(f"FGFP_RNG_SEED: {exc}")
 
 
+@functools.cache  # parse_args leaves the parser unchanged: one serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="fgfp",
                      description="Coupled fixed-point solver with sampled "

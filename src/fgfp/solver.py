@@ -18,13 +18,16 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+
+import numpy as np
 
 from .errors import (DimensionMismatch, DomainError, EvaluationError,
                      SeedConditionError, SolveError)
 from .hypotheses import ContractionFamily, check_seed
 from .maps import MapSpec, coupled_step
-from .spaces import (Point, SpaceSpec, coords_distance, coords_leq,
-                     product_leq, product_metric_distance)
+from .spaces import (DOMAIN_TOL, Point, SpaceSpec, _as_point, coords_distance,
+                     coords_leq, product_leq, product_metric_distance)
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 10000
@@ -71,21 +74,26 @@ class ProblemSpec:
 
 @dataclass
 class IterationTrace:
-    """Recorded run: points, step distances, bound envelopes, order flags.
+    """Recorded run: iterates, step distances, bound envelopes, order flags.
 
-    Index convention: ``points[n]`` is the n-th iterate; ``step_x[n]`` is
-    d_X(x_{n+1}, x_n).  ``bound_x[0]`` repeats step_x[0] (= d1x, the base
-    distance); entries from index 1 on are the family envelopes.
+    Index convention: ``coords[n]`` is the n-th iterate (two coordinate
+    tuples); ``step_x[n]`` is d_X(x_{n+1}, x_n).  ``bound_x[0]`` repeats
+    step_x[0] (= d1x); entries from index 1 on are the family envelopes.
     ``monotone_ok[n]`` records x_n <= x_{n+1} and y_{n+1} <= y_n.
     """
 
-    points: list[tuple[Point, Point]] = field(default_factory=list)
+    coords: list[tuple[tuple[float, ...], tuple[float, ...]]] = field(default_factory=list)
     step_x: list[float] = field(default_factory=list)
     step_y: list[float] = field(default_factory=list)
     bound_x: list[float] = field(default_factory=list)
     bound_y: list[float] = field(default_factory=list)
     monotone_ok: list[bool] = field(default_factory=list)
     range_warnings: list[str] = field(default_factory=list)
+
+    @cached_property
+    def points(self) -> tuple[tuple[Point, Point], ...]:
+        """``coords`` as ``Point`` pairs, built once, on the first read."""
+        return tuple((Point(x), Point(y)) for x, y in self.coords)
 
     @property
     def d1x(self) -> float:
@@ -200,9 +208,13 @@ def solve(problem: ProblemSpec, tol: float = DEFAULT_TOL,
                 f"G(y0, x0) <= y0: {seed_check.y_ok}); pass force=True to override")
 
     X, Y, F, G = problem.X, problem.Y, problem.F, problem.G
-    x, y = problem.seed
-    trace = IterationTrace(points=[(x, y)])
-    xc, yc = x.coords, y.coords
+    xc, yc = problem.seed[0].coords, problem.seed[1].coords
+    trace = IterationTrace(coords=[(xc, yc)])
+    x_box, y_box = ([(lo - DOMAIN_TOL, hi + DOMAIN_TOL) for lo, hi in zip(S.lower, S.upper)]
+                     for S in (X, Y))  # SpaceSpec.contains, bounds computed once
+    cx, rx, lx, sum_x = problem.family.envelope_x
+    cy, ry, ly, sum_y = problem.family.envelope_y
+    violations: list[BoundViolation] = []
 
     hit_tol = False
     growth_run = 0
@@ -213,27 +225,31 @@ def solve(problem: ProblemSpec, tol: float = DEFAULT_TOL,
         except EvaluationError as exc:
             raise SolveError(f"evaluation failed at iteration {n + 1}: {exc}",
                              trace=trace) from exc
-        x_next, y_next = Point(xc_next), Point(yc_next)
         sx = coords_distance(X, xc_next, xc)
         sy = coords_distance(Y, yc_next, yc)
         trace.step_x.append(sx)
         trace.step_y.append(sy)
         trace.monotone_ok.append(coords_leq(X, xc, xc_next) and coords_leq(Y, yc_next, yc))
-        if not X.contains(x_next):
+        if not all(lo <= c <= hi for c, (lo, hi) in zip(xc_next, x_box)):
             trace.range_warnings.append(
-                f"iteration {n + 1}: F value {x_next.coords} left the X box")
-        if not Y.contains(y_next):
+                f"iteration {n + 1}: F value {xc_next} left the X box")
+        if not all(lo <= c <= hi for c, (lo, hi) in zip(yc_next, y_box)):
             trace.range_warnings.append(
-                f"iteration {n + 1}: G value {y_next.coords} left the Y box")
+                f"iteration {n + 1}: G value {yc_next} left the Y box")
         if n == 0:
-            trace.bound_x.append(sx)
-            trace.bound_y.append(sy)
+            bx, by = d1x, d1y = sx, sy
         else:
-            bx, by = step_bound(problem.family, n, trace.d1x, trace.d1y)
-            trace.bound_x.append(bx)
-            trace.bound_y.append(by)
-        trace.points.append((x_next, y_next))
-        x, y, xc, yc = x_next, y_next, xc_next, yc_next
+            # step_bound's expressions, so the bounds keep their bits
+            bx = cx * (rx ** (n - lx) * (d1x + d1y if sum_x else d1x))
+            by = cy * (ry ** (n - ly) * (d1x + d1y if sum_y else d1y))
+            if sx > bx + BOUND_SLACK:
+                violations.append(BoundViolation(n, "x", sx, bx))
+            if sy > by + BOUND_SLACK:
+                violations.append(BoundViolation(n, "y", sy, by))
+        trace.bound_x.append(bx)
+        trace.bound_y.append(by)
+        trace.coords.append((xc_next, yc_next))
+        xc, yc = xc_next, yc_next
 
         step_sum = sx + sy
         if step_sum < tol:
@@ -255,13 +271,13 @@ def solve(problem: ProblemSpec, tol: float = DEFAULT_TOL,
     residual_y = coords_distance(Y, gy, yc)
     converged = hit_tol and (residual_x + residual_y <= tol)
     result = FGFixedPointResult(
-        x_star=x,
-        y_star=y,
+        x_star=Point(xc),
+        y_star=Point(yc),
         residual_x=residual_x,
         residual_y=residual_y,
-        iterations=len(trace.points) - 1,
+        iterations=len(trace.coords) - 1,
         converged=converged,
-        bound_violations=tuple(verify_trace_bounds(trace, problem.family)),
+        bound_violations=tuple(violations),
     )
     return trace, result
 
@@ -307,14 +323,20 @@ class UniquenessReport:
         }
 
 
-def _orbit(problem: ProblemSpec, trace: IterationTrace,
-           steps: int) -> list[tuple[tuple[float, ...], tuple[float, ...]]]:
-    """Iterates 0..steps of a run as coordinate tuples: the recorded ones
-    from ``trace``, then coupled steps past its last point."""
-    orbit = [(x.coords, y.coords) for x, y in trace.points[:steps + 1]]
+def _orbit(problem: ProblemSpec, trace: IterationTrace, steps: int) -> np.ndarray:
+    """Iterates 1..steps of a run, one row of x then y coordinates each: the
+    recorded ones from ``trace``, then coupled steps past its last point."""
+    orbit = trace.coords[:steps + 1]
     while len(orbit) <= steps:
         orbit.append(coupled_step(problem.F, problem.G, *orbit[-1]))
-    return orbit
+    return np.array([x + y for x, y in orbit[1:]], dtype=np.float64)
+
+
+def _distances(space: SpaceSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """``coords_distance`` on the rows of two (..., dim) arrays, bit for bit:
+    summed column by column, as a matrix product or row sum may not be."""
+    w = space.weights_array().tolist()
+    return sum(w[c] * np.abs(A[..., c] - B[..., c]) for c in range(space.dim))
 
 
 def uniqueness_probe(problem: ProblemSpec,
@@ -330,18 +352,13 @@ def uniqueness_probe(problem: ProblemSpec,
     is sum-based (SYM_HALF and LIN_ASYM), the probe also checks the
     product contraction d_X + d_Y <= ratio^n * D0 at steps 1..decay_steps,
     with D0 the seeds' distance and ratio that of the envelope: (k+l)/2
-    for SYM_HALF, k+l for LIN_ASYM.  The orbits are read from the runs'
-    traces and stepped on past their ends.  Exceedances are recorded as
-    data; they do not fail the probe.
+    for SYM_HALF, k+l for LIN_ASYM.  The orbits, read from the runs' traces
+    and stepped on past their ends, are compared whole, to the bit as step
+    by step.  Exceedances are recorded as data; they do not fail the probe.
     """
-    seeds = [problem.seed] + [
-        (s[0] if isinstance(s[0], Point) else Point(tuple(s[0])),
-         s[1] if isinstance(s[1], Point) else Point(tuple(s[1])))
-        for s in extra_seeds]
-    runs = []
-    for sd in seeds:
-        sub = problem.with_seed(sd)
-        runs.append(solve(sub, tol=tol, max_iter=max_iter, force=force_seeds))
+    seeds = [problem.seed] + [(_as_point(s[0]), _as_point(s[1])) for s in extra_seeds]
+    runs = [solve(problem.with_seed(sd), tol=tol, max_iter=max_iter, force=force_seeds)
+            for sd in seeds]
     limits = tuple((r.x_star, r.y_star) for _, r in runs)
     iterations = tuple(r.iterations for _, r in runs)
     all_converged = all(r.converged for _, r in runs)
@@ -361,19 +378,20 @@ def uniqueness_probe(problem: ProblemSpec,
         pairs = [(i, j) for i in range(len(seeds)) for j in range(i + 1, len(seeds))
                  if product_leq(X, Y, seeds[i], seeds[j])
                  or product_leq(X, Y, seeds[j], seeds[i])]
-        orbits = {i: _orbit(problem, runs[i][0], decay_steps) for i in set().union(*pairs)}
+        ns = range(1, decay_steps + 1)
+        orbits = {i: _orbit(problem, runs[i][0], len(ns)) for i in set().union(*pairs)}
+        shape = (len(pairs), len(ns), X.dim + Y.dim)  # also when either is 0
+        A, B = (np.array([orbits[p[k]] for p in pairs]).reshape(shape) for k in (0, 1))
+        observed = (_distances(X, A[..., :X.dim], B[..., :X.dim])
+                    + _distances(Y, A[..., X.dim:], B[..., X.dim:]))
+        d0 = [product_metric_distance(X, Y, seeds[i], seeds[j]) for i, j in pairs]
         ratio = problem.family.envelope_x.ratio
-        for i, j in pairs:
-            d0 = product_metric_distance(X, Y, seeds[i], seeds[j])
-            violations = []
-            for n in range(1, decay_steps + 1):
-                (xi, yi), (xj, yj) = orbits[i][n], orbits[j][n]
-                observed = coords_distance(X, xi, xj) + coords_distance(Y, yi, yj)
-                allowed = ratio ** n * d0 + DECAY_SLACK
-                if observed > allowed:
-                    violations.append({"n": n, "observed": observed,
-                                       "allowed": allowed})
-            decay_checks.append(DecayCheck(i, j, d0, decay_steps, tuple(violations)))
+        # Python's ** for ratio^n: numpy's power may round differently
+        allowed = np.multiply.outer(d0, [ratio ** n for n in ns]) + DECAY_SLACK
+        for (i, j), d, obs, alw in zip(pairs, d0, observed.tolist(), allowed.tolist()):
+            violations = tuple({"n": n, "observed": o, "allowed": a}
+                               for n, o, a in zip(ns, obs, alw) if o > a)
+            decay_checks.append(DecayCheck(i, j, d, decay_steps, violations))
 
     return UniquenessReport(
         seeds=tuple(seeds),
@@ -399,8 +417,8 @@ def trace_to_csv(trace: IterationTrace, x_dim: int, y_dim: int, fh) -> None:
             + ["step_x", "step_y", "bound_x", "bound_y", "monotone_ok"])
     fh.write(",".join(cols) + "\n")
     fmt = lambda v: f"{v:.17g}"
-    for n, (px, py) in enumerate(trace.points):
-        row = [str(n)] + [fmt(c) for c in px.coords] + [fmt(c) for c in py.coords]
+    for n, (xc, yc) in enumerate(trace.coords):
+        row = [str(n)] + [fmt(c) for c in xc] + [fmt(c) for c in yc]
         if n < len(trace.step_x):
             row += [fmt(trace.step_x[n]), fmt(trace.step_y[n]),
                     fmt(trace.bound_x[n]), fmt(trace.bound_y[n]),

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from fgfp.cli import main
+from fgfp.cli import build_parser, main
 
 
 @pytest.fixture
@@ -379,6 +379,21 @@ def test_rng_seed_env_default(ex1_file, tmp_path, monkeypatch):
     assert main(["check", str(ex1_file), "--rng-seed", "99",
                  "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_one_parser_serves_every_call(ex1_file, tmp_path, monkeypatch):
+    # the parser is built once per process; neither the flags nor the
+    # FGFP_RNG_SEED of one call carry over to the next
+    assert build_parser() is build_parser()
+    args = build_parser().parse_args(["solve", "p.json", "--force", "--tol", "1e-6"])
+    assert (args.force, args.tol, args.rng_seed) == (True, 1e-6, None)
+    args = build_parser().parse_args(["solve", "p.json"])
+    assert (args.force, args.tol, args.rng_seed) == (False, 1e-10, None)
+    out = tmp_path / "r.json"
+    for env in ("5", "6"):
+        monkeypatch.setenv("FGFP_RNG_SEED", env)
+        assert main(["check", str(ex1_file), "--out", str(out)]) == 0
+        assert read_json(out)["rng_seed"] == int(env)
 
 
 def test_numbers_printed_with_17_significant_digits(ex1_file, tmp_path):

@@ -1,15 +1,20 @@
+import dataclasses
+import hashlib
 import io
 
 import numpy as np
 import pytest
 
 from fgfp import (ContractionFamily, FamilyKind, ProblemSpec,
-                  SeedConditionError, box_space, parse_map, point, solve,
-                  step_bound, tail_bound, uniqueness_probe,
+                  SeedConditionError, SolveError, box_space, parse_map, point,
+                  solve, step_bound, tail_bound, uniqueness_probe,
                   verify_trace_bounds)
-from fgfp.maps import evaluation_count, iterate_pair
-from fgfp.solver import trace_to_csv
-from fgfp.spaces import leq, product_metric_distance
+from fgfp import solver as solver_mod
+from fgfp.cli import main
+from fgfp.maps import coupled_step, evaluation_count, iterate_pair
+from fgfp.solver import DECAY_SLACK, DecayCheck, trace_to_csv
+from fgfp.spaces import (MetricKind, MetricSpec, Point, coords_distance, leq,
+                         product_leq, product_metric_distance)
 
 INF = float("inf")
 
@@ -223,6 +228,89 @@ def test_divergence_detector_stops_early():
     assert result.iterations < 100  # early stop, far below the cap
 
 
+def _with_family(problem, kind, k, l):
+    return dataclasses.replace(problem, family=ContractionFamily(kind, k, l))
+
+
+def _bound_violating_problems(corpus):
+    """Runs whose declared constants are too small for their maps: every
+    envelope kind, sum-based and not, plus a divergent run."""
+    X = box_space((-INF,), (INF,))
+    divergent = ProblemSpec(X=X, Y=X, F=parse_map("2*a1", 1, 1, 1),
+                            G=parse_map("-2*a1", 1, 1, 1),
+                            family=ContractionFamily(FamilyKind.SYM_HALF, 0.9, 0.9),
+                            seed=(point(1.0), point(1.0)))
+    return [_with_family(corpus["ex1"].problem, FamilyKind.SYM_HALF, 0.5, 0.5),
+            _with_family(corpus["ex2"].problem, FamilyKind.LIN_ASYM, 0.01, 0.01),
+            _with_family(corpus["ex3"].problem, FamilyKind.KANNAN, 0.01, 0.01),
+            _with_family(corpus["ex3"].problem, FamilyKind.CHATTERJEA, 0.01, 0.01),
+            divergent]
+
+
+def test_recorded_bounds_and_violations_match_the_public_replay(corpus, corpus_runs):
+    # the loop keeps step_bound's values and derives the violations from
+    # them; verify_trace_bounds recomputes both
+    runs = [(corpus[eid].problem, run) for eid, run in corpus_runs.items()]
+    runs += [(p, solve(p, force=True)) for p in _bound_violating_problems(corpus)]
+    for p, (trace, result) in runs:
+        for n in range(1, len(trace.step_x)):
+            assert (trace.bound_x[n], trace.bound_y[n]) == \
+                step_bound(p.family, n, trace.d1x, trace.d1y)
+        assert result.bound_violations == tuple(verify_trace_bounds(trace, p.family))
+    assert all(result.bound_violations for _, (_, result) in runs[len(corpus):])
+
+
+def test_trace_points_are_the_stored_coordinates_built_once(corpus, monkeypatch):
+    trace, result = solve(corpus["coupled-reg"].problem)
+    built = []
+
+    class CountedPoint(Point):
+        def __post_init__(self):
+            built.append(self)
+            super().__post_init__()
+
+    monkeypatch.setattr(solver_mod, "Point", CountedPoint)
+    for n in range(len(trace.coords)):  # indexing stays linear: no rebuild per read
+        xn, yn = trace.points[n]
+        assert isinstance(xn, Point) and isinstance(yn, Point)
+        assert (xn.coords, yn.coords) == trace.coords[n]
+    assert len(built) == 2 * len(trace.coords)
+    assert (trace.points[-1][0].coords, trace.points[-1][1].coords) == \
+        (result.x_star.coords, result.y_star.coords)
+
+
+def test_evaluation_failure_at_iteration_3_keeps_three_points():
+    # x runs 0, 1, 2; at x = 2 the term 0*(1/(x - 2)) is nan
+    X = box_space((-INF,), (INF,))
+    p = ProblemSpec(X=X, Y=X, F=parse_map("a1 + 1 + 0*(1/(a1 - 2))", 1, 1, 1),
+                    G=parse_map("a1", 1, 1, 1), family=LIN,
+                    seed=(point(0.0), point(0.0)))
+    with pytest.raises(SolveError, match="at iteration 3") as err:
+        solve(p, force=True)
+    trace = err.value.trace
+    assert list(trace.points) == [(point(0.0), point(0.0)), (point(1.0), point(0.0)),
+                                  (point(2.0), point(0.0))]
+    assert trace.step_x == [1.0, 1.0] and len(trace.monotone_ok) == 2
+
+
+def test_range_warnings_keep_their_text():
+    # X = [0, 1]^2, Y = [0, 1]: x leaves through its first coordinate at
+    # once; y goes down by 5e-10 a step and leaves when it passes
+    # -DOMAIN_TOL = -1e-9, at iteration 3
+    X = box_space((0.0, 0.0), (1.0, 1.0))
+    Y = box_space((0.0,), (1.0,))
+    p = ProblemSpec(X=X, Y=Y, F=parse_map("a1 + 0.5; a2", 2, 1, 2),
+                    G=parse_map("a1 - 5e-10", 1, 2, 1), family=LIN,
+                    seed=(point(0.75, 1.0), point(0.0)))
+    trace, _ = solve(p, max_iter=3, force=True)
+    assert trace.range_warnings == [
+        "iteration 1: F value (1.25, 1.0) left the X box",
+        "iteration 2: F value (1.75, 1.0) left the X box",
+        "iteration 3: F value (2.25, 1.0) left the X box",
+        "iteration 3: G value (-1.5000000000000002e-09,) left the Y box",
+    ]
+
+
 # ---------------------------------------------------------------------------
 # uniqueness probe
 
@@ -328,6 +416,73 @@ def test_probe_iterate_distances_obey_mean_ratio_envelope(corpus):
         assert observed <= theta ** n * d0 + 1e-10
 
 
+def _decay_reference(p, seeds, steps=40):
+    """The decay replay one step and one pair at a time, in plain floats."""
+    ratio = p.family.envelope_x.ratio
+    checks = []
+    for i in range(len(seeds)):
+        for j in range(i + 1, len(seeds)):
+            if not (product_leq(p.X, p.Y, seeds[i], seeds[j])
+                    or product_leq(p.X, p.Y, seeds[j], seeds[i])):
+                continue
+            d0 = product_metric_distance(p.X, p.Y, seeds[i], seeds[j])
+            (xi, yi), (xj, yj) = [(s[0].coords, s[1].coords) for s in (seeds[i], seeds[j])]
+            violations = []
+            for n in range(1, steps + 1):
+                xi, yi = coupled_step(p.F, p.G, xi, yi)
+                xj, yj = coupled_step(p.F, p.G, xj, yj)
+                observed = coords_distance(p.X, xi, xj) + coords_distance(p.Y, yi, yj)
+                allowed = ratio ** n * d0 + DECAY_SLACK
+                if observed > allowed:
+                    violations.append({"n": n, "observed": observed, "allowed": allowed})
+            checks.append(DecayCheck(i, j, d0, steps, tuple(violations)))
+    return tuple(checks)
+
+
+def _affine_mixed_monotone(rng, dim, metric, family):
+    """F(x, y) = P x - Q y + c and G(y, x) = R y - S x + e with small
+    nonnegative P, Q, R, S: mixed monotone and contractive on R^dim."""
+    def rows(first, second, const):
+        return "; ".join(
+            " + ".join([f"{float(first[i, j])!r}*a{j + 1}" for j in range(dim)]
+                       + [f"{-float(second[i, j])!r}*b{j + 1}" for j in range(dim)]
+                       + [repr(const[i])])
+            for i in range(dim))
+
+    P, Q, R, S = (rng.uniform(0.0, 0.3 / dim, size=(dim, dim)) for _ in range(4))
+    weights = tuple(rng.uniform(0.5, 2.0, size=dim).tolist())
+    space = box_space((-INF,) * dim, (INF,) * dim,
+                      metric=MetricSpec(metric, weights if metric is MetricKind.WEIGHTED_L1
+                                        else None))
+    c = rng.uniform(-1.0, 1.0, size=(2, dim)).tolist()
+    return ProblemSpec(X=space, Y=space, F=parse_map(rows(P, Q, c[0]), dim, dim, dim),
+                       G=parse_map(rows(R, S, c[1]), dim, dim, dim), family=family,
+                       seed=(Point(tuple(c[0])), Point(tuple(c[1]))))
+
+
+@pytest.mark.parametrize("metric", [MetricKind.L1, MetricKind.WEIGHTED_L1])
+@pytest.mark.parametrize("dim", [1, 9])
+@pytest.mark.parametrize("family", [ContractionFamily(FamilyKind.SYM_HALF, 0.9, 0.9),
+                                    ContractionFamily(FamilyKind.LIN_ASYM, 0.05, 0.05)],
+                         ids=["sound", "too-small"])
+def test_decay_checks_match_a_per_step_reference(metric, dim, family):
+    # the probe sums each metric over whole orbits at once; its values must
+    # be those of the plain per-step sum, bit for bit.  At dim 9 a matrix
+    # product or numpy's pairwise row sum would round differently.
+    rng = np.random.default_rng(dim)
+    p = _affine_mixed_monotone(rng, dim, metric, family)
+    c = rng.uniform(0.5, 1.5, size=dim)
+    extra = [(Point(tuple(p.seed[0].coords - m * c)), Point(tuple(p.seed[1].coords + m * c)))
+             for m in (1.0, 2.5)]
+    probe = uniqueness_probe(p, extra, force_seeds=True)
+    assert len(probe.decay_checks) == 3  # the seeds form a chain
+    assert probe.decay_checks == _decay_reference(p, probe.seeds)
+    violations = [v for chk in probe.decay_checks for v in chk.violations]
+    assert bool(violations) == (family.k < 0.5)
+    for v in violations:
+        assert (type(v["n"]), type(v["observed"]), type(v["allowed"])) == (int, float, float)
+
+
 # ---------------------------------------------------------------------------
 # affine oracle: solver limit vs direct linear solve
 
@@ -383,3 +538,22 @@ def test_trace_csv_layout(corpus, corpus_runs):
     assert first[7] == "true"
     last = lines[-1].split(",")
     assert last[3] == "" and last[7] == ""  # no step out of the final iterate
+
+
+# the --trace CSV of each corpus entry at the default settings, by SHA-256
+TRACE_CSV_SHA256 = {
+    "coupled-reg": "16bd46b96d008cbedd272fd346c8cf6b5785684b00cace3edf6a939e5e3b0c0f",
+    "ex1": "57ba53ef5214022000d29939cddd17ddcb65b91dea5d2f59166589eca460ba84",
+    "ex2": "33b166dbc2da63024fbe6c7fbdbe97c36048bb66c23dda93b555d26abd134960",
+    "ex3": "d7d8d143ef113448aa0bbacfff2c871a433deb95bc2a57c85a57e1aca0ac52fa",
+    "ex4": "43e6c1eec9191cb26bc8a4377c6243a192231c3ad90807ea9c4a895ea32d4eda",
+}
+
+
+@pytest.mark.parametrize("eid", sorted(TRACE_CSV_SHA256))
+def test_trace_csv_bytes_are_pinned(tmp_path, eid):
+    problem, csv = tmp_path / "p.json", tmp_path / "t.csv"
+    assert main(["corpus", "export", eid, "--out", str(problem)]) == 0
+    assert main(["solve", str(problem), "--trace", str(csv),
+                 "--out", str(tmp_path / "r.json")]) == 0
+    assert hashlib.sha256(csv.read_bytes()).hexdigest() == TRACE_CSV_SHA256[eid]
