@@ -1,9 +1,10 @@
 """Sampled audits of the solver's operating assumptions.
 
-Each checker draws a deterministic sample stream (seeded PRNG), tests one
-assumption on every sample, and returns a verdict plus re-checkable
-counterexamples.  Verdicts are sampled evidence over the spaces' sampling
-boxes, not proofs; serialized reports carry ``"evidence": "sampled"``.
+Each sampled checker draws its own deterministic sample stream (seeded
+PRNG), tests one assumption on every sample, and returns a verdict plus
+re-checkable counterexamples: sampled evidence over the spaces' sampling
+boxes, not proofs; reports carry ``"evidence": "sampled"``.  The orders
+alone decide comparability, with no sample.
 
 The four contraction families bound d(F(x,y), F(u,v)) on order-comparable
 pairs (x >= u, y <= v) by k p + l q for the distance terms (p, q) below; the
@@ -41,8 +42,8 @@ import numpy as np
 
 from .errors import EvaluationError, SampleError
 from .maps import MapSpec, eval_map, eval_map_batch
-from .spaces import (Point, SpaceSpec, common_bounds_batch, distance_batch, leq,
-                     leq_batch, sample_ordered_pairs, sample_points)
+from .spaces import (OrderKind, Point, SpaceSpec, distance_batch, leq, leq_batch,
+                     sample_ordered_pairs, sample_points)
 
 # Additive slack when comparing inequality sides along samples.
 CONTRACTION_SLACK = 1e-12
@@ -248,23 +249,21 @@ class ContractionCheck:
 @dataclass(frozen=True)
 class ComparabilityCheck:
     passed: bool
-    pairs_checked: int
     failures: tuple[dict, ...] = ()
 
     def to_dict(self) -> dict:
-        return {"passed": self.passed, "pairs_checked": self.pairs_checked,
-                "failures": list(self.failures)}
+        return {"passed": self.passed, "failures": list(self.failures)}
 
 
 @dataclass(frozen=True)
 class HypothesisReport:
-    """Aggregate of all sampled checks for one problem.
+    """Aggregate of all checks for one problem.
 
     ``passed`` covers the existence hypotheses (mixed monotonicity, seed
     condition, contraction inequality).  Comparability, the uniqueness
-    hypothesis decided per sampled pair from the orders, is reported
-    without gating ``passed``; the Lipschitz ratio is informational
-    (continuity is not machine-checkable).
+    hypothesis decided from the orders, is reported without gating
+    ``passed``.  Continuity of F and G is not checked: every supported
+    order is regular, which the theorems accept in its place.
     """
 
     family: ContractionFamily
@@ -272,7 +271,6 @@ class HypothesisReport:
     seed: SeedCheck
     contraction: ContractionCheck
     comparability: ComparabilityCheck
-    lipschitz: dict = field(default_factory=dict)
     estimated_constants: dict | None = None
 
     @property
@@ -287,7 +285,6 @@ class HypothesisReport:
             "seed_condition": self.seed.to_dict(),
             "contraction": self.contraction.to_dict(),
             "comparability": self.comparability.to_dict(),
-            "lipschitz_estimate": dict(self.lipschitz),
             "estimated_constants": self.estimated_constants,
         }
 
@@ -518,57 +515,36 @@ def _estimate_constants(data: _ContractionData) -> tuple[float, float]:
     return _min_sum_constants(p, q, np.concatenate([data.lhs_f, data.lhs_g]))
 
 
-def check_comparability(X: SpaceSpec, Y: SpaceSpec,
-                        cfg: SamplerConfig | None = None) -> ComparabilityCheck:
-    """Uniqueness hypothesis: does each of min(samples, 200) sampled pairs of
-    product points have a third point comparable to both?
-
-    A pair passes iff its X parts and its Y parts each have a common lower
-    and upper bound, which ``spaces.common_bounds_batch`` decides from the
-    orders: always under componentwise orders, iff comparable under
-    discrete ones.
-    """
-    cfg = cfg or SamplerConfig()
-    rng = cfg.rng()
-    n_pairs = min(cfg.samples_per_check, 200)
-    X1 = sample_points(X, n_pairs, rng)
-    Y1 = sample_points(Y, n_pairs, rng)
-    X2 = sample_points(X, n_pairs, rng)
-    Y2 = sample_points(Y, n_pairs, rng)
-    ok = common_bounds_batch(X, X1, X2) & common_bounds_batch(Y, Y1, Y2)
-    failures = tuple({"p1_x": _rows(X1, i), "p1_y": _rows(Y1, i),
-                      "p2_x": _rows(X2, i), "p2_y": _rows(Y2, i)}
-                     for i in np.flatnonzero(~ok)[:MAX_WITNESSES])
-    return ComparabilityCheck(not failures, n_pairs, failures)
+def _factor_witness(space: SpaceSpec) -> tuple[bool, tuple | None]:
+    """(passed, witness): have all pairs of sampling-box points a common lower
+    and upper bound?  Componentwise orders pass; a discrete one passes iff
+    every extent hi - lo is within its slack.  The K tie points are lo and
+    the m listed points; the witness pairs lo with the first of P_K = hi,
+    ..., P_1 (P_j = lo + (hi - lo) j/K) within the slack of no tie point,
+    which no third point bounds.  One exists if an extent exceeds 2 (m + 1)
+    slack: each tie point is then near at most one P_j."""
+    order, (lo, hi) = space.order, space.sampling_box
+    if order.kind in (OrderKind.COMPONENTWISE, OrderKind.COMPONENTWISE_REVERSED) or all(
+            b - a <= order.slack for a, b in zip(lo, hi)):
+        return True, None
+    ties = np.reshape(list({lo, *(p for ab in order.closure for p in ab)}), (-1, 1, space.dim))
+    P = np.clip(np.linspace(lo, hi, len(ties) + 1)[:0:-1], lo, hi)
+    free = np.flatnonzero(~np.all(np.abs(P - ties) <= order.slack, axis=2).any(axis=0))
+    return False, ((list(lo), _rows(P, free[0])) if free.size else None)
 
 
-def estimate_lipschitz(F: MapSpec, G: MapSpec, X: SpaceSpec, Y: SpaceSpec,
-                       cfg: SamplerConfig | None = None) -> dict:
-    """Sampled local Lipschitz ratios of F and G over the product box.
-
-    Informational stand-in for continuity (which sampling cannot verify):
-    max over close-by pairs of d(F(p), F(q)) / [d_X + d_Y](p, q).
-    """
-    cfg = cfg or SamplerConfig()
-    rng = cfg.rng()
-    n = cfg.samples_per_check
-    xp = sample_points(X, n, rng)
-    yp = sample_points(Y, n, rng)
-    x_lo, x_hi = np.asarray(X.sampling_box[0]), np.asarray(X.sampling_box[1])
-    y_lo, y_hi = np.asarray(Y.sampling_box[0]), np.asarray(Y.sampling_box[1])
-    hx = 1e-3 * (x_hi - x_lo)
-    hy = 1e-3 * (y_hi - y_lo)
-    xq = np.clip(xp + rng.uniform(-1.0, 1.0, xp.shape) * hx, x_lo, x_hi)
-    yq = np.clip(yp + rng.uniform(-1.0, 1.0, yp.shape) * hy, y_lo, y_hi)
-    den = distance_batch(X, xp, xq) + distance_batch(Y, yp, yq)
-    usable = den >= RATIO_FLOOR
-    out = {"f": None, "g": None}
-    if usable.any():
-        df = distance_batch(X, eval_map_batch(F, xp, yp), eval_map_batch(F, xq, yq))
-        dg = distance_batch(Y, eval_map_batch(G, yp, xp), eval_map_batch(G, yq, xq))
-        out["f"] = float((df[usable] / den[usable]).max())
-        out["g"] = float((dg[usable] / den[usable]).max())
-    return out
+def check_comparability(X: SpaceSpec, Y: SpaceSpec) -> ComparabilityCheck:
+    """Uniqueness hypothesis, decided from the orders with no sampling: has
+    every pair of points of the sampling boxes of X x Y a third point
+    comparable to both?  A pair has one iff its X parts and its Y parts have
+    common bounds.  A failure carries one pair: each factor's witness, or
+    its box corners where it has none."""
+    (x_ok, x_pair), (y_ok, y_pair) = _factor_witness(X), _factor_witness(Y)
+    if x_pair is None and y_pair is None:
+        return ComparabilityCheck(x_ok and y_ok)
+    (p1_x, p2_x), (p1_y, p2_y) = (pair or tuple(map(list, S.sampling_box))
+                                  for pair, S in ((x_pair, X), (y_pair, Y)))
+    return ComparabilityCheck(False, ({"p1_x": p1_x, "p1_y": p1_y, "p2_x": p2_x, "p2_y": p2_y},))
 
 
 def audit(F: MapSpec, G: MapSpec, X: SpaceSpec, Y: SpaceSpec,
@@ -593,7 +569,6 @@ def audit(F: MapSpec, G: MapSpec, X: SpaceSpec, Y: SpaceSpec,
         mixed_monotone=mixed_monotone,
         seed=seed,
         contraction=contraction,
-        comparability=check_comparability(X, Y, cfg),
-        lipschitz=estimate_lipschitz(F, G, X, Y, cfg),
+        comparability=check_comparability(X, Y),
         estimated_constants=estimates,
     )

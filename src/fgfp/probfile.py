@@ -34,7 +34,7 @@ from .maps import parse_map
 from .solver import ProblemSpec
 from .spaces import MetricKind, MetricSpec, OrderKind, OrderSpec, Point, SpaceSpec
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 # ---------------------------------------------------------------------------

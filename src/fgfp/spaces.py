@@ -296,9 +296,9 @@ def common_bounds_batch(space: SpaceSpec, A: np.ndarray, B: np.ndarray) -> np.nd
     Under a componentwise order the rowwise min and max are such bounds in
     the box.  Under a discrete order (points within the slack are equal)
     they exist iff A and B are comparable; a bound through a third listed
-    point of DISCRETE_PLUS_PAIRS is not searched, as it needs both rows on
-    listed points, which samples from the sampling box hit with
-    probability zero.
+    point of DISCRETE_PLUS_PAIRS is not searched, as it needs both rows
+    within the slack of listed points.  The per-pair reference for
+    ``hypotheses.check_comparability``, which decides the whole box.
     """
     kind = space.order.kind
     if kind is OrderKind.COMPONENTWISE or kind is OrderKind.COMPONENTWISE_REVERSED:

@@ -27,7 +27,7 @@ def test_solve_success(ex1_file, tmp_path):
                  "--out", str(out), "--trace", str(trace)])
     assert code == 0
     report = read_json(out)
-    assert report["schema"] == 1
+    assert report["schema"] == 2
     assert report["hypotheses"]["passed"] is True
     assert report["solve"]["converged"] is True
     assert abs(report["solve"]["limit_x"][0]) < 1e-9
@@ -92,15 +92,24 @@ def read_json_from_export():
 # check
 
 def test_check_reports_estimates(tmp_path):
-    path = tmp_path / "ex2.json"
-    assert main(["corpus", "export", "ex2", "--out", str(path)]) == 0
-    out = tmp_path / "check.json"
-    assert main(["check", str(path), "--out", str(out)]) == 0
-    report = read_json(out)
-    est = report["hypotheses"]["estimated_constants"]
+    reports = {}
+    for eid in ("ex1", "ex2"):
+        path = tmp_path / f"{eid}.json"
+        assert main(["corpus", "export", eid, "--out", str(path)]) == 0
+        out = tmp_path / f"check-{eid}.json"
+        assert main(["check", str(path), "--out", str(out)]) == 0
+        reports[eid] = read_json(out)
+    est = reports["ex2"]["hypotheses"]["estimated_constants"]
     assert abs(est["k"] - 4.0 / 17.0) < 0.02
     assert abs(est["l"] - 3.0 / 17.0) < 0.02
-    assert report["solve"] is None
+    for report in reports.values():
+        assert report["solve"] is None
+        assert list(report["hypotheses"]) == [
+            "evidence", "passed", "mixed_monotone", "seed_condition", "contraction",
+            "comparability", "estimated_constants"]
+    # 2000 samples: 8 per sample for monotonicity, 4 for the contraction
+    # sample, 2 at the seed
+    assert reports["ex1"]["timing"]["map_evaluations"] == 24002
 
 
 def test_check_wrong_monotonicity_exits_2(tmp_path, capsys):

@@ -26,42 +26,42 @@ RNG_SEEDS = (0, 7)
 
 # (exit code, SHA-256 of the report bytes) per run
 EXPECTED = {
-    'check coupled-reg 0': (0, '77113e3d60abf35605b47eb2223bad0d245ba32d646d8e01cd302fafcfc6eca5'),
-    'check coupled-reg 7': (0, '9655d234bb9ffadcb7a65ff80499fa3cc7b7bd90f75be42c2226bb3602896f9c'),
-    'check ex1 0': (0, 'e39fd9390c4a6763fcf0b163475ca7a425352224588255999f3fdd8357f30b32'),
-    'check ex1 7': (0, 'a4369b78d442e60fc84b023569cc3475b010f8e2a3c4f92635be490cde0211ab'),
-    'check ex2 0': (0, 'c6ac32366b68c9b63ed858013171f60e80eedcee170c24f2c79b7ce8a734359f'),
-    'check ex2 7': (0, '2a62cb6da1c21aa7c8844eb056f3a5e68556c48fe0996b6184d3326ce0d19b20'),
-    'check ex3 0': (0, 'f1e9dfd49b8e908c29a77b51da663335972911a3462da19dac6360d107ec1caa'),
-    'check ex3 7': (0, '6d6892588638ef1e36362a3b8578bd664cbbc8969bead5d2870a3580e5d65ffd'),
-    'check ex4 0': (0, 'a0c6ab1fc94eb5ed51fbe0eb5719b95e2d9e3565ef10920fd71e348549a7e4ef'),
-    'check ex4 7': (0, 'f3d063fc1beb89a609a96ad5e71f1d6adedc24b797a608bcfcc3dd74b9701fb6'),
-    'run-all 0': (0, '107cca877c5031325583f20a64cfc12ceb644ff318ac069b07bf7a1fea82fb51'),
-    'run-all 7': (0, 'dffcc7be59f098c3e9029dc1cc42b7797b4776b69fcee98aa57a9f90a5bc9d96'),
-    'solve coupled-reg 0': (0, 'c0fa89d12a64cb7a91578ecdd0c472b86b37c12ab76e9f976ede3143707b6024'),
-    'solve coupled-reg 7': (0, '6695ea7e5b4a9c9a745889b1364f02782e4aad94ba8ce6f719daf5ff215579e3'),
-    'solve ex1 0': (0, '78249f972fb2707043d452ebaffaf5862e485cc36fdafa167b5249f5cee9c74d'),
-    'solve ex1 7': (0, 'e35f12a64d78eafdf5164f79104b9a92465b66864811d6c47dd5e45046ca1b13'),
-    'solve ex2 0': (0, '0b45a2df1445628baf13fe7a1cc8be00ec2ad098187eb5291c7e7eb7a7c8de5f'),
-    'solve ex2 7': (0, 'eca4f620cdf0c3bdc0328afb1cf49fbce11e1afd9f25e3fbbda78ee298cbb93c'),
-    'solve ex3 0': (0, 'cb07aeb3f24d8cd47e3071aec8c9461420a268fb529b7f0e09f82a1221f3120c'),
-    'solve ex3 7': (0, 'bf7a81f75f66ba7dbede7483fdf19043cd7c8bc7cf84204e7da23db0159613cd'),
-    'solve ex4 0': (0, '620a04b7e9ff05adfb44e72e024798bffb4f1e568e3bee00a8ee2822d44d75d7'),
-    'solve ex4 7': (0, '81a01ff9c3cf1656aea354f344af7d513dc5f6e92c88f60838ba2d48a663ce1c'),
-    'unique coupled-reg 0': (0, '1acc77f936b5f026d4c5620095404c797666d57b8eab84b26008ed0a82b62090'),
-    'unique coupled-reg 7': (0, '405f64056a6fa88ce8f8b0bd093ffdbedff3df549197abcbc2865e129cb857c6'),
-    'unique ex1 0': (0, '540bd7db48a2697e56a31b4921a25d90b736c95fdf7e5b5873d702ab78e9a775'),
-    'unique ex1 7': (0, 'a69328640803ed527d8289781e4cae5cee33f7818f3bac4ea237c2271eedb9c3'),
-    'unique ex2 0': (0, '053e56221cfe2760c2bd8e0e729b2ae50b88328f31e31cee6ef2029032227e4d'),
-    'unique ex2 7': (0, 'd1f43a9b864da980b2d36f10d0f090c440e0a09e3f474a5333a091cf8836aa2d'),
-    'unique ex3 0': (0, '8ffead824fff6545a3e69c714c81eea3e305ceb9e4b95de23d28a5e50848a5db'),
-    'unique ex3 7': (0, '0f6d72ee6f462714387be7d8ac665ee78b9f8b2e9254cfb4b372a2745d25f87e'),
-    'unique ex4 0': (0, 'da66fa440baa1fa34f6ceaf13077a8d8ddde6a7b6dd73b482b4ab011170dec3b'),
-    'unique ex4 7': (0, '1eefe988c103993006032ca54bc5bbad86481a8a8f642fa8e393b870979e5743'),
-    'unique-seeds ex1 0': (0, 'ca3bcaa4e47c8a63b1063c89f699e04ee996c7639d3a1107219c8411f44eb2db'),
-    'unique-seeds ex1 7': (0, 'd10aa807f5059159452d75152f61d4d8fe7d849ff9241e1857ae73418a0f2686'),
-    'unique-seeds ex2 0': (0, '7bb5b4c13103aa5687e81e2221e5fa1b3b1f33a1eef745fe8a37c2344f1a1a50'),
-    'unique-seeds ex2 7': (0, 'd25dd7475be7cffb706d81df723e6c460ab4d53a16c7db559bff38e51e76f1cd'),
+    'check coupled-reg 0': (0, 'ee106490d176bbdcafbb1871f7c181dfcf204044df9413005442782033a4544e'),
+    'check coupled-reg 7': (0, 'a55b472109e112d5729d230ba5b700694ff663d09a2590e41d0f119a66491f17'),
+    'check ex1 0': (0, 'c400e85cbf1c5764be4bb01115ae061978ce1648ff56cce454ef68aa8ba4471f'),
+    'check ex1 7': (0, '61a6c5973891323f0108758c1b4d95891bfe7e532683076a95d1562f08a5c376'),
+    'check ex2 0': (0, '2ab094b544eaeb380d3d81cdfd0662751676f6a9a6285e0e6465bd4fd883b4e6'),
+    'check ex2 7': (0, '66776b811f025834801c8def425d09384239e398c6e706b3b2e9bab9d670b4ed'),
+    'check ex3 0': (0, '1b6bbdc3288696ed88f52597aba0cfd093cbf4d8765fc71f561d7a9fcd4f7fca'),
+    'check ex3 7': (0, 'adf4c1a6d83d87829dff9136a9bcc9f738cb6c60f1d1678f4a2d6fcab3bb840e'),
+    'check ex4 0': (0, '08cd20235d2356b635771028524a0ee5e481c373ba700a393d5e5abf0c7c9aea'),
+    'check ex4 7': (0, 'a9eaa8dec6a27fed089fda838e6637b9010ae2ae2b8d6f97b5cc4fdf4da5da40'),
+    'run-all 0': (0, '2e724359c4b7123effca3f7db9423e18a388f39bc2929042b5575d6327c220f6'),
+    'run-all 7': (0, 'feb3ea86ebae94d33f267cda04d761351d219965f0ec1d3ef55e4b6663d4dd3f'),
+    'solve coupled-reg 0': (0, 'd8ce0b7e1a3ffc3c365339d8a5cb211cd5e0a59d795057fb5162ed95d8bd3510'),
+    'solve coupled-reg 7': (0, '74bf2e472b7f2bcb0303a4ceb59e5ea76137aa2b7ac453a72e209d7d67390a77'),
+    'solve ex1 0': (0, '41f95a3c148b988cf0c1361c7483b414a32a9fe0a80beb739f912f8e09fadfd4'),
+    'solve ex1 7': (0, '2bd5fac32a6541a9d9e9db6e4f2b2b89e843a0353d2889046ccb3daab1475091'),
+    'solve ex2 0': (0, '22843f7f6af783ba4a88c4de7bed711a466a21cb6ec94b43cf8ba69633dacda0'),
+    'solve ex2 7': (0, 'ad0d359c824e42d1f6eb3331bc8b4cf2a1816e3c54240b53ae29973c4f720365'),
+    'solve ex3 0': (0, '5b5186b1d4cfaf9646cd26ceeb54cfafd87ad6ba45afc69b84db5c6418c3371c'),
+    'solve ex3 7': (0, '2e74ddd9d2fc8d8aae5c38db6f7ca7454be88226a45aa6c24306c763885d0d4d'),
+    'solve ex4 0': (0, '2ae544c74ddb1f807ebae00e22378b8194bb0adef42ae8125c1f63f2f424d33f'),
+    'solve ex4 7': (0, '79ea8b35fde419f96381826cd5b8c26cecd0f73a0eec26f9c016bb88edcb990a'),
+    'unique coupled-reg 0': (0, 'dd583f96aeb11ce133442cf0961dd3ce7302e65167987736260aa887aab52d6f'),
+    'unique coupled-reg 7': (0, '0cc2f5cebc9f7101e641c417668eeaeafa17a92013f6302f0ba1b83f8ad2edcf'),
+    'unique ex1 0': (0, 'b94fa599ec9e62e66995f649ad2bfd2c6382819fd2d6be1422f08e59a275d54e'),
+    'unique ex1 7': (0, '079eeb7d7ad0bde677486573491c2b41e3312c008db6f37fde3c3bd314f9f4f6'),
+    'unique ex2 0': (0, 'bb929c0925195a97b13803c75373ab7242f4bfe0cae72cd26a7127998a373654'),
+    'unique ex2 7': (0, '4613c143a6cdc9052fff7bc2ee15d7aa7f60bc4845a2920c308fdcab52bb3318'),
+    'unique ex3 0': (0, 'd1bef92352a33002a2cc897f6f7b009b4d6bb7334fd12265c69a50cec98dfe1c'),
+    'unique ex3 7': (0, 'd41de280f7c92629c4b19e3c82086531d88b1a9c9b89b0be75ad6ccbb15f4532'),
+    'unique ex4 0': (0, 'f98dfa424d706f50216a249e8e2dbd32c2aed650f35804de9e59177386dddaf0'),
+    'unique ex4 7': (0, '6e6124ec83397fc60bab5f89d1eba7fd402d291a5fdd7f595d81de5a6491e781'),
+    'unique-seeds ex1 0': (0, 'd5b74ac5108ba8cb3603c8a80e3f12e35c995b90cbf1d206825459a96cfed35c'),
+    'unique-seeds ex1 7': (0, 'a684fd4db1953742bb7739e892b5004bc5bd6a99e007e2ccd1bbb7b36aaaa32c'),
+    'unique-seeds ex2 0': (0, 'cdbba5b77cf8a141871a60060555971c66c62025b808d157891f13ae6fdaec5e'),
+    'unique-seeds ex2 7': (0, '22317398ad6aeaa4c8d17a31333b4401a26a7b7d2379d850791b74d511a0f089'),
 }
 
 

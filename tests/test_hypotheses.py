@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,11 +9,11 @@ from fgfp import (ContractionFamily, FamilyKind, SampleError,
                   SamplerConfig, box_space, check_comparability,
                   check_contraction, check_mixed_monotone, check_seed,
                   estimate_constants, eval_map, parse_map, point)
-from fgfp.hypotheses import (MAX_WITNESSES, RATIO_FLOOR, _contraction_data,
+from fgfp.hypotheses import (RATIO_FLOOR, ComparabilityCheck, _contraction_data,
                              _min_sum_constants, audit)
 from fgfp.maps import evaluation_count
-from fgfp.spaces import (OrderKind, OrderSpec, leq, metric_distance,
-                         sample_ordered_pairs, sample_points)
+from fgfp.spaces import (OrderKind, OrderSpec, common_bounds_batch, leq,
+                         metric_distance, sample_ordered_pairs, sample_points)
 
 INF = float("inf")
 CFG = SamplerConfig(samples_per_check=500, rng_seed=0)
@@ -356,20 +358,21 @@ def test_audit_takes_one_contraction_sample_for_the_estimate_and_the_check(corpu
 def test_comparability_total_orders_pass():
     X = box_space((-INF,), (0.0,))
     Y = box_space((0.0,), (INF,))
-    assert check_comparability(X, Y, CFG).passed
+    assert check_comparability(X, Y).passed
 
 
 def test_comparability_fails_on_discrete_component():
     X = box_space((0.0,), (1.0,), order=OrderSpec(kind=OrderKind.DISCRETE))
     Y = box_space((0.0,), (1.0,))
-    rep = check_comparability(X, Y, CFG)
+    rep = check_comparability(X, Y)
     assert not rep.passed
-    assert rep.failures
+    # the corners of both boxes; the X parts are incomparable
+    assert rep.failures == ({"p1_x": [0.0], "p1_y": [0.0], "p2_x": [1.0], "p2_y": [1.0]},)
 
 
 def test_comparability_single_point_space_passes():
     X = box_space((0.0,), (0.0,))
-    assert check_comparability(X, X, CFG).passed
+    assert check_comparability(X, X).passed
 
 
 # ---------------------------------------------------------------------------
@@ -392,32 +395,118 @@ def test_iterates_are_ordered_when_hypotheses_hold(corpus, corpus_runs):
 @pytest.mark.parametrize("rng_seed", range(5))
 def test_comparability_box_with_a_single_point_discrete_factor_passes(rng_seed):
     # the componentwise min of the two x parts, with y = 0, lies below both
-    # points; a candidate search missed it on seeds 0 and 4
+    # points; a sampled candidate search once missed it on seeds 0 and 4.
+    # The rule reads no sample, so the audit's verdict is the same on every seed.
     X = box_space((0.0, 0.0), (1.0, 1.0))
     Y = box_space((0.0,), (0.0,), order=OrderSpec(kind=OrderKind.DISCRETE))
-    rep = check_comparability(X, Y, SamplerConfig(rng_seed=rng_seed))
-    assert rep.passed and rep.failures == ()
+    F = parse_map("a1/2; a2/2", 2, 1, 2)
+    G = parse_map("b1 + b2", 1, 2, 1)
+    rep = audit(F, G, X, Y, ContractionFamily(FamilyKind.LIN_ASYM, 0.5, 0.0),
+                point(0.0, 0.0), point(0.0), SamplerConfig(rng_seed=rng_seed))
+    assert rep.comparability == check_comparability(X, Y)
+    assert rep.comparability.passed and rep.comparability.failures == ()
 
 
 def test_comparability_discrete_slack_fails_exactly_the_far_pairs():
     slack = 0.05
     X = box_space((0.0,), (1.0,), order=OrderSpec(kind=OrderKind.DISCRETE, slack=slack))
     Y = box_space((0.0, 0.0), (1.0, 1.0))
-    cfg = SamplerConfig(rng_seed=4)
-    rep = check_comparability(X, Y, cfg)
-    rng = cfg.rng()
-    X1, Y1, X2, Y2 = (sample_points(S, 200, rng) for S in (X, Y, X, Y))
-    far = np.flatnonzero(np.abs(X1 - X2)[:, 0] > slack)[:MAX_WITNESSES]
-    assert len(far) == MAX_WITNESSES and far[-1] > MAX_WITNESSES  # near pairs skipped
+    rep = check_comparability(X, Y)
     assert not rep.passed
-    assert list(rep.failures) == [
-        {"p1_x": list(X1[i]), "p1_y": list(Y1[i]), "p2_x": list(X2[i]), "p2_y": list(Y2[i])}
-        for i in far]
+    assert rep.failures == ({"p1_x": [0.0], "p1_y": [0.0, 0.0],
+                             "p2_x": [1.0], "p2_y": [1.0, 1.0]},)
+    # the reference rejects exactly the sampled pairs farther apart than the slack
+    rng = np.random.default_rng(4)
+    X1, X2 = sample_points(X, 200, rng), sample_points(X, 200, rng)
+    far = np.abs(X1 - X2)[:, 0] > slack
+    assert far.any() and not far.all()
+    assert (~common_bounds_batch(X, X1, X2)).tolist() == far.tolist()
 
 
-@pytest.mark.parametrize("samples", [1, 50, 200, 2000])
-def test_comparability_checks_at_most_200_pairs(samples):
-    X = box_space((0.0,), (1.0,), order=OrderSpec(kind=OrderKind.DISCRETE))
-    rep = check_comparability(X, X, SamplerConfig(samples_per_check=samples))
-    assert rep.pairs_checked == min(samples, 200)
-    assert len(rep.failures) == min(samples, MAX_WITNESSES)
+@pytest.mark.parametrize("extent", [0.0, 0.03125, 0.0625])
+def test_comparability_discrete_box_within_the_slack_passes(extent):
+    # powers of two keep every extent exact in floating point
+    for kind in (OrderKind.DISCRETE, OrderKind.DISCRETE_PLUS_PAIRS):
+        X = box_space((0.5, 2.0), (0.5 + extent, 2.0 + extent),
+                      order=OrderSpec(kind=kind, slack=0.0625))
+        assert check_comparability(X, X) == ComparabilityCheck(True)
+
+
+def test_comparability_box_just_above_the_slack_fails():
+    slack = 0.05
+    X = box_space((0.0,), (math.nextafter(slack, 1.0),),
+                  order=OrderSpec(kind=OrderKind.DISCRETE, slack=slack))
+    Y = box_space((0.0,), (1.0,))
+    rep = check_comparability(X, Y)
+    assert not rep.passed
+    (w,) = rep.failures
+    assert not common_bounds_batch(X, np.array([w["p1_x"]]), np.array([w["p2_x"]]))[0]
+    # a sample of pairs almost never sees the failure
+    rng = np.random.default_rng(0)
+    assert common_bounds_batch(X, sample_points(X, 200, rng), sample_points(X, 200, rng)).all()
+
+
+def test_comparability_listed_corners_fail_with_a_rejected_witness():
+    Y = box_space((-1.0,), (0.0,),
+                  order=OrderSpec(kind=OrderKind.DISCRETE_PLUS_PAIRS,
+                                  extra_pairs=((point(-1.0), point(0.0)),)))
+    corners = np.array([[-1.0]]), np.array([[0.0]])
+    assert common_bounds_batch(Y, *corners)[0]
+    rep = check_comparability(box_space((0.0,), (1.0,)), Y)
+    assert not rep.passed
+    (w,) = rep.failures
+    assert w["p1_y"] == [-1.0] and w["p2_y"] != [0.0]
+    assert not common_bounds_batch(Y, np.array([w["p1_y"]]), np.array([w["p2_y"]]))[0]
+
+
+def test_comparability_box_the_slack_covers_fails_without_a_witness():
+    # every two points of [0, 0.15] farther apart than the slack lie within
+    # the slack of the listed 0 <= 0.15, so no pair is rejected; the box
+    # still holds distinct points the listed relation does not order
+    X = box_space((0.0,), (0.15,),
+                  order=OrderSpec(kind=OrderKind.DISCRETE_PLUS_PAIRS, slack=0.1,
+                                  extra_pairs=((point(0.0), point(0.15)),)))
+    assert check_comparability(X, X) == ComparabilityCheck(False)
+
+
+_DPP = OrderKind.DISCRETE_PLUS_PAIRS
+COMPARABILITY_SPACES = [
+    box_space((-INF,), (0.0,)),
+    box_space((0.0, -1.0), (1.0, 1.0), order=OrderSpec(kind=OrderKind.COMPONENTWISE_REVERSED)),
+    box_space((0.0,), (1.0,), order=OrderSpec(kind=OrderKind.DISCRETE)),
+    box_space((0.0, 0.0), (0.0, 0.0), order=OrderSpec(kind=OrderKind.DISCRETE)),
+    box_space((0.0,), (0.04,), order=OrderSpec(kind=OrderKind.DISCRETE, slack=0.05)),
+    box_space((0.0,), (0.2,), order=OrderSpec(kind=OrderKind.DISCRETE, slack=0.05)),
+    box_space((-1.0,), (0.0,),
+              order=OrderSpec(kind=_DPP, extra_pairs=((point(-1.0), point(0.0)),))),
+    box_space((0.0,), (1.0,), order=OrderSpec(
+        kind=_DPP, extra_pairs=tuple((point(0.0), point(j / 4)) for j in range(1, 5)))),
+    box_space((0.0, 0.0), (1.0, 2.0), order=OrderSpec(
+        kind=_DPP, extra_pairs=((point(0.0, 0.0), point(1.0, 2.0)),
+                                (point(1.0, 2.0), point(1.0, 1.0))))),
+]
+
+
+def _sampled_pair_rejected(space, rng) -> bool:
+    """The reference: does common_bounds_batch reject any pair among the box
+    corners, the listed points and a sample of the box?"""
+    listed = np.reshape([p for pair in space.order.closure for p in pair], (-1, space.dim))
+    pts = np.concatenate([np.asarray(space.sampling_box), listed, sample_points(space, 60, rng)])
+    i, j = np.triu_indices(len(pts), 1)
+    return not common_bounds_batch(space, pts[i], pts[j]).all()
+
+
+@pytest.mark.parametrize("xi", range(len(COMPARABILITY_SPACES)))
+@pytest.mark.parametrize("yi", range(len(COMPARABILITY_SPACES)))
+def test_comparability_rule_agrees_with_sampled_reference(xi, yi):
+    X, Y = COMPARABILITY_SPACES[xi], COMPARABILITY_SPACES[yi]
+    rep = check_comparability(X, Y)
+    rng = np.random.default_rng(xi * 100 + yi)
+    # a product pair is rejected iff its X parts or its Y parts are
+    if _sampled_pair_rejected(X, rng) or _sampled_pair_rejected(Y, rng):
+        assert not rep.passed
+    assert len(rep.failures) == (0 if rep.passed else 1)
+    for w in rep.failures:
+        pair = {k: np.array([v]) for k, v in w.items()}
+        assert not (common_bounds_batch(X, pair["p1_x"], pair["p2_x"])
+                    & common_bounds_batch(Y, pair["p1_y"], pair["p2_y"]))[0]
