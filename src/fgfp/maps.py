@@ -10,7 +10,8 @@ expressions, one per coordinate:
     "(a1 - b1)/3"            one output from two 1-d arguments
     "a1 + b2; a2 - b1"       two outputs from 2-d arguments
 
-``parse_map`` generates, from one walk of the expression trees, two
+``parse_map`` parses each expression once, straight to a postfix list of
+literals, variables and operators, and generates from those lists two
 evaluation modes of straight-line Python; each is compiled on its first
 use:
 
@@ -41,7 +42,7 @@ import numpy as np
 from .errors import DimensionMismatch, EvaluationError, ExpressionError
 from .spaces import Point
 
-_FUNCTIONS = {"abs": 1, "min": 2, "max": 2}  # name -> minimum arity
+_FUNCTIONS = ("abs", "min", "max")
 _VAR_RE = re.compile(r"^([ab])([1-9][0-9]*)$")
 
 _TOKEN_RE = re.compile(
@@ -81,49 +82,13 @@ def _tokenize(text: str) -> list[Token]:
     return tokens
 
 
-# ---------------------------------------------------------------------------
-# AST
-
-@dataclass(frozen=True)
-class Num:
-    value: float
-
-
-@dataclass(frozen=True)
-class Var:
-    group: str  # "a" or "b"
-    index: int  # 1-based
-
-
-@dataclass(frozen=True)
-class Neg:
-    arg: "Expr"
-
-
-@dataclass(frozen=True)
-class BinOp:
-    op: str  # one of + - * /
-    left: "Expr"
-    right: "Expr"
-
-
-@dataclass(frozen=True)
-class Call:
-    func: str
-    args: tuple["Expr", ...]
-
-
-Expr = Num | Var | Neg | BinOp | Call
-
-
-def _is_literal_zero(node: Expr) -> bool:
-    while isinstance(node, Neg):
-        node = node.arg
-    return isinstance(node, Num) and node.value == 0.0
-
-
 class _Parser:
-    """Recursive-descent parser with the usual precedence (+- < */ < unary)."""
+    """Recursive-descent parser with the usual precedence (+- < */ < unary).
+
+    It appends each expression's items to ``out`` in postfix order:
+    literals as floats, variables as ``(group, index)`` tuples and
+    operators as their ``_ARITY`` names.
+    """
 
     # Deepest nesting of parentheses, calls and unary signs.  Each level
     # takes up to five Python frames, so this stays far below the
@@ -136,6 +101,7 @@ class _Parser:
         self.adim = first_arg_dim
         self.bdim = second_arg_dim
         self.depth = 0
+        self.out: list = []
 
     def nest(self, tok: Token) -> None:
         """Enter one nesting level opened by ``tok``."""
@@ -159,82 +125,96 @@ class _Parser:
                                   else f"expected {what}, found end of input", tok.pos)
         return self.advance()
 
-    def parse_list(self) -> list[Expr]:
-        exprs = [self.expr()]
-        while self.peek().kind == "SEMI":
+    def parse_list(self) -> list[list]:
+        """The postfix items of each semicolon-separated expression."""
+        postfixes = []
+        while True:
+            self.out = []
+            self.expr()
+            postfixes.append(self.out)
+            if self.peek().kind != "SEMI":
+                break
             self.advance()
-            exprs.append(self.expr())
         tok = self.peek()
         if tok.kind != "END":
             raise ExpressionError(f"unexpected {tok.text!r} after expression", tok.pos)
-        return exprs
+        return postfixes
 
-    def expr(self) -> Expr:
-        node = self.term()
+    def expr(self) -> None:
+        self.term()
         while self.peek().kind == "OP" and self.peek().text in "+-":
             op = self.advance().text
-            node = BinOp(op, node, self.term())
-        return node
+            self.term()
+            self.out.append(op)
 
-    def term(self) -> Expr:
-        node = self.unary()
+    def term(self) -> None:
+        self.unary()
         while self.peek().kind == "OP" and self.peek().text in "*/":
             op_tok = self.advance()
-            rhs = self.unary()
-            if op_tok.text == "/" and _is_literal_zero(rhs):
+            start = len(self.out)
+            self.unary()
+            # a divisor that is a zero literal under unary signs only
+            if op_tok.text == "/" and self.out[start] == 0.0 and all(
+                    item == "neg" for item in self.out[start + 1:]):
                 raise ExpressionError("division by literal zero", op_tok.pos)
-            node = BinOp(op_tok.text, node, rhs)
-        return node
+            self.out.append(op_tok.text)
 
-    def unary(self) -> Expr:
+    def unary(self) -> None:
         tok = self.peek()
         if tok.kind == "OP" and tok.text in "+-":
             self.advance()
             self.nest(tok)
-            node = self.unary()
+            self.unary()
             self.depth -= 1
-            return Neg(node) if tok.text == "-" else node
-        return self.primary()
+            if tok.text == "-":
+                self.out.append("neg")
+        else:
+            self.primary()
 
-    def primary(self) -> Expr:
+    def primary(self) -> None:
         tok = self.peek()
         if tok.kind == "NUM":
             self.advance()
-            return Num(float(tok.text))
-        if tok.kind == "NAME":
+            self.out.append(float(tok.text))
+        elif tok.kind == "NAME":
             self.advance()
             if self.peek().kind == "LPAREN":
-                return self.call(tok)
-            return self.variable(tok)
-        if tok.kind == "LPAREN":
+                self.call(tok)
+            else:
+                self.variable(tok)
+        elif tok.kind == "LPAREN":
             self.advance()
             self.nest(tok)
-            node = self.expr()
+            self.expr()
             self.expect("RPAREN", "')'")
             self.depth -= 1
-            return node
-        raise ExpressionError(
-            f"expected expression, found {tok.text!r}" if tok.text
-            else "expected expression, found end of input", tok.pos)
+        else:
+            raise ExpressionError(
+                f"expected expression, found {tok.text!r}" if tok.text
+                else "expected expression, found end of input", tok.pos)
 
-    def call(self, name_tok: Token) -> Expr:
+    def call(self, name_tok: Token) -> None:
         name = name_tok.text
         if name not in _FUNCTIONS:
             raise ExpressionError(f"unknown function {name!r}", name_tok.pos)
         self.nest(self.expect("LPAREN", "'('"))
-        args = [self.expr()]
+        self.expr()
+        args = 1
         while self.peek().kind == "COMMA":
             self.advance()
-            args.append(self.expr())
+            self.expr()
+            self.out.append(name)  # min/max fold left: x0 x1 min x2 min ...; abs fails below
+            args += 1
         self.expect("RPAREN", "')'")
         self.depth -= 1
-        if name == "abs" and len(args) != 1:
-            raise ExpressionError("abs takes exactly one argument", name_tok.pos)
-        if name in ("min", "max") and len(args) < 2:
+        if name == "abs":
+            if args != 1:
+                raise ExpressionError("abs takes exactly one argument", name_tok.pos)
+            self.out.append(name)
+        elif args < 2:
             raise ExpressionError(f"{name} takes at least two arguments", name_tok.pos)
-        return Call(name, tuple(args))
 
-    def variable(self, tok: Token) -> Expr:
+    def variable(self, tok: Token) -> None:
         m = _VAR_RE.match(tok.text)
         if m is None:
             raise ExpressionError(
@@ -246,20 +226,20 @@ class _Parser:
             raise ExpressionError(
                 f"variable {tok.text!r} exceeds the {group!r}-argument dimension {limit}",
                 tok.pos)
-        return Var(group, idx)
+        self.out.append((group, idx))
 
 
 # ---------------------------------------------------------------------------
-# Compilation: one walk of the expression tree emits straight-line Python
-# in two modes.  The scalar mode runs on tuples of floats, the vector mode
-# on (n, dim) numpy columns; both apply the same IEEE operations in the
-# same order, so they agree bit for bit.
+# Compilation: the parser's postfix items become straight-line Python in
+# two modes.  The scalar mode runs on tuples of floats, the vector mode on
+# (n, dim) numpy columns; both apply the same IEEE operations in the same
+# order, so they agree bit for bit.
 #
-# The walk follows postfix order and names each temporary after its stack
-# depth (s0, s1, ...), so a slot is overwritten when the stack would pop
-# it: no nested parentheses (Python rejects deep nesting) and no name per
-# node (which would keep every batch temporary alive).  Leaves are inlined
-# as operands.
+# One pass over the items names each temporary after its stack depth
+# (s0, s1, ...), so a slot is overwritten when the stack would pop it: no
+# nested parentheses (Python rejects deep nesting) and no name per
+# operation (which would keep every batch temporary alive).  Literals and
+# variables are inlined as operands.
 
 _ARITY = {"+": 2, "-": 2, "*": 2, "/": 2, "neg": 1, "abs": 1, "min": 2, "max": 2}
 
@@ -274,43 +254,22 @@ _VECTOR_TEMPLATES = {**_TEMPLATES,
                      "min": "_minimum({0}, {1})", "max": "_maximum({0}, {1})"}
 
 
-def _postfix(expr: Expr) -> list:
-    """Leaves (Num, Var) and operator names in postfix order, iteratively."""
-    out: list = []
-    todo: list = [expr]
-    while todo:
-        node = todo.pop()
-        if isinstance(node, (str, Num, Var)):
-            out.append(node)
-        elif isinstance(node, Neg):
-            todo += ["neg", node.arg]
-        elif isinstance(node, BinOp):
-            todo += [node.op, node.right, node.left]
-        elif node.func == "abs":
-            todo += ["abs", node.args[0]]
-        else:  # min/max fold left: a0 a1 op a2 op ...
-            for arg in reversed(node.args[1:]):
-                todo += [node.func, arg]
-            todo.append(node.args[0])
-    return out
-
-
 def _straight_line(postfix: list, templates: dict, const) -> tuple[list[str], str]:
     """Assignments evaluating a postfix sequence, and the name or literal
     holding its value."""
     lines: list[str] = []
     stack: list[str] = []
     for item in postfix:
-        if isinstance(item, Num):
-            stack.append(const(item.value))
-        elif isinstance(item, Var):
-            stack.append(f"{item.group}{item.index}")
-        else:
+        if isinstance(item, str):  # an operator
             depth = len(stack) - _ARITY[item]
             operands = stack[depth:]
             del stack[depth:]
             lines.append(f"s{depth} = " + templates[item].format(*operands))
             stack.append(f"s{depth}")
+        elif isinstance(item, tuple):  # a variable
+            stack.append(f"{item[0]}{item[1]}")
+        else:  # a literal
+            stack.append(const(item))
     return lines, stack[0]
 
 
@@ -318,15 +277,14 @@ def _literal(v: float) -> str:
     return repr(v) if math.isfinite(v) else "_inf"  # 1e999 parses to inf
 
 
-def _generate(exprs: tuple[Expr, ...]) -> tuple[str, str]:
+def _generate(postfixes: list[list]) -> tuple[str, str]:
     """Sources of ``scalar(a, b)`` and ``vector(A, B, out)`` for one map.
 
     ``scalar`` returns the output tuple, or None if a coordinate is not
     finite; it raises ZeroDivisionError where IEEE division gives inf or
     nan.  ``vector`` writes column j of ``out`` for expression j.
     """
-    postfixes = [_postfix(e) for e in exprs]
-    used = sorted({(n.group, n.index) for p in postfixes for n in p if isinstance(n, Var)})
+    used = sorted({item for p in postfixes for item in p if isinstance(item, tuple)})
     consts: dict[float, str] = {}
 
     def vector_const(v: float) -> str:
@@ -399,12 +357,11 @@ def parse_map(text: str, first_arg_dim: int, second_arg_dim: int, out_dim: int) 
                         ("out_dim", out_dim)):
         if not isinstance(value, int) or value < 1:
             raise ValueError(f"{name} must be a positive integer")
-    parser = _Parser(_tokenize(text), first_arg_dim, second_arg_dim)
-    exprs = tuple(parser.parse_list())
-    if len(exprs) != out_dim:
+    postfixes = _Parser(_tokenize(text), first_arg_dim, second_arg_dim).parse_list()
+    if len(postfixes) != out_dim:
         raise ExpressionError(
-            f"expected {out_dim} expression(s) separated by ';', got {len(exprs)}")
-    return MapSpec(text, first_arg_dim, second_arg_dim, out_dim, *_generate(exprs))
+            f"expected {out_dim} expression(s) separated by ';', got {len(postfixes)}")
+    return MapSpec(text, first_arg_dim, second_arg_dim, out_dim, *_generate(postfixes))
 
 
 _eval_rows = 0

@@ -333,16 +333,6 @@ def dumps17(value, indent: int = 2) -> str:
                 return "[]"
             items = [f"{pad_in}{write(val, level + 1)}" for val in v]
             return "[\n" + ",\n".join(items) + f"\n{pad}]"
-        try:
-            import numpy as np
-            if isinstance(v, np.integer):
-                return str(int(v))
-            if isinstance(v, np.floating):
-                return _fmt_float(float(v))
-            if isinstance(v, np.bool_):
-                return "true" if v else "false"
-        except ImportError:  # pragma: no cover
-            pass
         raise TypeError(f"cannot serialize {type(v).__name__}")
 
     return write(value, 0)

@@ -77,6 +77,51 @@ def test_vector_mode_copies_bare_variable_output():
     assert out[0, 0] == 1.0
 
 
+def test_generated_source_is_pinned():
+    # every operator, a unary "+", a three-argument min, a constant the
+    # vector mode hoists once (k0), an infinite literal, and a2 read
+    # before a10 although a10 comes first in the text
+    m = parse_map("min(a10, +a2, 0.5) * 3 - abs(b1) / 1e999; max(-a2, a10 + 0.5)", 10, 1, 2)
+    assert m.scalar_source == """\
+def scalar(a, b):
+    a2 = a[1]
+    a10 = a[9]
+    b1 = b[0]
+    s0 = a10 if a10 < a2 or a10 != a10 else a2
+    s0 = s0 if s0 < 0.5 or s0 != s0 else 0.5
+    s0 = s0 * 3.0
+    s1 = abs(b1)
+    s1 = s1 / _inf
+    s0 = s0 - s1
+    r0 = s0
+    s0 = -a2
+    s1 = a10 + 0.5
+    s0 = s0 if s0 > s1 or s0 != s0 else s1
+    r1 = s0
+    return (r0, r1,) if _isfinite(r0) and _isfinite(r1) else None
+"""
+    assert m.vector_source == """\
+k0 = _f64(0.5)
+k1 = _f64(3.0)
+k2 = _f64(_inf)
+def vector(A, B, out):
+    a2 = A[:, 1]
+    a10 = A[:, 9]
+    b1 = B[:, 0]
+    s0 = _minimum(a10, a2)
+    s0 = _minimum(s0, k0)
+    s0 = s0 * k1
+    s1 = abs(b1)
+    s1 = s1 / k2
+    s0 = s0 - s1
+    out[:, 0] = s0
+    s0 = -a2
+    s1 = a10 + k0
+    s0 = _maximum(s0, s1)
+    out[:, 1] = s0
+"""
+
+
 # ---------------------------------------------------------------------------
 # IEEE corner cases
 

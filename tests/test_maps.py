@@ -119,8 +119,8 @@ def test_long_flat_sums_are_not_nesting():
 
 
 def test_repr_of_a_long_flat_sum_returns():
-    # a MapSpec keeps its text and generated code, not the parse tree,
-    # whose left-deep "+" chain would take one frame per term
+    # a MapSpec keeps only its text and generated code, so its repr takes
+    # no frame per term of a long "+" chain
     m = parse_map("+".join(["a1"] * 2000), 1, 1, 1)
     assert repr(m).startswith("MapSpec(text='a1+a1+")
     assert eval_map(m, point(1.0), point(0.0)) == point(2000.0)
@@ -131,6 +131,14 @@ def test_literal_zero_division_rejected_at_parse():
         parse_map("a1/0", 1, 1, 1)
     with pytest.raises(ExpressionError):
         parse_map("a1/-0.0", 1, 1, 1)
+    # a zero literal under unary signs and parentheses is still literal zero
+    for text in ("a1/(-(0))", "a1/+0", "a1 / -(-0e0)"):
+        with pytest.raises(ExpressionError, match="division by literal zero"):
+            parse_map(text, 1, 1, 1)
+    # a sum of zeros is not: it parses and fails when evaluated
+    m = parse_map("a1/(0+0)", 1, 1, 1)
+    with pytest.raises(EvaluationError):
+        eval_map(m, point(1.0), point(0.0))
 
 
 def test_runtime_division_by_zero():
