@@ -1,10 +1,12 @@
 """Sampled audits of the solver's operating assumptions.
 
-Each sampled checker draws its own deterministic sample stream (seeded
-PRNG), tests one assumption on every sample, and returns a verdict plus
-re-checkable counterexamples: sampled evidence over the spaces' sampling
-boxes, not proofs; reports carry ``"evidence": "sampled"``.  The orders
-alone decide comparability, with no sample.
+Each sampled checker draws a deterministic sample stream from a PRNG
+seeded by its ``SamplerConfig``, tests one assumption on every sample,
+and returns a verdict plus re-checkable counterexamples: sampled evidence
+over the spaces' sampling boxes, not proofs; reports carry ``"evidence":
+"sampled"``.  The orders alone decide comparability, with no sample.
+The contraction sample's draws are a prefix of the monotonicity check's
+stream, so ``audit`` draws them once for both.
 
 The four contraction families bound d(F(x,y), F(u,v)) on order-comparable
 pairs (x >= u, y <= v) by k p + l q for the distance terms (p, q) below; the
@@ -32,6 +34,7 @@ this table in code.
 from __future__ import annotations
 
 import math
+from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
@@ -43,7 +46,7 @@ import numpy as np
 from .errors import EvaluationError, SampleError
 from .maps import MapSpec, eval_map, eval_map_batch
 from .spaces import (OrderKind, Point, SpaceSpec, distance_batch, leq, leq_batch,
-                     sample_ordered_pairs, sample_points)
+                     ordered_pairs, sample_points)
 
 # Additive slack when comparing inequality sides along samples.
 CONTRACTION_SLACK = 1e-12
@@ -181,6 +184,36 @@ class SamplerConfig:
         return np.random.default_rng(self.rng_seed)
 
 
+class _Draws:
+    """A checker's sample stream: sampling-box draws of
+    ``samples_per_check`` rows from one ``cfg.rng()``.
+
+    ``record`` keeps each draw; ``rewind`` then makes the stream hand the
+    kept draws out again, each once, before it goes on drawing from the
+    same generator.  The replay is bit-identical to a fresh stream as long
+    as the draws are asked for on the same spaces in the same order."""
+
+    def __init__(self, cfg: SamplerConfig, record: bool = False):
+        self.rng = cfg.rng()
+        self.n = cfg.samples_per_check
+        self.kept: list[np.ndarray] | None = [] if record else None
+        self.replay: deque[np.ndarray] = deque()
+
+    def points(self, space: SpaceSpec) -> np.ndarray:
+        if self.replay:
+            return self.replay.popleft()
+        U = sample_points(space, self.n, self.rng)
+        if self.kept is not None:
+            self.kept.append(U)
+        return U
+
+    def pairs(self, space: SpaceSpec) -> tuple[np.ndarray, np.ndarray]:
+        return ordered_pairs(space, partial(self.points, space))
+
+    def rewind(self) -> None:
+        self.replay, self.kept = deque(self.kept), None
+
+
 def _rows(arr: np.ndarray, idx: int) -> list[float]:
     return [float(v) for v in arr[idx]]
 
@@ -299,14 +332,17 @@ def check_mixed_monotone(F: MapSpec, G: MapSpec, X: SpaceSpec, Y: SpaceSpec,
     For x1 <= x2 and any y:  F(x1,y) <= F(x2,y)  and  G(y,x1) >= G(y,x2).
     For y1 <= y2 and any x:  F(x,y1) >= F(x,y2)  and  G(y1,x) <= G(y2,x).
     """
-    cfg = cfg or SamplerConfig()
-    rng = cfg.rng()
-    n = cfg.samples_per_check
-    # fixed draw order keeps the stream deterministic
-    x_lo, x_hi = sample_ordered_pairs(X, n, rng)
-    y_ctx = sample_points(Y, n, rng)
-    y_lo, y_hi = sample_ordered_pairs(Y, n, rng)
-    x_ctx = sample_points(X, n, rng)
+    return _check_mixed_monotone(F, G, X, Y, _Draws(cfg or SamplerConfig()))
+
+
+def _check_mixed_monotone(F: MapSpec, G: MapSpec, X: SpaceSpec, Y: SpaceSpec,
+                          draws: _Draws) -> MonotoneCheck:
+    # fixed draw order keeps the stream deterministic; the contraction
+    # sample's draws, X pairs then Y pairs, are a prefix of it
+    x_lo, x_hi = draws.pairs(X)
+    y_ctx = draws.points(Y)
+    y_lo, y_hi = draws.pairs(Y)
+    x_ctx = draws.points(X)
 
     f_lo = eval_map_batch(F, x_lo, y_ctx)
     f_hi = eval_map_batch(F, x_hi, y_ctx)
@@ -375,11 +411,9 @@ class _ContractionData:
 
 
 def _contraction_data(F: MapSpec, G: MapSpec, X: SpaceSpec, Y: SpaceSpec,
-                      kind: FamilyKind, cfg: SamplerConfig) -> _ContractionData:
-    rng = cfg.rng()
-    n = cfg.samples_per_check
-    x_lo, x_hi = sample_ordered_pairs(X, n, rng)
-    y_lo, y_hi = sample_ordered_pairs(Y, n, rng)
+                      kind: FamilyKind, draws: _Draws) -> _ContractionData:
+    x_lo, x_hi = draws.pairs(X)
+    y_lo, y_hi = draws.pairs(Y)
     pairs = _Pairs(partial(distance_batch, X), partial(distance_batch, Y),
                    x_lo, x_hi, y_lo, y_hi,
                    eval_map_batch(F, x_hi, y_lo), eval_map_batch(F, x_lo, y_hi),
@@ -413,7 +447,7 @@ def check_contraction(F: MapSpec, G: MapSpec, X: SpaceSpec, Y: SpaceSpec,
                       cfg: SamplerConfig | None = None) -> ContractionCheck:
     """Sample the family inequality for F (on d_X) and G (on d_Y)."""
     return _check_contraction(
-        _contraction_data(F, G, X, Y, family.kind, cfg or SamplerConfig()), family)
+        _contraction_data(F, G, X, Y, family.kind, _Draws(cfg or SamplerConfig())), family)
 
 
 def _check_contraction(data: _ContractionData,
@@ -504,7 +538,7 @@ def estimate_constants(F: MapSpec, G: MapSpec, X: SpaceSpec, Y: SpaceSpec,
     ``audit`` draws it once for both.
     """
     return _estimate_constants(
-        _contraction_data(F, G, X, Y, FamilyKind(kind), cfg or SamplerConfig()))
+        _contraction_data(F, G, X, Y, FamilyKind(kind), _Draws(cfg or SamplerConfig())))
 
 
 def _estimate_constants(data: _ContractionData) -> tuple[float, float]:
@@ -552,17 +586,20 @@ def audit(F: MapSpec, G: MapSpec, X: SpaceSpec, Y: SpaceSpec,
           cfg: SamplerConfig | None = None,
           with_estimates: bool = False) -> HypothesisReport:
     """Run every checker and aggregate the verdicts into one report."""
-    cfg = cfg or SamplerConfig()
-    # the contraction sample serves the check and the estimate; it is dropped
-    # before the other checkers draw theirs, so their peak memory does not add up
-    data = _contraction_data(F, G, X, Y, family.kind, cfg)
+    # the contraction sample serves the check and the estimate; its draws
+    # are kept and handed on to the monotonicity check, whose stream starts
+    # with them.  The sample itself is dropped before that check evaluates
+    # its own, so the two phases' peak memory does not add up.
+    draws = _Draws(cfg or SamplerConfig(), record=True)
+    data = _contraction_data(F, G, X, Y, family.kind, draws)
     contraction = _check_contraction(data, family)
     estimates = None
     if with_estimates:
         k_hat, l_hat = _estimate_constants(data)
         estimates = {"k": k_hat, "l": l_hat}
     del data
-    mixed_monotone = check_mixed_monotone(F, G, X, Y, cfg)
+    draws.rewind()
+    mixed_monotone = _check_mixed_monotone(F, G, X, Y, draws)
     seed = check_seed(F, G, X, Y, x0, y0)
     return HypothesisReport(
         family=family,

@@ -13,12 +13,14 @@ Boxes may be unbounded on either side; every space still carries a bounded
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, SampleError
 
 # Absolute tolerance for box-membership checks; iterates may graze a face.
 DOMAIN_TOL = 1e-9
@@ -268,25 +270,34 @@ def metric_distance(space: SpaceSpec, a: Point, b: Point) -> float:
     return coords_distance(space, a.coords, b.coords)
 
 
+def _rowwise_all(test, A: np.ndarray, B) -> np.ndarray:
+    """``np.all(test(A, B), axis=1)`` for (n, dim) A and B (or one point's
+    coordinates), built one column at a time: numpy reduces slowly along
+    a short inner axis."""
+    columns = zip(A.T, np.asarray(B, dtype=np.float64).T)
+    out = test(*next(columns))
+    for a, b in columns:
+        out &= test(a, b)
+    return out
+
+
 def leq_batch(space: SpaceSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Rowwise order test for (n, dim) coordinate arrays."""
     A = np.asarray(A, dtype=np.float64)
     B = np.asarray(B, dtype=np.float64)
     s = space.order.slack
     kind = space.order.kind
-    if kind is OrderKind.COMPONENTWISE:
-        return np.all(A <= B + s, axis=1)
     if kind is OrderKind.COMPONENTWISE_REVERSED:
-        return np.all(B <= A + s, axis=1)
-    eq = np.all(np.abs(A - B) <= s, axis=1)
-    if kind is OrderKind.DISCRETE:
-        return eq
-    out = eq
+        A, B = B, A
+    if kind is OrderKind.COMPONENTWISE or kind is OrderKind.COMPONENTWISE_REVERSED:
+        return _rowwise_all(lambda a, b: a <= b + s, A, B)
+
+    def within(a, b):
+        return np.abs(a - b) <= s
+
+    out = _rowwise_all(within, A, B)
     for lo, hi in space.order.closure:
-        lo_arr = np.asarray(lo, dtype=np.float64)
-        hi_arr = np.asarray(hi, dtype=np.float64)
-        hit = np.all(np.abs(A - lo_arr) <= s, axis=1) & np.all(np.abs(B - hi_arr) <= s, axis=1)
-        out = out | hit
+        out |= _rowwise_all(within, A, lo) & _rowwise_all(within, B, hi)
     return out
 
 
@@ -359,31 +370,54 @@ def distance_batch(space: SpaceSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray
     """Rowwise metric values for (n, dim) coordinate arrays (no domain check)."""
     A = np.asarray(A, dtype=np.float64)
     B = np.asarray(B, dtype=np.float64)
-    return np.abs(A - B) @ space.weights_array()
+    D = A - B
+    np.abs(D, out=D)
+    return D @ space.weights_array()
 
 
 def sample_points(space: SpaceSpec, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform samples from the sampling box, shape (n, dim)."""
-    lo, hi = space.sampling_box
-    return rng.uniform(lo, hi, size=(n, space.dim))
+    """Uniform samples from the sampling box, shape (n, dim).
+
+    Bit for bit ``rng.uniform(lo, hi, (n, dim))``, whose formula is
+    ``lo + (hi - lo) * u`` on ``rng.random``'s doubles; applied here one
+    column at a time, as ``uniform`` is slow to broadcast bounds along a
+    short inner axis.  Raises SampleError where hi - lo overflows.
+    """
+    U = rng.random((n, space.dim))
+    for col, lo, hi in zip(U.T, *space.sampling_box):
+        extent = hi - lo
+        if not math.isfinite(extent):
+            raise SampleError(f"sampling box extent {hi!r} - {lo!r} overflows")
+        col *= extent
+        col += lo
+    return U
 
 
 def sample_ordered_pairs(space: SpaceSpec, n: int,
                          rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """n pairs (lo, hi) with lo <= hi in the space order: the rowwise min
-    and max of two draws for componentwise orders, equal pairs with every
-    other row set to a listed relation for discrete ones."""
+    """n ordered pairs from ``sample_points`` draws (see ``ordered_pairs``)."""
+    return ordered_pairs(space, partial(sample_points, space, n, rng))
+
+
+def ordered_pairs(space: SpaceSpec,
+                  draw: Callable[[], np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs (lo, hi) with lo <= hi in the space order, from the sample
+    arrays that ``draw()`` returns, which are left unmodified: the rowwise
+    min and max of two draws for componentwise orders, equal pairs from
+    one draw with every other row set to a listed relation for discrete
+    ones."""
     kind = space.order.kind
-    U = sample_points(space, n, rng)
+    U = draw()
     if kind is OrderKind.COMPONENTWISE or kind is OrderKind.COMPONENTWISE_REVERSED:
-        V = sample_points(space, n, rng)
+        V = draw()
         lo, hi = np.minimum(U, V), np.maximum(U, V)
         return (hi, lo) if kind is OrderKind.COMPONENTWISE_REVERSED else (lo, hi)
-    hi = U.copy()
     closure = space.order.closure
-    if kind is OrderKind.DISCRETE_PLUS_PAIRS and closure:
-        rows = np.arange(1, n, 2)
-        pairs = np.asarray(closure, dtype=np.float64)[(rows // 2) % len(closure)]
-        U[rows] = pairs[:, 0]
-        hi[rows] = pairs[:, 1]
-    return U, hi
+    if not closure:
+        return U, U.copy()
+    lo, hi = U.copy(), U.copy()
+    rows = np.arange(1, len(U), 2)
+    pairs = np.asarray(closure, dtype=np.float64)[(rows // 2) % len(closure)]
+    lo[rows] = pairs[:, 0]
+    hi[rows] = pairs[:, 1]
+    return lo, hi

@@ -11,6 +11,13 @@ table below.  ``python tests/test_determinism.py`` (with ``src`` on
 
 The corpus is all 1-d with L1 metrics, so every distance is a single
 term and the digests do not depend on the BLAS build or the machine.
+``check`` also runs at both seeds on two 2-d problems with unit-weight L1
+metrics (``MULTI_D``): one with reversed componentwise orders on sampling
+boxes of unequal extents, one with DISCRETE x DISCRETE_PLUS_PAIRS.  They
+pin the per-column scaling of the sample draw and the multi-column order
+and distance kernels.  With unit weights and two terms, ``D @ w`` is
+``|d0| + |d1|`` whatever BLAS does: multiplying by 1 is exact and
+addition is commutative, so these digests are machine-independent too.
 """
 
 import hashlib
@@ -24,10 +31,47 @@ from fgfp.cli import main
 
 RNG_SEEDS = (0, 7)
 
+_L1 = {"kind": "L1"}
+
+# 2-d problems for ``check``: coordinatewise lifts of ex2 (reflected, so
+# both orders reverse) and of ex4 (with a second listed relation), each
+# with a planted term that breaks the hypotheses, so that the reports
+# carry sampled witnesses
+MULTI_D = {
+    "rev2d": {
+        "spaces": {
+            "X": {"dim": 2, "lower": [0, 0], "upper": ["inf", "inf"], "metric": _L1,
+                  "order": {"kind": "COMPONENTWISE_REVERSED"},
+                  "sampling_box": [[0, 0], [10, 2.5]]},
+            "Y": {"dim": 2, "lower": ["-inf", "-inf"], "upper": [0, 0], "metric": _L1,
+                  "order": {"kind": "COMPONENTWISE_REVERSED"},
+                  "sampling_box": [[-4, -10], [0, 0]]},
+        },
+        "maps": {"F": "(4*a1 - 3*b1)/17; (4*a2 - 3*b2)/17 - abs(a1 - 5)/40",
+                 "G": "(4*a1 - 3*b1)/17; (4*a2 - 3*b2)/17"},
+        "family": {"kind": "LIN_ASYM", "k": 4 / 17, "l": 3 / 17},
+        "seed": {"x0": [1, 1], "y0": [-1, -1]},
+    },
+    "discrete2d": {
+        "spaces": {
+            "X": {"dim": 2, "lower": [0, 0], "upper": [1, 3], "metric": _L1,
+                  "order": {"kind": "DISCRETE"}},
+            "Y": {"dim": 2, "lower": [-1, -2], "upper": [0, 0], "metric": _L1,
+                  "order": {"kind": "DISCRETE_PLUS_PAIRS",
+                            "extra_pairs": [[[-1, -2], [0, 0]], [[-1, 0], [0, 0]]]}},
+        },
+        "maps": {"F": "a1/3 + b1/8; a2/3", "G": "-b1/3; -b2/3 + a2/8"},
+        "family": {"kind": "CHATTERJEA", "k": 0.25, "l": 0.25},
+        "seed": {"x0": [0, 0], "y0": [0, 0]},
+    },
+}
+
 # (exit code, SHA-256 of the report bytes) per run
 EXPECTED = {
     'check coupled-reg 0': (0, 'ee106490d176bbdcafbb1871f7c181dfcf204044df9413005442782033a4544e'),
     'check coupled-reg 7': (0, 'a55b472109e112d5729d230ba5b700694ff663d09a2590e41d0f119a66491f17'),
+    'check discrete2d 0': (2, '1a70700de9f949f5e307552e050ed54008ae302cb99a013629a52162b209c8d3'),
+    'check discrete2d 7': (2, 'c7548c8c4bd5477862d54943e433767e37760c54ed3a6cca4ad89197b3cc2583'),
     'check ex1 0': (0, 'c400e85cbf1c5764be4bb01115ae061978ce1648ff56cce454ef68aa8ba4471f'),
     'check ex1 7': (0, '61a6c5973891323f0108758c1b4d95891bfe7e532683076a95d1562f08a5c376'),
     'check ex2 0': (0, '2ab094b544eaeb380d3d81cdfd0662751676f6a9a6285e0e6465bd4fd883b4e6'),
@@ -36,6 +80,8 @@ EXPECTED = {
     'check ex3 7': (0, 'adf4c1a6d83d87829dff9136a9bcc9f738cb6c60f1d1678f4a2d6fcab3bb840e'),
     'check ex4 0': (0, '08cd20235d2356b635771028524a0ee5e481c373ba700a393d5e5abf0c7c9aea'),
     'check ex4 7': (0, 'a9eaa8dec6a27fed089fda838e6637b9010ae2ae2b8d6f97b5cc4fdf4da5da40'),
+    'check rev2d 0': (2, 'eaf1a97401288d6e66c63da2017250fd9c30aef22fe220badb40db09c2f4ca61'),
+    'check rev2d 7': (2, '5a96cde2fe4fe7cbf2cf47015e5af5c703d086f320fc7a0ccb0dbbffd18739e4'),
     'run-all 0': (0, '2e724359c4b7123effca3f7db9423e18a388f39bc2929042b5575d6327c220f6'),
     'run-all 7': (0, 'feb3ea86ebae94d33f267cda04d761351d219965f0ec1d3ef55e4b6663d4dd3f'),
     'solve coupled-reg 0': (0, 'd8ce0b7e1a3ffc3c365339d8a5cb211cd5e0a59d795057fb5162ed95d8bd3510'),
@@ -106,6 +152,12 @@ def _report_digests() -> dict[str, tuple[int, str]]:
                     ["unique", problem, "--seeds", "extra_seeds.json"] + rng)
     for seed in RNG_SEEDS:
         digests[f"run-all {seed}"] = _run(["corpus", "run-all", "--rng-seed", str(seed)])
+    for name, problem in MULTI_D.items():
+        with open(f"{name}.json", "w", encoding="utf-8") as fh:
+            json.dump(problem, fh)
+        for seed in RNG_SEEDS:
+            digests[f"check {name} {seed}"] = _run(
+                ["check", f"{name}.json", "--rng-seed", str(seed)])
     return digests
 
 

@@ -10,7 +10,7 @@ from fgfp import (ContractionFamily, FamilyKind, SampleError,
                   check_contraction, check_mixed_monotone, check_seed,
                   estimate_constants, eval_map, parse_map, point)
 from fgfp.hypotheses import (RATIO_FLOOR, ComparabilityCheck, _contraction_data,
-                             _min_sum_constants, audit)
+                             _Draws, _min_sum_constants, audit)
 from fgfp.maps import evaluation_count
 from fgfp.spaces import (OrderKind, OrderSpec, common_bounds_batch, leq,
                          metric_distance, sample_ordered_pairs, sample_points)
@@ -278,7 +278,8 @@ def _lp_instances(corpus):
         p = entry.problem
         for rng_seed in (0, 7):
             for kind in (FamilyKind.LIN_ASYM, FamilyKind.KANNAN, FamilyKind.CHATTERJEA):
-                data = _contraction_data(p.F, p.G, p.X, p.Y, kind, SamplerConfig(2000, rng_seed))
+                data = _contraction_data(p.F, p.G, p.X, p.Y, kind,
+                                         _Draws(SamplerConfig(2000, rng_seed)))
                 yield (np.concatenate([data.p_f, data.p_g]),
                        np.concatenate([data.q_f, data.q_g]),
                        np.concatenate([data.lhs_f, data.lhs_g]))
@@ -350,6 +351,46 @@ def test_audit_takes_one_contraction_sample_for_the_estimate_and_the_check(corpu
     plain = audit(F, G, X, Y, fam, x0, y0, cfg).to_dict()
     assert evaluation_count() - before == with_estimates
     assert rep.to_dict() == {**plain, "estimated_constants": {"k": k_hat, "l": l_hat}}
+
+
+def _planted_problem(x_kind, y_kind, dx, dy):
+    """Maps on [0, 1] boxes that break each monotonicity clause on a few
+    rows near the box's upper corner; under discrete orders, on every row
+    where the pair differs."""
+    def order(kind, dim):
+        pairs = ((point(*[0.2] * dim), point(*[0.6] * dim)),) \
+            if kind is OrderKind.DISCRETE_PLUS_PAIRS else ()
+        return OrderSpec(kind=kind, extra_pairs=pairs)
+
+    X = box_space((0.0,) * dx, (1.0,) * dx, order=order(x_kind, dx))
+    Y = box_space((0.0,) * dy, (1.0,) * dy, order=order(y_kind, dy))
+    F = parse_map("; ".join(f"a{i}/4 - b1/4 - 3*max(a1 - 0.95, 0) + 3*max(b1 - 0.95, 0)"
+                            for i in range(1, dx + 1)), dx, dy, dx)
+    G = parse_map("; ".join(f"a{j}/4 - b1/4 - 3*max(a1 - 0.95, 0) + 3*max(b1 - 0.95, 0)"
+                            for j in range(1, dy + 1)), dy, dx, dy)
+    return F, G, X, Y
+
+
+C, R, D, P = (OrderKind.COMPONENTWISE, OrderKind.COMPONENTWISE_REVERSED,
+              OrderKind.DISCRETE, OrderKind.DISCRETE_PLUS_PAIRS)
+
+
+@pytest.mark.parametrize("x_kind, y_kind, dx, dy", [
+    (C, C, 1, 1), (R, D, 2, 1), (D, C, 1, 3), (D, P, 2, 2), (C, P, 3, 2), (P, R, 2, 3),
+], ids=lambda v: v.value if isinstance(v, OrderKind) else str(v))
+def test_audit_shares_its_sample_stream_invisibly(x_kind, y_kind, dx, dy):
+    # audit hands the contraction sample's draws on to the monotonicity
+    # check; the check must come out as if it had drawn its own stream
+    F, G, X, Y = _planted_problem(x_kind, y_kind, dx, dy)
+    fam = ContractionFamily(FamilyKind.LIN_ASYM, 0.2, 0.2)
+    x0, y0 = point(*[0.5] * dx), point(*[0.5] * dy)
+    for rng_seed in (0, 7):
+        cfg = SamplerConfig(samples_per_check=40, rng_seed=rng_seed)
+        alone = check_mixed_monotone(F, G, X, Y, cfg)
+        assert alone.counterexamples  # witness contexts are compared too
+        for with_estimates in (False, True):
+            rep = audit(F, G, X, Y, fam, x0, y0, cfg, with_estimates=with_estimates)
+            assert rep.mixed_monotone.to_dict() == alone.to_dict()
 
 
 # ---------------------------------------------------------------------------

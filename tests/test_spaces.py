@@ -1,12 +1,14 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fgfp import (DimensionMismatch, MetricKind, MetricSpec, OrderKind,
+from fgfp import (DimensionMismatch, MetricKind, SampleError, MetricSpec, OrderKind,
                   OrderSpec, Point, box_space, leq, point, product_leq)
-from fgfp.spaces import (DOMAIN_TOL, common_bounds_batch, leq_batch,
-                         metric_distance, product_metric_distance,
+from fgfp.spaces import (DOMAIN_TOL, common_bounds_batch, distance_batch, leq_batch,
+                         metric_distance, ordered_pairs, product_metric_distance,
                          sample_ordered_pairs, sample_points)
 
 INF = float("inf")
@@ -128,31 +130,38 @@ def test_extra_pairs_only_for_discrete_plus_pairs():
                   extra_pairs=((point(0.0), point(1.0)),))
 
 
+# a chain of listed relations, cut to the space's dimension
+LISTED_CHAIN = ((0.0, 0.0, 0.0), (1.0, 0.5, -0.5), (2.0, -1.0, 1.0))
+
+
+def _listed_pairs(dim):
+    points = [point(*c[:dim]) for c in LISTED_CHAIN]
+    return tuple(zip(points, points[1:]))
+
+
 REFERENCE_ORDERS = [
     OrderSpec(kind=OrderKind.COMPONENTWISE),
     OrderSpec(kind=OrderKind.COMPONENTWISE, slack=0.25),
     OrderSpec(kind=OrderKind.COMPONENTWISE_REVERSED, slack=0.25),
     OrderSpec(kind=OrderKind.DISCRETE, slack=0.25),
-    OrderSpec(kind=OrderKind.DISCRETE_PLUS_PAIRS, slack=0.25,
-              extra_pairs=((point(0.0, 0.0), point(1.0, 0.5)),
-                           (point(1.0, 0.5), point(2.0, -1.0)))),
+    OrderSpec(kind=OrderKind.DISCRETE_PLUS_PAIRS, slack=0.25, extra_pairs=_listed_pairs(2)),
 ]
 
 
-def _reference_rows(order, rng):
-    """Random rows plus rows exactly at the slack and just past it."""
+def _reference_rows(order, dim, rng):
+    """Random rows plus rows exactly at the slack and just past it, in
+    each coordinate."""
     s = order.slack
-    grid = rng.integers(-4, 5, (40, 2)) / 2.0  # coordinates collide on a grid
+    grid = rng.integers(-4, 5, (40, dim)) / 2.0  # coordinates collide on a grid
     bases = [tuple(p) for p in grid] + [c for pair in order.closure for c in pair]
     steps = (0.0, s, -s, np.nextafter(s, np.inf), -np.nextafter(s, np.inf))
-    rows = [(tuple(a), tuple(b)) for a, b in zip(rng.uniform(-2, 2, (100, 2)),
-                                                   rng.uniform(-2, 2, (100, 2)))]
+    rows = [(tuple(a), tuple(b)) for a, b in zip(rng.uniform(-2, 2, (100, dim)),
+                                                   rng.uniform(-2, 2, (100, dim)))]
     rows += [(tuple(a), tuple(b)) for a, b in zip(grid, grid[::-1])]
     for p in bases:
-        for dx in steps:
-            for dy in steps:
-                q = (p[0] + dx, p[1] + dy)
-                rows += [(p, q), (q, p)]
+        for step in itertools.product(steps, repeat=dim):
+            q = tuple(c + d for c, d in zip(p, step))
+            rows += [(p, q), (q, p)]
         for lo, hi in order.closure:
             rows += [(p, hi), (lo, p)]
     return np.asarray([r[0] for r in rows]), np.asarray([r[1] for r in rows])
@@ -160,12 +169,26 @@ def _reference_rows(order, rng):
 
 @pytest.mark.parametrize("order", REFERENCE_ORDERS, ids=lambda o: f"{o.kind.value}-{o.slack}")
 def test_leq_matches_leq_batch_row_by_row(order):
-    space = box_space((-10.0, -10.0), (10.0, 10.0), order=order)
-    A, B = _reference_rows(order, np.random.default_rng(17))
-    batch = leq_batch(space, A, B)
-    assert batch.any() and not batch.all()
-    for a, b, want in zip(A, B, batch):
-        assert leq(space, Point(tuple(a)), Point(tuple(b))) == bool(want)
+    for dim in (1, 2, 3):
+        order_d = OrderSpec(order.kind, _listed_pairs(dim) if order.extra_pairs else (),
+                            order.slack)
+        space = box_space((-10.0,) * dim, (10.0,) * dim, order=order_d)
+        A, B = _reference_rows(order_d, dim, np.random.default_rng(17))
+        batch = leq_batch(space, A, B)
+        assert batch.any() and not batch.all()
+        for a, b, want in zip(A, B, batch):
+            assert leq(space, Point(tuple(a)), Point(tuple(b))) == bool(want)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_distance_batch_is_the_weighted_row_sum_bit_for_bit(dim):
+    rng = np.random.default_rng(dim)
+    weights = tuple(rng.uniform(0.1, 3.0, dim))
+    space = box_space((-INF,) * dim, (INF,) * dim,
+                      metric=MetricSpec(MetricKind.WEIGHTED_L1, weights))
+    A, B = rng.normal(size=(500, dim)) * 1e3, rng.normal(size=(500, dim))
+    want = np.abs(A - B) @ np.asarray(weights)
+    assert np.array_equal(distance_batch(space, A, B).view(np.uint64), want.view(np.uint64))
 
 
 # rows: comparable, an antichain, equal within the slack, a listed relation
@@ -209,6 +232,25 @@ def test_sample_ordered_pairs_are_ordered(order):
     # only the discrete orders give equal pairs
     equal = np.all(lo == hi, axis=1)
     assert equal.any() == (order.kind in (OrderKind.DISCRETE, OrderKind.DISCRETE_PLUS_PAIRS))
+
+
+@pytest.mark.parametrize("order", [
+    OrderSpec(kind=OrderKind.COMPONENTWISE_REVERSED),
+    OrderSpec(kind=OrderKind.DISCRETE),
+    OrderSpec(kind=OrderKind.DISCRETE_PLUS_PAIRS,
+              extra_pairs=((point(0.0, 0.0), point(1.0, 0.5)),)),
+], ids=lambda o: o.kind.value)
+def test_ordered_pairs_leave_the_draws_unmodified(order):
+    # the monotonicity check reads a raw draw after the contraction sample
+    # has made pairs from it
+    space = box_space((-3.0, -3.0), (3.0, 3.0), order=order)
+    rng = np.random.default_rng(8)
+    draws = [sample_points(space, 9, rng) for _ in range(2)]
+    kept = [U.copy() for U in draws]
+    lo, hi = ordered_pairs(space, iter(draws).__next__)
+    assert all(np.array_equal(U, K) for U, K in zip(draws, kept))
+    # lo may be the first draw itself where no row is overwritten; hi never is
+    assert not any(np.shares_memory(U, hi) for U in draws)
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +361,39 @@ def test_weights_must_match_dimension():
 def test_weights_must_be_positive():
     with pytest.raises(ValueError):
         MetricSpec(MetricKind.WEIGHTED_L1, (1.0, 0.0))
+
+
+# per-column extents that differ, negative bounds and a zero-extent column
+UNIFORM_BOXES = [
+    ((-3.5,), (2.25,)),
+    ((-10.0, 0.0), (-2.5, 1e-3)),
+    ((-1.0, 4.0, -7.25), (3.0, 4.0, -0.5)),
+    ((-1e6, -0.1, 0.0, 5.0), (1e6, 0.3, 0.0, 5.5)),
+]
+
+
+@pytest.mark.parametrize("lower, upper", UNIFORM_BOXES,
+                         ids=[f"dim{len(lo)}" for lo, _ in UNIFORM_BOXES])
+@pytest.mark.parametrize("n", [1, 1001])
+def test_sample_points_are_numpy_uniform_bit_for_bit(lower, upper, n):
+    # the bits rest on numpy's formula lo + (hi - lo) * u and on no FMA
+    # contraction of it
+    space = box_space(lower, upper)
+    for seed in (0, 7):
+        ours, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):
+            got = sample_points(space, n, ours)
+            want = numpys.uniform(lower, upper, (n, len(lower)))
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            # and the generator is left where uniform leaves it
+            assert ours.bit_generator.state == numpys.bit_generator.state
+
+
+def test_sample_points_reject_an_overflowing_extent():
+    space = box_space((-1e308, 0.0), (1e308, 1.0))
+    with pytest.raises(SampleError):
+        sample_points(space, 5, np.random.default_rng(0))
 
 
 def test_samples_stay_in_sampling_box():
