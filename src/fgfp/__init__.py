@@ -17,7 +17,7 @@ from .hypotheses import (ContractionFamily, FamilyKind, HypothesisReport,
 from .maps import MapSpec, eval_map, eval_map_batch, iterate_pair, parse_map
 from .solver import (FGFixedPointResult, IterationTrace, ProblemSpec,
                      UniquenessReport, solve, step_bound, tail_bound,
-                     trace_to_csv, uniqueness_probe, verify_trace_bounds)
+                     trace_to_csv, uniqueness_probe)
 from .spaces import (MetricKind, MetricSpec, OrderKind, OrderSpec, Point,
                      SpaceSpec, box_space, leq, point, product_leq)
 
@@ -34,7 +34,6 @@ __all__ = [
     "MapSpec", "eval_map", "eval_map_batch", "iterate_pair", "parse_map",
     "FGFixedPointResult", "IterationTrace", "ProblemSpec", "UniquenessReport",
     "solve", "step_bound", "tail_bound", "trace_to_csv", "uniqueness_probe",
-    "verify_trace_bounds",
     "MetricKind", "MetricSpec", "OrderKind", "OrderSpec", "Point", "SpaceSpec",
     "box_space", "leq", "point", "product_leq",
     "__version__",

@@ -443,7 +443,10 @@ def iterate_pair(F: MapSpec, G: MapSpec, x: Point, y: Point, n: int) -> tuple[Po
     """n-fold coupled iteration of the pair of maps.
 
     Starting from (x, y), repeats  x <- F(x, y),  y <- G(y, x)  in lockstep
-    n times; n = 0 returns (x, y) unchanged.
+    n times; n = 0 returns (x, y) unchanged.  Nothing in the package calls
+    it: it stays as the checked public reference that recomputes orbits
+    apart from any solver trace, which the tests of ``uniqueness_probe``'s
+    decay checks and acceptance criteria 07 and 08 compare against.
     """
     if not isinstance(n, int) or n < 0:
         raise ValueError("n must be a nonnegative integer")

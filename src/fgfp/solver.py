@@ -9,8 +9,8 @@ step distances are dominated, family by family, by geometric envelopes
 computable from the first step alone: ``ContractionFamily.envelope_x``
 and ``envelope_y`` (the family table is in ``hypotheses``).  The Cauchy
 tail bound on d_X(x_m, x_n), m >= n, is the corresponding geometric
-series sum from n.  ``verify_trace_bounds`` replays a recorded trace
-against these envelopes.
+series sum from n.  ``solve`` records each step's envelope (``step_bound``)
+beside the step and reports the steps that exceed it.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -27,7 +26,8 @@ from .errors import (DimensionMismatch, DomainError, EvaluationError,
 from .hypotheses import ContractionFamily, check_seed
 from .maps import MapSpec, coupled_step
 from .spaces import (DOMAIN_TOL, Point, SpaceSpec, _as_point, coords_distance,
-                     coords_leq, product_leq, product_metric_distance)
+                     coords_leq, distance_batch, product_leq,
+                     product_metric_distance)
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 10000
@@ -89,11 +89,6 @@ class IterationTrace:
     bound_y: list[float] = field(default_factory=list)
     monotone_ok: list[bool] = field(default_factory=list)
     range_warnings: list[str] = field(default_factory=list)
-
-    @cached_property
-    def points(self) -> tuple[tuple[Point, Point], ...]:
-        """``coords`` as ``Point`` pairs, built once, on the first read."""
-        return tuple((Point(x), Point(y)) for x, y in self.coords)
 
     @property
     def d1x(self) -> float:
@@ -166,20 +161,6 @@ def tail_bound(family: ContractionFamily, n: int, d1x: float, d1y: float,
     coef, ratio, lag, on_sum = family.envelope_x if component == "x" else family.envelope_y
     base = d1x + d1y if on_sum else (d1x if component == "x" else d1y)
     return coef * ratio ** (n - lag) / (1.0 - ratio) * base
-
-
-def verify_trace_bounds(trace: IterationTrace,
-                        family: ContractionFamily) -> list[BoundViolation]:
-    """Check every recorded step (n >= 1) against its family envelope."""
-    violations: list[BoundViolation] = []
-    d1x, d1y = trace.d1x, trace.d1y
-    for n in range(1, len(trace.step_x)):
-        bx, by = step_bound(family, n, d1x, d1y)
-        if trace.step_x[n] > bx + BOUND_SLACK:
-            violations.append(BoundViolation(n, "x", trace.step_x[n], bx))
-        if trace.step_y[n] > by + BOUND_SLACK:
-            violations.append(BoundViolation(n, "y", trace.step_y[n], by))
-    return violations
 
 
 def solve(problem: ProblemSpec, tol: float = DEFAULT_TOL,
@@ -332,13 +313,6 @@ def _orbit(problem: ProblemSpec, trace: IterationTrace, steps: int) -> np.ndarra
     return np.array([x + y for x, y in orbit[1:]], dtype=np.float64)
 
 
-def _distances(space: SpaceSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """``coords_distance`` on the rows of two (..., dim) arrays, bit for bit:
-    summed column by column, as a matrix product or row sum may not be."""
-    w = space.weights_array().tolist()
-    return sum(w[c] * np.abs(A[..., c] - B[..., c]) for c in range(space.dim))
-
-
 def uniqueness_probe(problem: ProblemSpec,
                      extra_seeds: list[tuple[Point, Point]],
                      tol: float = DEFAULT_TOL,
@@ -382,8 +356,8 @@ def uniqueness_probe(problem: ProblemSpec,
         orbits = {i: _orbit(problem, runs[i][0], len(ns)) for i in set().union(*pairs)}
         shape = (len(pairs), len(ns), X.dim + Y.dim)  # also when either is 0
         A, B = (np.array([orbits[p[k]] for p in pairs]).reshape(shape) for k in (0, 1))
-        observed = (_distances(X, A[..., :X.dim], B[..., :X.dim])
-                    + _distances(Y, A[..., X.dim:], B[..., X.dim:]))
+        observed = (distance_batch(X, A[..., :X.dim], B[..., :X.dim])
+                    + distance_batch(Y, A[..., X.dim:], B[..., X.dim:]))
         d0 = [product_metric_distance(X, Y, seeds[i], seeds[j]) for i, j in pairs]
         ratio = problem.family.envelope_x.ratio
         # Python's ** for ratio^n: numpy's power may round differently

@@ -16,7 +16,6 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
 
 import numpy as np
 
@@ -175,7 +174,8 @@ class SpaceSpec:
     ``lower``/``upper`` may contain ``-inf``/``+inf``.  ``sampling_box``
     must be bounded and contained in the box; when omitted it defaults to
     the box itself, truncated to extent ``UNBOUNDED_EXTENT`` along each
-    unbounded side (e.g. (-inf, 0] gives [-10, 0]).
+    unbounded side (e.g. (-inf, 0] gives [-10, 0]).  Its diameter under
+    the metric must be finite.
     """
 
     dim: int
@@ -223,17 +223,17 @@ class SpaceSpec:
                 raise ValueError("sampling_box must be bounded with lower <= upper")
             if a < lower[i] - DOMAIN_TOL or b > upper[i] + DOMAIN_TOL:
                 raise ValueError("sampling_box must be contained in the space box")
+        # sampled distances must stay finite; an extent hi - lo that itself
+        # overflows is left to sample_points, which raises SampleError
+        if (all(math.isfinite(b - a) for a, b in zip(lo_s, hi_s))
+                and not math.isfinite(coords_distance(self, hi_s, lo_s))):
+            raise ValueError("sampling_box diameter under the metric overflows")
         object.__setattr__(self, "sampling_box", (lo_s, hi_s))
 
     def contains(self, p: Point, tol: float = DOMAIN_TOL) -> bool:
         if p.dim != self.dim:
             raise DimensionMismatch(f"point has dimension {p.dim}, space has {self.dim}")
         return all(lo - tol <= c <= hi + tol for c, lo, hi in zip(p.coords, self.lower, self.upper))
-
-    def weights_array(self) -> np.ndarray:
-        if self.metric.kind is MetricKind.WEIGHTED_L1:
-            return np.asarray(self.metric.weights, dtype=np.float64)
-        return np.ones(self.dim, dtype=np.float64)
 
 
 def box_space(lower, upper, *, metric: MetricSpec | None = None,
@@ -367,12 +367,27 @@ def product_leq(X: SpaceSpec, Y: SpaceSpec,
 
 
 def distance_batch(space: SpaceSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Rowwise metric values for (n, dim) coordinate arrays (no domain check)."""
+    """Rowwise metric values for coordinate arrays of shape (..., n, dim)
+    (no domain check).
+
+    Summed one column at a time in ``coords_distance``'s order and
+    expressions, so the two agree bit for bit on every row; a matrix
+    product ``|A - B| @ w`` does not, as BLAS picks its kernel by CPU.
+    """
     A = np.asarray(A, dtype=np.float64)
     B = np.asarray(B, dtype=np.float64)
-    D = A - B
-    np.abs(D, out=D)
-    return D @ space.weights_array()
+    weights = space.metric.weights if space.metric.kind is MetricKind.WEIGHTED_L1 else None
+    total = None
+    for c in range(space.dim):
+        d = A[..., c] - B[..., c]
+        np.abs(d, out=d)
+        if weights is not None:
+            d *= weights[c]
+        if total is None:
+            total = d
+        else:
+            total += d
+    return total
 
 
 def sample_points(space: SpaceSpec, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -391,12 +406,6 @@ def sample_points(space: SpaceSpec, n: int, rng: np.random.Generator) -> np.ndar
         col *= extent
         col += lo
     return U
-
-
-def sample_ordered_pairs(space: SpaceSpec, n: int,
-                         rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """n ordered pairs from ``sample_points`` draws (see ``ordered_pairs``)."""
-    return ordered_pairs(space, partial(sample_points, space, n, rng))
 
 
 def ordered_pairs(space: SpaceSpec,

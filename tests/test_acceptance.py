@@ -16,8 +16,7 @@ import numpy as np
 
 from fgfp import (ContractionFamily, FamilyKind, ProblemSpec, SamplerConfig,
                   audit, box_space, check_contraction, estimate_constants,
-                  parse_map, point, solve, tail_bound, uniqueness_probe,
-                  verify_trace_bounds)
+                  parse_map, point, solve, tail_bound, uniqueness_probe)
 from fgfp.cli import main
 from fgfp.maps import iterate_pair
 from fgfp.solver import DECAY_SLACK
@@ -80,12 +79,9 @@ def test_criterion_04_discrete_order_entry(corpus):
                   "with zero residuals", ok)
 
 
-def test_criterion_05_bound_domination(corpus_runs, corpus):
-    bad = {}
-    for eid, (trace, _) in corpus_runs.items():
-        v = verify_trace_bounds(trace, corpus[eid].problem.family)
-        if v:
-            bad[eid] = v
+def test_criterion_05_bound_domination(corpus_runs):
+    bad = {eid: result.bound_violations
+           for eid, (_, result) in corpus_runs.items() if result.bound_violations}
     _criterion(5, "per-step bounds dominate every recorded step on all five entries",
                not bad, f"violations={bad}")
 
@@ -95,7 +91,7 @@ def test_criterion_06_tail_bounds(corpus_runs, corpus):
     ok = True
     for eid, (trace, _) in corpus_runs.items():
         p = corpus[eid].problem
-        pts = trace.points
+        pts = [(point(*x), point(*y)) for x, y in trace.coords]
         d1x, d1y = trace.d1x, trace.d1y
         for n in range(1, len(pts)):
             allowed = (tail_bound(p.family, n, d1x, d1y, "x")

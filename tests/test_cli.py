@@ -323,6 +323,20 @@ def test_non_finite_numbers_exit_1_with_one_error_line(tmp_path, capsys, edit, v
     assert f"{where}: expected a finite number" in err
 
 
+@pytest.mark.parametrize("command", ["check", "solve"])
+def test_metric_overflowing_on_its_sampling_box_exits_1(tmp_path, capsys, command):
+    # weight 1e308 on X's sampling box [-10, 0]: sampled distances reach inf
+    doc = read_json_from_export()
+    doc["spaces"]["X"]["metric"] = {"kind": "WEIGHTED_L1", "weights": [1e308]}
+    bad = tmp_path / "heavy.json"
+    bad.write_text(json.dumps(doc))
+    assert main([command, str(bad), "--out", str(tmp_path / "r.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("fgfp: error: ") and err.count("\n") == 1
+    assert "spaces.X: sampling_box diameter under the metric overflows" in err
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_bytes_that_are_not_utf8_exit_1(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_bytes(b"\xff\xfe{")

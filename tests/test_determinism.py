@@ -9,15 +9,15 @@ alters report bytes on purpose must say which and why, and update the
 table below.  ``python tests/test_determinism.py`` (with ``src`` on
 ``PYTHONPATH``) prints the current table.
 
-The corpus is all 1-d with L1 metrics, so every distance is a single
-term and the digests do not depend on the BLAS build or the machine.
-``check`` also runs at both seeds on two 2-d problems with unit-weight L1
-metrics (``MULTI_D``): one with reversed componentwise orders on sampling
-boxes of unequal extents, one with DISCRETE x DISCRETE_PLUS_PAIRS.  They
-pin the per-column scaling of the sample draw and the multi-column order
-and distance kernels.  With unit weights and two terms, ``D @ w`` is
-``|d0| + |d1|`` whatever BLAS does: multiplying by 1 is exact and
-addition is commutative, so these digests are machine-independent too.
+``check`` also runs at both seeds on four multi-dimensional problems
+(``MULTI_D``): two 2-d ones with unit-weight L1 metrics, one with
+reversed componentwise orders on sampling boxes of unequal extents and
+one with DISCRETE x DISCRETE_PLUS_PAIRS, a 3-d one with non-dyadic
+WEIGHTED_L1 weights and a 4-d one with unit weights.  They pin the
+per-column scaling of the sample draw and the multi-column order and
+distance kernels.  Every kernel works one column at a time with
+elementwise numpy operations in a fixed order, and none takes a matrix
+product, so no digest depends on the BLAS build or the machine.
 """
 
 import hashlib
@@ -33,10 +33,11 @@ RNG_SEEDS = (0, 7)
 
 _L1 = {"kind": "L1"}
 
-# 2-d problems for ``check``: coordinatewise lifts of ex2 (reflected, so
-# both orders reverse) and of ex4 (with a second listed relation), each
-# with a planted term that breaks the hypotheses, so that the reports
-# carry sampled witnesses
+# multi-dimensional problems for ``check``: coordinatewise lifts of ex2
+# (2-d, reflected, so both orders reverse), of ex4 (2-d, with a second
+# listed relation), of ex1 (3-d, weighted) and of ex3 (4-d), each with a
+# planted term that breaks the hypotheses, so that the reports carry
+# sampled witnesses (with lhs and rhs on the contraction side)
 MULTI_D = {
     "rev2d": {
         "spaces": {
@@ -64,6 +65,31 @@ MULTI_D = {
         "family": {"kind": "CHATTERJEA", "k": 0.25, "l": 0.25},
         "seed": {"x0": [0, 0], "y0": [0, 0]},
     },
+    "weighted3d": {
+        "spaces": {
+            "X": {"dim": 3, "lower": ["-inf", "-inf", "-inf"], "upper": [0, 0, 0],
+                  "metric": {"kind": "WEIGHTED_L1", "weights": [0.7, 1.3, 2.9]},
+                  "sampling_box": [[-10, -2.5, -6], [0, 0, 0]]},
+            "Y": {"dim": 3, "lower": [0, 0, 0], "upper": ["inf", "inf", "inf"],
+                  "metric": {"kind": "WEIGHTED_L1", "weights": [1.1, 0.3, 3.7]},
+                  "sampling_box": [[0, 0, 0], [4, 10, 7.5]]},
+        },
+        "maps": {"F": "(a1 - b1)/3; (a2 - b2)/3; (a3 - b3)/3 - abs(a1 + 5)/4",
+                 "G": "(a1 - b1)/5; (a2 - b2)/5; (a3 - b3)/5"},
+        "family": {"kind": "SYM_HALF", "k": 2 / 3, "l": 2 / 5},
+        "seed": {"x0": [-1, -1, -1], "y0": [1, 1, 1]},
+    },
+    "unit4d": {
+        "spaces": {
+            "X": {"dim": 4, "lower": [1, 1, 1, 1], "upper": [2, 2, 2, 2], "metric": _L1},
+            "Y": {"dim": 4, "lower": [-2, -2, -2, -2], "upper": [-1, -1, -1, -1],
+                  "metric": _L1},
+        },
+        "maps": {"F": "a1/4 + 1; a2/4 + 1; a3/4 + 1; a4/4 + 1 + abs(a2 - 1.5)/2",
+                 "G": "a1/4 - 1; a2/4 - 1; a3/4 - 1; a4/4 - 1"},
+        "family": {"kind": "KANNAN", "k": 1 / 3, "l": 1 / 2},
+        "seed": {"x0": [1, 1, 1, 1], "y0": [-1, -1, -1, -1]},
+    },
 }
 
 # (exit code, SHA-256 of the report bytes) per run
@@ -82,6 +108,10 @@ EXPECTED = {
     'check ex4 7': (0, 'a9eaa8dec6a27fed089fda838e6637b9010ae2ae2b8d6f97b5cc4fdf4da5da40'),
     'check rev2d 0': (2, 'eaf1a97401288d6e66c63da2017250fd9c30aef22fe220badb40db09c2f4ca61'),
     'check rev2d 7': (2, '5a96cde2fe4fe7cbf2cf47015e5af5c703d086f320fc7a0ccb0dbbffd18739e4'),
+    'check unit4d 0': (2, '43abad915426759ac89ac1d3e013598cb0f3b4f4e6b00dc4c16d3c96ca0a4237'),
+    'check unit4d 7': (2, 'a19863486fa2b52a2314b02438e125a18a9a18fce830db7f180f804bb36eb8d1'),
+    'check weighted3d 0': (2, '613b146b8ce37aea60db6eede0b3ac22055a57c394db55855724faa4804a63b9'),
+    'check weighted3d 7': (2, '2e40a0865337de4a908e8871dfd2452eeb0670bdf3e23662a002112040886d1a'),
     'run-all 0': (0, '2e724359c4b7123effca3f7db9423e18a388f39bc2929042b5575d6327c220f6'),
     'run-all 7': (0, 'feb3ea86ebae94d33f267cda04d761351d219965f0ec1d3ef55e4b6663d4dd3f'),
     'solve coupled-reg 0': (0, 'd8ce0b7e1a3ffc3c365339d8a5cb211cd5e0a59d795057fb5162ed95d8bd3510'),

@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from fgfp.hypotheses import (RATIO_FLOOR, ComparabilityCheck, _contraction_data,
                              _Draws, _min_sum_constants, audit)
 from fgfp.maps import evaluation_count
 from fgfp.spaces import (OrderKind, OrderSpec, common_bounds_batch, leq,
-                         metric_distance, sample_ordered_pairs, sample_points)
+                         metric_distance, ordered_pairs, sample_points)
 
 INF = float("inf")
 CFG = SamplerConfig(samples_per_check=500, rng_seed=0)
@@ -121,7 +122,7 @@ def test_ordered_pairs_on_listed_relations_match_the_row_loop(n):
                                    (point(1.0, 0.25), point(2.0, 2.0)),
                                    (point(0.5, 0.5), point(0.75, 1.5))))
     space = box_space((0.0, 0.0), (2.0, 2.0), order=order)
-    lo, hi = sample_ordered_pairs(space, n, np.random.default_rng(4))
+    lo, hi = ordered_pairs(space, partial(sample_points, space, n, np.random.default_rng(4)))
     want_lo = sample_points(space, n, np.random.default_rng(4))
     want_hi = want_lo.copy()
     closure = space.order.closure
@@ -426,11 +427,9 @@ def test_iterates_are_ordered_when_hypotheses_hold(corpus, corpus_runs):
         seed_rep = check_seed(p.F, p.G, p.X, p.Y, p.seed[0], p.seed[1])
         assert rep.passed and seed_rep.passed
         trace, _ = corpus_runs[eid]
-        for n in range(len(trace.points) - 1):
-            xn, yn = trace.points[n]
-            xn1, yn1 = trace.points[n + 1]
-            assert leq(p.X, xn, xn1)
-            assert leq(p.Y, yn1, yn)
+        for (xn, yn), (xn1, yn1) in zip(trace.coords, trace.coords[1:]):
+            assert leq(p.X, point(*xn), point(*xn1))
+            assert leq(p.Y, point(*yn1), point(*yn))
 
 
 @pytest.mark.parametrize("rng_seed", range(5))

@@ -7,12 +7,11 @@ import pytest
 
 from fgfp import (ContractionFamily, FamilyKind, ProblemSpec,
                   SeedConditionError, SolveError, box_space, parse_map, point,
-                  solve, step_bound, tail_bound, uniqueness_probe,
-                  verify_trace_bounds)
-from fgfp import solver as solver_mod
+                  solve, step_bound, tail_bound, uniqueness_probe)
 from fgfp.cli import main
 from fgfp.maps import coupled_step, evaluation_count, iterate_pair
-from fgfp.solver import DECAY_SLACK, DecayCheck, trace_to_csv
+from fgfp.solver import (BOUND_SLACK, DECAY_SLACK, BoundViolation, DecayCheck,
+                         trace_to_csv)
 from fgfp.spaces import (MetricKind, MetricSpec, Point, coords_distance, leq,
                          product_leq, product_metric_distance)
 
@@ -144,7 +143,7 @@ def test_seed_condition_enforced_and_forceable():
     with pytest.raises(SeedConditionError):
         solve(p)
     trace, result = solve(p, force=True)  # runs; convergence not promised
-    assert len(trace.points) >= 2
+    assert len(trace.coords) >= 2
 
 
 def test_monotone_flags_true_on_corpus(corpus_runs):
@@ -156,9 +155,11 @@ def test_limit_dominates_iterates_on_corpus(corpus, corpus_runs):
     # nondecreasing iterates stay below the limit, nonincreasing above
     for eid, (trace, result) in corpus_runs.items():
         X, Y = corpus[eid].problem.X, corpus[eid].problem.Y
-        for xn, yn in trace.points:
-            assert leq(X, xn, result.x_star)
-            assert leq(Y, result.y_star, yn)
+        for xn, yn in trace.coords:
+            assert leq(X, Point(xn), result.x_star)
+            assert leq(Y, result.y_star, Point(yn))
+        # the limit is the last stored iterate
+        assert trace.coords[-1] == (result.x_star.coords, result.y_star.coords)
 
 
 def test_residual_consistency_on_corpus(corpus, corpus_runs):
@@ -176,7 +177,6 @@ def test_residual_consistency_on_corpus(corpus, corpus_runs):
 
 def test_trace_bounds_hold_on_corpus(corpus, corpus_runs):
     for eid, (trace, result) in corpus_runs.items():
-        assert verify_trace_bounds(trace, corpus[eid].problem.family) == []
         assert result.bound_violations == ()
 
 
@@ -189,7 +189,7 @@ def test_trace_bounds_flag_non_contractive_map():
                     seed=(point(1.0), point(1.0)))
     trace, result = solve(p, force=True)
     assert not result.converged
-    assert verify_trace_bounds(trace, p.family)
+    assert result.bound_violations
 
 
 def test_range_violations_recorded_as_warnings_not_errors():
@@ -213,7 +213,7 @@ def test_evaluation_failure_keeps_partial_trace():
     with pytest.raises(SolveError) as err:
         solve(p, max_iter=1000, force=True)
     assert err.value.trace is not None
-    assert len(err.value.trace.points) > 1  # progress up to the failure
+    assert len(err.value.trace.coords) > 1  # progress up to the failure
 
 
 def test_divergence_detector_stops_early():
@@ -249,34 +249,20 @@ def _bound_violating_problems(corpus):
 
 def test_recorded_bounds_and_violations_match_the_public_replay(corpus, corpus_runs):
     # the loop keeps step_bound's values and derives the violations from
-    # them; verify_trace_bounds recomputes both
+    # them; the test recomputes both from step_bound and BOUND_SLACK
     runs = [(corpus[eid].problem, run) for eid, run in corpus_runs.items()]
     runs += [(p, solve(p, force=True)) for p in _bound_violating_problems(corpus)]
     for p, (trace, result) in runs:
+        want = []
         for n in range(1, len(trace.step_x)):
-            assert (trace.bound_x[n], trace.bound_y[n]) == \
-                step_bound(p.family, n, trace.d1x, trace.d1y)
-        assert result.bound_violations == tuple(verify_trace_bounds(trace, p.family))
+            bx, by = step_bound(p.family, n, trace.d1x, trace.d1y)
+            assert (trace.bound_x[n], trace.bound_y[n]) == (bx, by)
+            if trace.step_x[n] > bx + BOUND_SLACK:
+                want.append(BoundViolation(n, "x", trace.step_x[n], bx))
+            if trace.step_y[n] > by + BOUND_SLACK:
+                want.append(BoundViolation(n, "y", trace.step_y[n], by))
+        assert result.bound_violations == tuple(want)
     assert all(result.bound_violations for _, (_, result) in runs[len(corpus):])
-
-
-def test_trace_points_are_the_stored_coordinates_built_once(corpus, monkeypatch):
-    trace, result = solve(corpus["coupled-reg"].problem)
-    built = []
-
-    class CountedPoint(Point):
-        def __post_init__(self):
-            built.append(self)
-            super().__post_init__()
-
-    monkeypatch.setattr(solver_mod, "Point", CountedPoint)
-    for n in range(len(trace.coords)):  # indexing stays linear: no rebuild per read
-        xn, yn = trace.points[n]
-        assert isinstance(xn, Point) and isinstance(yn, Point)
-        assert (xn.coords, yn.coords) == trace.coords[n]
-    assert len(built) == 2 * len(trace.coords)
-    assert (trace.points[-1][0].coords, trace.points[-1][1].coords) == \
-        (result.x_star.coords, result.y_star.coords)
 
 
 def test_evaluation_failure_at_iteration_3_keeps_three_points():
@@ -288,8 +274,7 @@ def test_evaluation_failure_at_iteration_3_keeps_three_points():
     with pytest.raises(SolveError, match="at iteration 3") as err:
         solve(p, force=True)
     trace = err.value.trace
-    assert list(trace.points) == [(point(0.0), point(0.0)), (point(1.0), point(0.0)),
-                                  (point(2.0), point(0.0))]
+    assert trace.coords == [((0.0,), (0.0,)), ((1.0,), (0.0,)), ((2.0,), (0.0,))]
     assert trace.step_x == [1.0, 1.0] and len(trace.monotone_ok) == 2
 
 
@@ -532,7 +517,7 @@ def test_trace_csv_layout(corpus, corpus_runs):
     trace_to_csv(trace, 1, 1, buf)
     lines = buf.getvalue().splitlines()
     assert lines[0] == "n,x1,y1,step_x,step_y,bound_x,bound_y,monotone_ok"
-    assert len(lines) == len(trace.points) + 1
+    assert len(lines) == len(trace.coords) + 1
     first = lines[1].split(",")
     assert first[0] == "0" and float(first[1]) == -1.0 and float(first[2]) == 1.0
     assert first[7] == "true"

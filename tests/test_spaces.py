@@ -1,4 +1,5 @@
 import itertools
+from functools import partial
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from fgfp import (DimensionMismatch, MetricKind, SampleError, MetricSpec, OrderK
                   OrderSpec, Point, box_space, leq, point, product_leq)
 from fgfp.spaces import (DOMAIN_TOL, common_bounds_batch, distance_batch, leq_batch,
                          metric_distance, ordered_pairs, product_metric_distance,
-                         sample_ordered_pairs, sample_points)
+                         sample_points)
 
 INF = float("inf")
 
@@ -182,13 +183,19 @@ def test_leq_matches_leq_batch_row_by_row(order):
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
 def test_distance_batch_is_the_weighted_row_sum_bit_for_bit(dim):
+    # the reference is metric_distance, row by row; rows of (n, dim) arrays
+    # and of the (pairs, steps, dim) arrays that uniqueness_probe passes
     rng = np.random.default_rng(dim)
     weights = tuple(rng.uniform(0.1, 3.0, dim))
-    space = box_space((-INF,) * dim, (INF,) * dim,
-                      metric=MetricSpec(MetricKind.WEIGHTED_L1, weights))
-    A, B = rng.normal(size=(500, dim)) * 1e3, rng.normal(size=(500, dim))
-    want = np.abs(A - B) @ np.asarray(weights)
-    assert np.array_equal(distance_batch(space, A, B).view(np.uint64), want.view(np.uint64))
+    for metric in (MetricSpec(), MetricSpec(MetricKind.WEIGHTED_L1, weights)):
+        space = box_space((-INF,) * dim, (INF,) * dim, metric=metric)
+        for shape in ((500, dim), (6, 40, dim)):
+            A, B = rng.normal(size=shape) * 1e3, rng.normal(size=shape)
+            got = distance_batch(space, A, B)
+            assert got.shape == shape[:-1]
+            want = np.array([metric_distance(space, Point(tuple(a)), Point(tuple(b)))
+                             for a, b in zip(A.reshape(-1, dim), B.reshape(-1, dim))])
+            assert np.array_equal(got.ravel().view(np.uint64), want.view(np.uint64))
 
 
 # rows: comparable, an antichain, equal within the slack, a listed relation
@@ -227,7 +234,7 @@ def test_common_bounds_batch_per_order_kind(order, want):
 ], ids=[kind.value for kind in OrderKind])
 def test_sample_ordered_pairs_are_ordered(order):
     space = box_space((-3.0, -3.0), (3.0, 3.0), order=order)
-    lo, hi = sample_ordered_pairs(space, 50, np.random.default_rng(2))
+    lo, hi = ordered_pairs(space, partial(sample_points, space, 50, np.random.default_rng(2)))
     assert leq_batch(space, lo, hi).all()
     # only the discrete orders give equal pairs
     equal = np.all(lo == hi, axis=1)
@@ -361,6 +368,15 @@ def test_weights_must_match_dimension():
 def test_weights_must_be_positive():
     with pytest.raises(ValueError):
         MetricSpec(MetricKind.WEIGHTED_L1, (1.0, 0.0))
+
+
+def test_sampling_box_diameter_must_be_finite_under_the_metric():
+    with pytest.raises(ValueError, match="diameter"):
+        box_space((-INF,), (0.0,), metric=MetricSpec(MetricKind.WEIGHTED_L1, (1e308,)))
+    with pytest.raises(ValueError, match="diameter"):  # finite extents, infinite sum
+        box_space((-1e308, -1e308), (0.0, 0.0))
+    heavy = box_space((-INF,), (0.0,), metric=MetricSpec(MetricKind.WEIGHTED_L1, (1e307,)))
+    assert metric_distance(heavy, point(-10.0), point(0.0)) == 1e308
 
 
 # per-column extents that differ, negative bounds and a zero-extent column
