@@ -6,7 +6,9 @@ and returns a verdict plus re-checkable counterexamples: sampled evidence
 over the spaces' sampling boxes, not proofs; reports carry ``"evidence":
 "sampled"``.  The orders alone decide comparability, with no sample.
 The contraction sample's draws are a prefix of the monotonicity check's
-stream, so ``audit`` draws them once for both.
+stream, so ``audit`` draws them once for both.  Both checks evaluate their
+map images one block of ``_BLOCK`` sample rows at a time and keep only the
+per-row results, so no full-size image array is ever held.
 
 The four contraction families bound d(F(x,y), F(u,v)) on order-comparable
 pairs (x >= u, y <= v) by k p + l q for the distance terms (p, q) below; the
@@ -54,6 +56,9 @@ CONTRACTION_SLACK = 1e-12
 RATIO_FLOOR = 1e-14
 # Cap on counterexamples carried inside a report.
 MAX_WITNESSES = 10
+# Sample rows per block of map images: a block's images stay in cache and
+# reuse freed memory, where full-size ones would fault in fresh pages.
+_BLOCK = 8192
 
 
 class FamilyKind(str, Enum):
@@ -79,8 +84,9 @@ class Envelope(NamedTuple):
 
 
 class _Pairs(NamedTuple):
-    """Sampled order-comparable pairs and their images.  The F inequality
-    reads x = x_hi, u = x_lo, y = y_lo, v = y_hi; the G one mirrors them."""
+    """A block of sampled order-comparable pairs and their images.  The F
+    inequality reads x = x_hi, u = x_lo, y = y_lo, v = y_hi; the G one
+    mirrors them."""
 
     dX: Callable            # distance_batch on X
     dY: Callable            # distance_batch on Y
@@ -218,6 +224,24 @@ def _rows(arr: np.ndarray, idx: int) -> list[float]:
     return [float(v) for v in arr[idx]]
 
 
+def _blocks(n: int):
+    """Slices of ``_BLOCK`` consecutive rows covering range(n)."""
+    return (slice(i, i + _BLOCK) for i in range(0, n, _BLOCK))
+
+
+def _whole_batch_error(images) -> EvaluationError | None:
+    """The error of evaluating the (map, A, B) ``images`` whole, in order.
+
+    A block's EvaluationError names a row of the block; this one names the
+    sample row of the first image with a non-finite value anywhere."""
+    for m, A, B in images:
+        try:
+            eval_map_batch(m, A, B)
+        except EvaluationError as exc:
+            return exc
+    return None
+
+
 # ---------------------------------------------------------------------------
 # Check results
 
@@ -344,37 +368,46 @@ def _check_mixed_monotone(F: MapSpec, G: MapSpec, X: SpaceSpec, Y: SpaceSpec,
     y_lo, y_hi = draws.pairs(Y)
     x_ctx = draws.points(X)
 
-    f_lo = eval_map_batch(F, x_lo, y_ctx)
-    f_hi = eval_map_batch(F, x_hi, y_ctx)
-    g_lo = eval_map_batch(G, y_ctx, x_lo)
-    g_hi = eval_map_batch(G, y_ctx, x_hi)
-    f_ylo = eval_map_batch(F, x_ctx, y_lo)
-    f_yhi = eval_map_batch(F, x_ctx, y_hi)
-    g_ylo = eval_map_batch(G, y_lo, x_ctx)
-    g_yhi = eval_map_batch(G, y_hi, x_ctx)
+    # (clause, space of the images, map, low, high, context, second): a
+    # clause that varies the map's second argument puts the context first
+    # and asks the images to decrease
+    clauses = (
+        ("F_incr_first", X, F, x_lo, x_hi, y_ctx, False),
+        ("G_decr_second", Y, G, x_lo, x_hi, y_ctx, True),
+        ("F_decr_second", X, F, y_lo, y_hi, x_ctx, True),
+        ("G_incr_first", Y, G, y_lo, y_hi, x_ctx, False),
+    )
 
-    clauses = [
-        ("F_incr_first", leq_batch(X, f_lo, f_hi), x_lo, x_hi, y_ctx, f_lo, f_hi),
-        ("G_decr_second", leq_batch(Y, g_hi, g_lo), x_lo, x_hi, y_ctx, g_lo, g_hi),
-        ("F_decr_second", leq_batch(X, f_yhi, f_ylo), y_lo, y_hi, x_ctx, f_ylo, f_yhi),
-        ("G_incr_first", leq_batch(Y, g_ylo, g_yhi), y_lo, y_hi, x_ctx, g_ylo, g_yhi),
-    ]
+    def args(ctx, v, second):
+        return (ctx, v) if second else (v, ctx)
+
     witnesses: list[dict] = []
     checked = 0
-    for clause, ok, lo, hi, ctx, img_lo, img_hi in clauses:
-        checked += int(ok.shape[0])
-        for i in np.flatnonzero(~ok):
-            if len(witnesses) >= MAX_WITNESSES:
-                break
-            witnesses.append({
-                "clause": clause,
-                "low": _rows(lo, i),
-                "high": _rows(hi, i),
-                "context": _rows(ctx, i),
-                "image_low": _rows(img_lo, i),
-                "image_high": _rows(img_hi, i),
-            })
-    passed = all(bool(ok.all()) for _, ok, *_ in clauses)
+    passed = True
+    try:
+        for clause, space, m, lo, hi, ctx, second in clauses:
+            for rows in _blocks(len(lo)):
+                c = ctx[rows]
+                img_lo = eval_map_batch(m, *args(c, lo[rows], second))
+                img_hi = eval_map_batch(m, *args(c, hi[rows], second))
+                ok = (leq_batch(space, img_hi, img_lo) if second
+                      else leq_batch(space, img_lo, img_hi))
+                checked += len(ok)
+                bad = np.flatnonzero(~ok)
+                passed = passed and not bad.size
+                for i in bad[:MAX_WITNESSES - len(witnesses)]:
+                    witnesses.append({
+                        "clause": clause,
+                        "low": _rows(lo, rows.start + i),
+                        "high": _rows(hi, rows.start + i),
+                        "context": _rows(ctx, rows.start + i),
+                        "image_low": _rows(img_lo, i),
+                        "image_high": _rows(img_hi, i),
+                    })
+    except EvaluationError as exc:
+        raise _whole_batch_error(
+            [(m, *args(ctx, v, second)) for _, _, m, lo, hi, ctx, second in clauses
+             for v in (lo, hi)]) or exc from None
     return MonotoneCheck(passed, checked, tuple(witnesses))
 
 
@@ -414,13 +447,19 @@ def _contraction_data(F: MapSpec, G: MapSpec, X: SpaceSpec, Y: SpaceSpec,
                       kind: FamilyKind, draws: _Draws) -> _ContractionData:
     x_lo, x_hi = draws.pairs(X)
     y_lo, y_hi = draws.pairs(Y)
-    pairs = _Pairs(partial(distance_batch, X), partial(distance_batch, Y),
-                   x_lo, x_hi, y_lo, y_hi,
-                   eval_map_batch(F, x_hi, y_lo), eval_map_batch(F, x_lo, y_hi),
-                   eval_map_batch(G, y_hi, x_lo), eval_map_batch(G, y_lo, x_hi))
-    (p_f, q_f), (p_g, q_g) = _FAMILIES[kind].columns(pairs)
-    return _ContractionData(x_lo, x_hi, y_lo, y_hi, pairs.dX(pairs.F_xy, pairs.F_uv),
-                            pairs.dY(pairs.G_yx, pairs.G_vu), p_f, q_f, p_g, q_g)
+    dX, dY = partial(distance_batch, X), partial(distance_batch, Y)
+    columns = _FAMILIES[kind].columns
+    images = ((F, x_hi, y_lo), (F, x_lo, y_hi), (G, y_hi, x_lo), (G, y_lo, x_hi))
+    out = np.empty((6, len(x_lo)))  # lhs_f, lhs_g, p_f, q_f, p_g, q_g
+    try:
+        for rows in _blocks(len(x_lo)):
+            s = _Pairs(dX, dY, x_lo[rows], x_hi[rows], y_lo[rows], y_hi[rows],
+                       *(eval_map_batch(m, A[rows], B[rows]) for m, A, B in images))
+            (p_f, q_f), (p_g, q_g) = columns(s)
+            out[:, rows] = (dX(s.F_xy, s.F_uv), dY(s.G_yx, s.G_vu), p_f, q_f, p_g, q_g)
+    except EvaluationError as exc:
+        raise _whole_batch_error(images) or exc from None
+    return _ContractionData(x_lo, x_hi, y_lo, y_hi, *out)
 
 
 def _family_rhs(family: ContractionFamily, data: _ContractionData) -> tuple[np.ndarray, np.ndarray]:
@@ -588,8 +627,8 @@ def audit(F: MapSpec, G: MapSpec, X: SpaceSpec, Y: SpaceSpec,
     """Run every checker and aggregate the verdicts into one report."""
     # the contraction sample serves the check and the estimate; its draws
     # are kept and handed on to the monotonicity check, whose stream starts
-    # with them.  The sample itself is dropped before that check evaluates
-    # its own, so the two phases' peak memory does not add up.
+    # with them.  Both phases evaluate their map images per block of rows;
+    # the contraction pairs and columns are dropped before the second phase.
     draws = _Draws(cfg or SamplerConfig(), record=True)
     data = _contraction_data(F, G, X, Y, family.kind, draws)
     contraction = _check_contraction(data, family)

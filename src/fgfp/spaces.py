@@ -396,9 +396,13 @@ def sample_points(space: SpaceSpec, n: int, rng: np.random.Generator) -> np.ndar
     Bit for bit ``rng.uniform(lo, hi, (n, dim))``, whose formula is
     ``lo + (hi - lo) * u`` on ``rng.random``'s doubles; applied here one
     column at a time, as ``uniform`` is slow to broadcast bounds along a
-    short inner axis.  Raises SampleError where hi - lo overflows.
+    short inner axis.  Raises SampleError where hi - lo overflows or where
+    the (n, dim) draw cannot be allocated.
     """
-    U = rng.random((n, space.dim))
+    try:
+        U = rng.random((n, space.dim))
+    except (MemoryError, ValueError) as exc:  # ValueError: n * dim overflows
+        raise SampleError(f"cannot draw {n} samples of dimension {space.dim}: {exc}") from None
     for col, lo, hi in zip(U.T, *space.sampling_box):
         extent = hi - lo
         if not math.isfinite(extent):

@@ -393,6 +393,18 @@ def test_solve_and_check_name_the_same_sample_for_a_singular_map(tmp_path, capsy
                                 "at sample 0 (inputs a=[-0.22718933780937256], ")
 
 
+@pytest.mark.parametrize("command", ["check", "solve"])
+@pytest.mark.parametrize("samples", [10 ** 12, 10 ** 19])
+def test_sample_count_that_cannot_be_drawn_exits_1(ex1_file, tmp_path, capsys, command, samples):
+    # 10**12 rows ask for 7.28 TiB in one allocation, which is refused
+    # before any memory is touched; 10**19 rows overflow numpy's array size
+    out = tmp_path / "r.json"
+    assert main([command, str(ex1_file), "--samples", str(samples), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"fgfp: error: cannot draw {samples} samples of dimension 1: ")
+    assert err.count("\n") == 1 and not out.exists()
+
+
 def test_rng_seed_env_default(ex1_file, tmp_path, monkeypatch):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

@@ -6,15 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fgfp import (ContractionFamily, FamilyKind, SampleError,
+from fgfp import (ContractionFamily, EvaluationError, FamilyKind, SampleError,
                   SamplerConfig, box_space, check_comparability,
                   check_contraction, check_mixed_monotone, check_seed,
                   estimate_constants, eval_map, parse_map, point)
-from fgfp.hypotheses import (RATIO_FLOOR, ComparabilityCheck, _contraction_data,
-                             _Draws, _min_sum_constants, audit)
-from fgfp.maps import evaluation_count
-from fgfp.spaces import (OrderKind, OrderSpec, common_bounds_batch, leq,
-                         metric_distance, ordered_pairs, sample_points)
+from fgfp import hypotheses
+from fgfp.hypotheses import (_BLOCK, _FAMILIES, CONTRACTION_SLACK, MAX_WITNESSES,
+                             RATIO_FLOOR, ComparabilityCheck, _check_contraction,
+                             _contraction_data, _ContractionData, _Draws,
+                             _estimate_constants, _min_sum_constants, _Pairs, audit)
+from fgfp.maps import eval_map_batch, evaluation_count
+from fgfp.spaces import (OrderKind, OrderSpec, common_bounds_batch, distance_batch, leq,
+                         leq_batch, metric_distance, ordered_pairs, sample_points)
 
 INF = float("inf")
 CFG = SamplerConfig(samples_per_check=500, rng_seed=0)
@@ -392,6 +395,152 @@ def test_audit_shares_its_sample_stream_invisibly(x_kind, y_kind, dx, dy):
         for with_estimates in (False, True):
             rep = audit(F, G, X, Y, fam, x0, y0, cfg, with_estimates=with_estimates)
             assert rep.mixed_monotone.to_dict() == alone.to_dict()
+
+
+# ---------------------------------------------------------------------------
+# blocked evaluation
+
+def _stream(cfg):
+    """``draw(S)()`` gives the next sampling-box draw of a fresh stream."""
+    rng = cfg.rng()
+    return lambda S: partial(sample_points, S, cfg.samples_per_check, rng)
+
+
+def _whole_array_audit(F, G, X, Y, family, cfg):
+    """The audit's contraction and monotonicity results, with every map
+    image evaluated whole, each phase from a fresh stream; also the global
+    rows of the contraction violations and of the monotonicity witnesses."""
+    draw = _stream(cfg)
+    x_lo, x_hi = ordered_pairs(X, draw(X))
+    y_lo, y_hi = ordered_pairs(Y, draw(Y))
+    F_xy, F_uv = eval_map_batch(F, x_hi, y_lo), eval_map_batch(F, x_lo, y_hi)
+    G_yx, G_vu = eval_map_batch(G, y_hi, x_lo), eval_map_batch(G, y_lo, x_hi)
+    pairs = _Pairs(partial(distance_batch, X), partial(distance_batch, Y),
+                   x_lo, x_hi, y_lo, y_hi, F_xy, F_uv, G_yx, G_vu)
+    (p_f, q_f), (p_g, q_g) = _FAMILIES[family.kind].columns(pairs)
+    data = _ContractionData(x_lo, x_hi, y_lo, y_hi, distance_batch(X, F_xy, F_uv),
+                            distance_batch(Y, G_yx, G_vu), p_f, q_f, p_g, q_g)
+    k, l = family.k, family.l
+    bad_rows = [np.flatnonzero(lhs > k * p + l * q + CONTRACTION_SLACK)
+                for lhs, p, q in ((data.lhs_f, p_f, q_f), (data.lhs_g, p_g, q_g))]
+    k_hat, l_hat = _estimate_constants(data)
+
+    draw = _stream(cfg)
+    x_lo, x_hi = ordered_pairs(X, draw(X))
+    y_ctx = draw(Y)()
+    y_lo, y_hi = ordered_pairs(Y, draw(Y))
+    x_ctx = draw(X)()
+    clauses = (
+        ("F_incr_first", X, x_lo, x_hi, y_ctx,
+         eval_map_batch(F, x_lo, y_ctx), eval_map_batch(F, x_hi, y_ctx), False),
+        ("G_decr_second", Y, x_lo, x_hi, y_ctx,
+         eval_map_batch(G, y_ctx, x_lo), eval_map_batch(G, y_ctx, x_hi), True),
+        ("F_decr_second", X, y_lo, y_hi, x_ctx,
+         eval_map_batch(F, x_ctx, y_lo), eval_map_batch(F, x_ctx, y_hi), True),
+        ("G_incr_first", Y, y_lo, y_hi, x_ctx,
+         eval_map_batch(G, y_lo, x_ctx), eval_map_batch(G, y_hi, x_ctx), False),
+    )
+    witnesses, witness_rows, clause_rows = [], [], []
+    for clause, S, lo, hi, ctx, img_lo, img_hi, decreasing in clauses:
+        ok = leq_batch(S, img_hi, img_lo) if decreasing else leq_batch(S, img_lo, img_hi)
+        rows = np.flatnonzero(~ok)
+        clause_rows.append(rows)
+        for i in rows[:MAX_WITNESSES - len(witnesses)]:
+            witness_rows.append(int(i))
+            witnesses.append({"clause": clause, "low": lo[i].tolist(), "high": hi[i].tolist(),
+                              "context": ctx[i].tolist(), "image_low": img_lo[i].tolist(),
+                              "image_high": img_hi[i].tolist()})
+    monotone = {"passed": not any(r.size for r in clause_rows),
+                "checked": 4 * cfg.samples_per_check, "counterexamples": witnesses}
+    return (_check_contraction(data, family).to_dict(), monotone, {"k": k_hat, "l": l_hat},
+            bad_rows, clause_rows, witness_rows)
+
+
+def _rare_breaks(rate_f, rate_g):
+    """Maps on [0, 1]^2 x [0, 1] whose slope in x flips sign where the
+    context y passes 1 - rate: F breaks F_incr_first at about ``rate_f`` of
+    the rows, G breaks G_decr_second at about ``rate_g``, and both break
+    the contraction inequalities near y = 1."""
+    slope = 100.0
+    t_f = 1.0 - rate_f - 1.0 / (4.0 * slope)
+    t_g = 1.0 - rate_g - 1.0 / (4.0 * slope)
+    X = box_space((0.0, 0.0), (1.0, 1.0))
+    Y = box_space((0.0,), (1.0,))
+    F = parse_map(f"a1/4 - b1/4 - {slope!r}*a1*max(b1 - {t_f!r}, 0); a2/4 - b1/4", 2, 1, 2)
+    G = parse_map(f"a1/4 - b1/4 + {slope!r}*b1*max(a1 - {t_g!r}, 0)", 1, 2, 1)
+    return F, G, X, Y
+
+
+@pytest.mark.parametrize("n", [2 * _BLOCK + 1, 2 * _BLOCK])
+@pytest.mark.parametrize("family", [
+    ContractionFamily(FamilyKind.SYM_HALF, 0.6, 0.6),
+    ContractionFamily(FamilyKind.LIN_ASYM, 0.3, 0.6),
+    ContractionFamily(FamilyKind.KANNAN, 0.3, 0.3),
+    ContractionFamily(FamilyKind.CHATTERJEA, 0.3, 0.3),
+], ids=lambda f: f.kind.value)
+def test_blocked_audit_matches_the_whole_array_reference(family, n, monkeypatch):
+    F, G, X, Y = _rare_breaks(1 / 4000, 1 / 2500)
+    cfg = SamplerConfig(samples_per_check=n, rng_seed=0)
+    contraction, monotone, estimates, bad_rows, clause_rows, witness_rows = \
+        _whole_array_audit(F, G, X, Y, family, cfg)
+    # the planted breaks fall in more than one block, and the witness cap
+    # is reached in a later block of the second clause
+    assert all(len(set(rows // _BLOCK)) > 1 for rows in bad_rows)
+    assert all(len(set(rows // _BLOCK)) > 1 for rows in clause_rows[:2])
+    assert len(witness_rows) == MAX_WITNESSES
+    assert monotone["counterexamples"][-1]["clause"] == "G_decr_second"
+    assert witness_rows[-1] >= _BLOCK
+
+    block_rows = []
+
+    def counting(m, A, B):
+        block_rows.append(len(A))
+        return eval_map_batch(m, A, B)
+
+    monkeypatch.setattr(hypotheses, "eval_map_batch", counting)
+    got = audit(F, G, X, Y, family, point(0.5, 0.5), point(0.5), cfg,
+                with_estimates=True).to_dict()
+    assert got["contraction"] == contraction
+    assert got["mixed_monotone"] == monotone
+    assert got["estimated_constants"] == estimates
+    assert max(block_rows) == _BLOCK and sum(block_rows) == 12 * n
+
+
+def test_contraction_phase_error_names_the_first_whole_image_sample(corpus):
+    # F(x_hi, y_lo) is evaluated before F(x_lo, y_hi), so its pole in block 2
+    # is reported, not F(x_lo, y_hi)'s in block 0
+    p = corpus["ex1"].problem
+    cfg = SamplerConfig(samples_per_check=2 * _BLOCK + 1, rng_seed=0)
+    draw = _stream(cfg)
+    x_lo, x_hi = ordered_pairs(p.X, draw(p.X))
+    r2, r0 = 2 * _BLOCK, 5
+    v1, v2 = float(x_hi[r2, 0]), float(x_lo[r0, 0])
+    F = parse_map(f"(a1 - b1)/3 + 1/((a1 - ({v1!r}))*(a1 - ({v2!r})))", 1, 1, 1)
+    with pytest.raises(EvaluationError) as err:
+        audit(F, p.G, p.X, p.Y, p.family, *p.seed, cfg)
+    assert str(err.value) == (
+        "non-finite value in output coordinate 1 at sample 16384 (inputs "
+        "a=[-1.0827599853424594], b=[3.6935108193649233])")
+
+
+def test_monotonicity_phase_error_names_the_first_whole_image_sample(corpus):
+    # F(x_ctx, y_lo) of the third clause is the first whole image with a
+    # pole, in block 2; G(y_lo, x_ctx) of the fourth clause has one in block 0
+    p = corpus["ex1"].problem
+    cfg = SamplerConfig(samples_per_check=2 * _BLOCK + 1, rng_seed=0)
+    draw = _stream(cfg)
+    ordered_pairs(p.X, draw(p.X))
+    draw(p.Y)()
+    ordered_pairs(p.Y, draw(p.Y))
+    x_ctx = draw(p.X)()
+    w1, w2 = float(x_ctx[2 * _BLOCK, 0]), float(x_ctx[5, 0])
+    F = parse_map(f"(a1 - b1)/3 + 1/(a1 - ({w1!r}))", 1, 1, 1)
+    G = parse_map(f"(a1 - b1)/5 + 1/(b1 - ({w2!r}))", 1, 1, 1)
+    with pytest.raises(EvaluationError) as err:
+        audit(F, G, p.X, p.Y, p.family, *p.seed, cfg)
+    assert str(err.value) == (
+        "non-finite value in output coordinate 1 at sample 16384 (inputs "
+        "a=[-8.757199925059268], b=[4.107818775399217])")
 
 
 # ---------------------------------------------------------------------------
