@@ -5,10 +5,12 @@ seeded by its ``SamplerConfig``, tests one assumption on every sample,
 and returns a verdict plus re-checkable counterexamples: sampled evidence
 over the spaces' sampling boxes, not proofs; reports carry ``"evidence":
 "sampled"``.  The orders alone decide comparability, with no sample.
-The contraction sample's draws are a prefix of the monotonicity check's
-stream, so ``audit`` draws them once for both.  Both checks evaluate their
-map images one block of ``_BLOCK`` sample rows at a time and keep only the
-per-row results, so no full-size image array is ever held.
+One sample of ordered pairs, X pairs then Y pairs, serves the contraction
+check, the constant estimate and the monotonicity check, which draws its
+contexts after it from the same generator; ``audit`` draws it once for all
+three.  The checks evaluate their map images one block of ``_BLOCK``
+sample rows at a time and keep only the per-row results, so no full-size
+image array is ever held.
 
 The four contraction families bound d(F(x,y), F(u,v)) on order-comparable
 pairs (x >= u, y <= v) by k p + l q for the distance terms (p, q) below; the
@@ -36,7 +38,6 @@ this table in code.
 from __future__ import annotations
 
 import math
-from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
@@ -190,34 +191,24 @@ class SamplerConfig:
         return np.random.default_rng(self.rng_seed)
 
 
-class _Draws:
-    """A checker's sample stream: sampling-box draws of
-    ``samples_per_check`` rows from one ``cfg.rng()``.
+class _Sample(NamedTuple):
+    """The ordered pairs that every sampled check reads, and the generator
+    they were drawn from, which the monotonicity check goes on drawing its
+    contexts from."""
 
-    ``record`` keeps each draw; ``rewind`` then makes the stream hand the
-    kept draws out again, each once, before it goes on drawing from the
-    same generator.  The replay is bit-identical to a fresh stream as long
-    as the draws are asked for on the same spaces in the same order."""
+    rng: np.random.Generator
+    x_lo: np.ndarray
+    x_hi: np.ndarray
+    y_lo: np.ndarray
+    y_hi: np.ndarray
 
-    def __init__(self, cfg: SamplerConfig, record: bool = False):
-        self.rng = cfg.rng()
-        self.n = cfg.samples_per_check
-        self.kept: list[np.ndarray] | None = [] if record else None
-        self.replay: deque[np.ndarray] = deque()
 
-    def points(self, space: SpaceSpec) -> np.ndarray:
-        if self.replay:
-            return self.replay.popleft()
-        U = sample_points(space, self.n, self.rng)
-        if self.kept is not None:
-            self.kept.append(U)
-        return U
-
-    def pairs(self, space: SpaceSpec) -> tuple[np.ndarray, np.ndarray]:
-        return ordered_pairs(space, partial(self.points, space))
-
-    def rewind(self) -> None:
-        self.replay, self.kept = deque(self.kept), None
+def _sample(X: SpaceSpec, Y: SpaceSpec, cfg: SamplerConfig | None) -> _Sample:
+    """``samples_per_check`` ordered pairs in X, then as many in Y, from one
+    ``cfg.rng()``."""
+    cfg = cfg or SamplerConfig()
+    rng, n = cfg.rng(), cfg.samples_per_check
+    return _Sample(rng, *ordered_pairs(X, n, rng), *ordered_pairs(Y, n, rng))
 
 
 def _rows(arr: np.ndarray, idx: int) -> list[float]:
@@ -356,26 +347,24 @@ def check_mixed_monotone(F: MapSpec, G: MapSpec, X: SpaceSpec, Y: SpaceSpec,
     For x1 <= x2 and any y:  F(x1,y) <= F(x2,y)  and  G(y,x1) >= G(y,x2).
     For y1 <= y2 and any x:  F(x,y1) >= F(x,y2)  and  G(y1,x) <= G(y2,x).
     """
-    return _check_mixed_monotone(F, G, X, Y, _Draws(cfg or SamplerConfig()))
+    return _check_mixed_monotone(F, G, X, Y, _sample(X, Y, cfg))
 
 
 def _check_mixed_monotone(F: MapSpec, G: MapSpec, X: SpaceSpec, Y: SpaceSpec,
-                          draws: _Draws) -> MonotoneCheck:
-    # fixed draw order keeps the stream deterministic; the contraction
-    # sample's draws, X pairs then Y pairs, are a prefix of it
-    x_lo, x_hi = draws.pairs(X)
-    y_ctx = draws.points(Y)
-    y_lo, y_hi = draws.pairs(Y)
-    x_ctx = draws.points(X)
+                          s: _Sample) -> MonotoneCheck:
+    # the stream's order, pairs then Y contexts then X contexts, fixes the
+    # witnesses that the determinism digests pin
+    y_ctx = sample_points(Y, len(s.x_lo), s.rng)
+    x_ctx = sample_points(X, len(s.x_lo), s.rng)
 
     # (clause, space of the images, map, low, high, context, second): a
     # clause that varies the map's second argument puts the context first
     # and asks the images to decrease
     clauses = (
-        ("F_incr_first", X, F, x_lo, x_hi, y_ctx, False),
-        ("G_decr_second", Y, G, x_lo, x_hi, y_ctx, True),
-        ("F_decr_second", X, F, y_lo, y_hi, x_ctx, True),
-        ("G_incr_first", Y, G, y_lo, y_hi, x_ctx, False),
+        ("F_incr_first", X, F, s.x_lo, s.x_hi, y_ctx, False),
+        ("G_decr_second", Y, G, s.x_lo, s.x_hi, y_ctx, True),
+        ("F_decr_second", X, F, s.y_lo, s.y_hi, x_ctx, True),
+        ("G_incr_first", Y, G, s.y_lo, s.y_hi, x_ctx, False),
     )
 
     def args(ctx, v, second):
@@ -444,21 +433,27 @@ class _ContractionData:
 
 
 def _contraction_data(F: MapSpec, G: MapSpec, X: SpaceSpec, Y: SpaceSpec,
-                      kind: FamilyKind, draws: _Draws) -> _ContractionData:
-    x_lo, x_hi = draws.pairs(X)
-    y_lo, y_hi = draws.pairs(Y)
+                      kind: FamilyKind, s: _Sample) -> _ContractionData:
+    """Raises SampleError where a distance term overflows, as a sampling
+    box's diameter may not."""
+    x_lo, x_hi, y_lo, y_hi = s.x_lo, s.x_hi, s.y_lo, s.y_hi
     dX, dY = partial(distance_batch, X), partial(distance_batch, Y)
     columns = _FAMILIES[kind].columns
     images = ((F, x_hi, y_lo), (F, x_lo, y_hi), (G, y_hi, x_lo), (G, y_lo, x_hi))
     out = np.empty((6, len(x_lo)))  # lhs_f, lhs_g, p_f, q_f, p_g, q_g
     try:
-        for rows in _blocks(len(x_lo)):
-            s = _Pairs(dX, dY, x_lo[rows], x_hi[rows], y_lo[rows], y_hi[rows],
-                       *(eval_map_batch(m, A[rows], B[rows]) for m, A, B in images))
-            (p_f, q_f), (p_g, q_g) = columns(s)
-            out[:, rows] = (dX(s.F_xy, s.F_uv), dY(s.G_yx, s.G_vu), p_f, q_f, p_g, q_g)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for rows in _blocks(len(x_lo)):
+                b = _Pairs(dX, dY, x_lo[rows], x_hi[rows], y_lo[rows], y_hi[rows],
+                           *(eval_map_batch(m, A[rows], B[rows]) for m, A, B in images))
+                (p_f, q_f), (p_g, q_g) = columns(b)
+                out[:, rows] = (dX(b.F_xy, b.F_uv), dY(b.G_yx, b.G_vu), p_f, q_f, p_g, q_g)
     except EvaluationError as exc:
         raise _whole_batch_error(images) or exc from None
+    # every term is a sum of distances, so >= 0: the max is finite iff all are
+    if not math.isfinite(out.max()):
+        row = int(np.flatnonzero(~np.isfinite(out).all(axis=0))[0])
+        raise SampleError(f"a sampled distance overflows at contraction sample {row}")
     return _ContractionData(x_lo, x_hi, y_lo, y_hi, *out)
 
 
@@ -486,7 +481,7 @@ def check_contraction(F: MapSpec, G: MapSpec, X: SpaceSpec, Y: SpaceSpec,
                       cfg: SamplerConfig | None = None) -> ContractionCheck:
     """Sample the family inequality for F (on d_X) and G (on d_Y)."""
     return _check_contraction(
-        _contraction_data(F, G, X, Y, family.kind, _Draws(cfg or SamplerConfig())), family)
+        _contraction_data(F, G, X, Y, family.kind, _sample(X, Y, cfg)), family)
 
 
 def _check_contraction(data: _ContractionData,
@@ -573,11 +568,10 @@ def estimate_constants(F: MapSpec, G: MapSpec, X: SpaceSpec, Y: SpaceSpec,
     (k, l) minimizing k + l subject to k*p + l*q >= lhs on every F and G row.
     SYM_HALF's constraints separate (q = 0 on its F rows, p = 0 on its G
     rows), so its k and l are the largest sampled ratios lhs/p and lhs/q.
-    Uses the same sample as check_contraction for the same config;
-    ``audit`` draws it once for both.
+    Uses the same sample as check_contraction for the same config.
     """
     return _estimate_constants(
-        _contraction_data(F, G, X, Y, FamilyKind(kind), _Draws(cfg or SamplerConfig())))
+        _contraction_data(F, G, X, Y, FamilyKind(kind), _sample(X, Y, cfg)))
 
 
 def _estimate_constants(data: _ContractionData) -> tuple[float, float]:
@@ -625,20 +619,18 @@ def audit(F: MapSpec, G: MapSpec, X: SpaceSpec, Y: SpaceSpec,
           cfg: SamplerConfig | None = None,
           with_estimates: bool = False) -> HypothesisReport:
     """Run every checker and aggregate the verdicts into one report."""
-    # the contraction sample serves the check and the estimate; its draws
-    # are kept and handed on to the monotonicity check, whose stream starts
-    # with them.  Both phases evaluate their map images per block of rows;
-    # the contraction pairs and columns are dropped before the second phase.
-    draws = _Draws(cfg or SamplerConfig(), record=True)
-    data = _contraction_data(F, G, X, Y, family.kind, draws)
+    # one sample of ordered pairs serves the contraction check, the
+    # estimate and then the monotonicity check, as it does each run alone;
+    # the contraction columns are dropped before the monotonicity phase
+    s = _sample(X, Y, cfg)
+    data = _contraction_data(F, G, X, Y, family.kind, s)
     contraction = _check_contraction(data, family)
     estimates = None
     if with_estimates:
         k_hat, l_hat = _estimate_constants(data)
         estimates = {"k": k_hat, "l": l_hat}
     del data
-    draws.rewind()
-    mixed_monotone = _check_mixed_monotone(F, G, X, Y, draws)
+    mixed_monotone = _check_mixed_monotone(F, G, X, Y, s)
     seed = check_seed(F, G, X, Y, x0, y0)
     return HypothesisReport(
         family=family,

@@ -37,6 +37,8 @@ BOUND_SLACK = 1e-12
 DIVERGENCE_PATIENCE = 50
 # Slack for the uniqueness decay comparison.
 DECAY_SLACK = 1e-10
+# Coupled steps along which the uniqueness probe checks the decay.
+DECAY_STEPS = 40
 
 
 @dataclass(frozen=True)
@@ -317,14 +319,13 @@ def uniqueness_probe(problem: ProblemSpec,
                      extra_seeds: list[tuple[Point, Point]],
                      tol: float = DEFAULT_TOL,
                      max_iter: int = DEFAULT_MAX_ITER,
-                     force_seeds: bool = False,
-                     decay_steps: int = 40) -> UniquenessReport:
+                     force_seeds: bool = False) -> UniquenessReport:
     """Solve from several seeds and compare the limits.
 
     PASS iff all pairwise product distances between limits stay below
     10*tol.  For product-comparable seed pairs of a family whose envelope
     is sum-based (SYM_HALF and LIN_ASYM), the probe also checks the
-    product contraction d_X + d_Y <= ratio^n * D0 at steps 1..decay_steps,
+    product contraction d_X + d_Y <= ratio^n * D0 at steps 1..DECAY_STEPS,
     with D0 the seeds' distance and ratio that of the envelope: (k+l)/2
     for SYM_HALF, k+l for LIN_ASYM.  The orbits, read from the runs' traces
     and stepped on past their ends, are compared whole, to the bit as step
@@ -352,7 +353,7 @@ def uniqueness_probe(problem: ProblemSpec,
         pairs = [(i, j) for i in range(len(seeds)) for j in range(i + 1, len(seeds))
                  if product_leq(X, Y, seeds[i], seeds[j])
                  or product_leq(X, Y, seeds[j], seeds[i])]
-        ns = range(1, decay_steps + 1)
+        ns = range(1, DECAY_STEPS + 1)
         orbits = {i: _orbit(problem, runs[i][0], len(ns)) for i in set().union(*pairs)}
         shape = (len(pairs), len(ns), X.dim + Y.dim)  # also when either is 0
         A, B = (np.array([orbits[p[k]] for p in pairs]).reshape(shape) for k in (0, 1))
@@ -365,7 +366,7 @@ def uniqueness_probe(problem: ProblemSpec,
         for (i, j), d, obs, alw in zip(pairs, d0, observed.tolist(), allowed.tolist()):
             violations = tuple({"n": n, "observed": o, "allowed": a}
                                for n, o, a in zip(ns, obs, alw) if o > a)
-            decay_checks.append(DecayCheck(i, j, d, decay_steps, violations))
+            decay_checks.append(DecayCheck(i, j, d, DECAY_STEPS, violations))
 
     return UniquenessReport(
         seeds=tuple(seeds),

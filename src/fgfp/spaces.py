@@ -13,7 +13,6 @@ Boxes may be unbounded on either side; every space still carries a bounded
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 
@@ -412,25 +411,23 @@ def sample_points(space: SpaceSpec, n: int, rng: np.random.Generator) -> np.ndar
     return U
 
 
-def ordered_pairs(space: SpaceSpec,
-                  draw: Callable[[], np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Pairs (lo, hi) with lo <= hi in the space order, from the sample
-    arrays that ``draw()`` returns, which are left unmodified: the rowwise
-    min and max of two draws for componentwise orders, equal pairs from
-    one draw with every other row set to a listed relation for discrete
-    ones."""
+def ordered_pairs(space: SpaceSpec, n: int,
+                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """``n`` pairs (lo, hi) with lo <= hi in the space order, as two (n, dim)
+    arrays built from ``sample_points`` draws on ``rng``: the rowwise min
+    and max of two draws for componentwise orders; for discrete ones, equal
+    pairs from one draw with every other row set to a listed relation."""
     kind = space.order.kind
-    U = draw()
+    U = sample_points(space, n, rng)
     if kind is OrderKind.COMPONENTWISE or kind is OrderKind.COMPONENTWISE_REVERSED:
-        V = draw()
+        V = sample_points(space, n, rng)
         lo, hi = np.minimum(U, V), np.maximum(U, V)
         return (hi, lo) if kind is OrderKind.COMPONENTWISE_REVERSED else (lo, hi)
     closure = space.order.closure
-    if not closure:
-        return U, U.copy()
-    lo, hi = U.copy(), U.copy()
-    rows = np.arange(1, len(U), 2)
-    pairs = np.asarray(closure, dtype=np.float64)[(rows // 2) % len(closure)]
-    lo[rows] = pairs[:, 0]
-    hi[rows] = pairs[:, 1]
-    return lo, hi
+    hi = U.copy()
+    if closure:
+        rows = np.arange(1, n, 2)
+        pairs = np.asarray(closure, dtype=np.float64)[(rows // 2) % len(closure)]
+        U[rows] = pairs[:, 0]
+        hi[rows] = pairs[:, 1]
+    return U, hi

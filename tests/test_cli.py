@@ -337,6 +337,25 @@ def test_metric_overflowing_on_its_sampling_box_exits_1(tmp_path, capsys, comman
     assert not (tmp_path / "r.json").exists()
 
 
+@pytest.mark.parametrize("family", ["SYM_HALF", "LIN_ASYM", "KANNAN", "CHATTERJEA"])
+@pytest.mark.parametrize("command", ["check", "solve"])
+def test_map_images_whose_distance_overflows_exit_1(tmp_path, capsys, command, family):
+    # finite images near -1.7e308 in both coordinates: d_X between two of
+    # them overflows, and the constant estimate cannot end on its nan rows
+    doc = {"spaces": {"X": {"dim": 2, "lower": [-10, -10], "upper": [0, 0]},
+                      "Y": {"dim": 1, "lower": [0], "upper": [10]}},
+           "maps": {"F": "1.7e307*a1 - b1/100; 1.7e307*a2", "G": "(a1 - b1)/5"},
+           "family": {"kind": family, "k": 0.3, "l": 0.3},
+           "seed": {"x0": [-1, -1], "y0": [1]}}
+    bad = tmp_path / "overflow.json"
+    bad.write_text(json.dumps(doc))
+    out = tmp_path / "r.json"
+    assert main([command, str(bad), "--samples", "200", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "fgfp: error: a sampled distance overflows at contraction sample 0\n"
+    assert not out.exists()
+
+
 def test_bytes_that_are_not_utf8_exit_1(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_bytes(b"\xff\xfe{")

@@ -106,12 +106,12 @@ EXPECTED = {
     'check ex3 7': (0, 'adf4c1a6d83d87829dff9136a9bcc9f738cb6c60f1d1678f4a2d6fcab3bb840e'),
     'check ex4 0': (0, '08cd20235d2356b635771028524a0ee5e481c373ba700a393d5e5abf0c7c9aea'),
     'check ex4 7': (0, 'a9eaa8dec6a27fed089fda838e6637b9010ae2ae2b8d6f97b5cc4fdf4da5da40'),
-    'check rev2d 0': (2, 'eaf1a97401288d6e66c63da2017250fd9c30aef22fe220badb40db09c2f4ca61'),
-    'check rev2d 7': (2, '5a96cde2fe4fe7cbf2cf47015e5af5c703d086f320fc7a0ccb0dbbffd18739e4'),
-    'check unit4d 0': (2, '43abad915426759ac89ac1d3e013598cb0f3b4f4e6b00dc4c16d3c96ca0a4237'),
-    'check unit4d 7': (2, 'a19863486fa2b52a2314b02438e125a18a9a18fce830db7f180f804bb36eb8d1'),
-    'check weighted3d 0': (2, '613b146b8ce37aea60db6eede0b3ac22055a57c394db55855724faa4804a63b9'),
-    'check weighted3d 7': (2, '2e40a0865337de4a908e8871dfd2452eeb0670bdf3e23662a002112040886d1a'),
+    'check rev2d 0': (2, '0e85d701ad24c1cc5ea4e54c6b632c83e92ac87f31985da73db15f57e77c3a2e'),
+    'check rev2d 7': (2, '49306510e3ebf0393c63b1adb7e8f978133934d4b901000f57039bd041fca421'),
+    'check unit4d 0': (2, '490de6c3e02282b7151bb89c1efd42cf68eef2e52697f80dd9930f9130ed8c46'),
+    'check unit4d 7': (2, '3b5a113c2914f5870863a2ad08dfd13d81f1f25519fe5d49781df8b7d58c6d80'),
+    'check weighted3d 0': (2, 'aadb6a991111cc09ef71b03cb863b91a5561b45a83da4968fb356a38c83b3dbe'),
+    'check weighted3d 7': (2, 'b7a42f783c67f3acf3033620c7e7ee5ef8b07a8e8a0bf7d20be952e8f05ba0fb'),
     'run-all 0': (0, '2e724359c4b7123effca3f7db9423e18a388f39bc2929042b5575d6327c220f6'),
     'run-all 7': (0, 'feb3ea86ebae94d33f267cda04d761351d219965f0ec1d3ef55e4b6663d4dd3f'),
     'solve coupled-reg 0': (0, 'd8ce0b7e1a3ffc3c365339d8a5cb211cd5e0a59d795057fb5162ed95d8bd3510'),

@@ -16,8 +16,8 @@ import pytest
 
 from fgfp import (ContractionFamily, FamilyKind, SamplerConfig,
                   estimate_constants, step_bound, tail_bound)
-from fgfp.hypotheses import (RATIO_FLOOR, _contraction_data, _Draws, _family_rhs,
-                             _min_sum_constants)
+from fgfp.hypotheses import (RATIO_FLOOR, _contraction_data, _family_rhs,
+                             _min_sum_constants, _sample)
 from fgfp.maps import eval_map_batch
 from fgfp.spaces import distance_batch
 
@@ -161,7 +161,7 @@ def test_contraction_rhs_matches_closed_form(corpus, family):
     # ex4's discrete orders give equal pairs, so zero distances, on even rows
     p = corpus["ex4"].problem
     data = _contraction_data(p.F, p.G, p.X, p.Y, family.kind,
-                             _Draws(SamplerConfig(64, rng_seed=5)))
+                             _sample(p.X, p.Y, SamplerConfig(64, rng_seed=5)))
     d = ref_distances(p, data)
     assert not (d.dx + d.dy)[::2].any() and (d.dx + d.dy)[1::2].all()
     assert np.array_equal(data.lhs_f, d.lhs_f) and np.array_equal(data.lhs_g, d.lhs_g)
@@ -174,7 +174,7 @@ def test_contraction_rhs_matches_closed_form(corpus, family):
 def test_estimated_constants_use_the_family_columns(corpus, eid, kind):
     p = corpus[eid].problem
     cfg = SamplerConfig(samples_per_check=300, rng_seed=2)
-    d = ref_distances(p, _contraction_data(p.F, p.G, p.X, p.Y, kind, _Draws(cfg)))
+    d = ref_distances(p, _contraction_data(p.F, p.G, p.X, p.Y, kind, _sample(p.X, p.Y, cfg)))
     if kind is SYM:
         # the two independent maxima over the rows with a usable sum
         s = d.dx + d.dy

@@ -13,8 +13,8 @@ from fgfp import (ContractionFamily, EvaluationError, FamilyKind, SampleError,
 from fgfp import hypotheses
 from fgfp.hypotheses import (_BLOCK, _FAMILIES, CONTRACTION_SLACK, MAX_WITNESSES,
                              RATIO_FLOOR, ComparabilityCheck, _check_contraction,
-                             _contraction_data, _ContractionData, _Draws,
-                             _estimate_constants, _min_sum_constants, _Pairs, audit)
+                             _contraction_data, _ContractionData, _estimate_constants,
+                             _min_sum_constants, _Pairs, _sample, audit)
 from fgfp.maps import eval_map_batch, evaluation_count
 from fgfp.spaces import (OrderKind, OrderSpec, common_bounds_batch, distance_batch, leq,
                          leq_batch, metric_distance, ordered_pairs, sample_points)
@@ -118,6 +118,25 @@ def test_contraction_fail_for_expanding_map():
     assert abs(lhs - v["lhs"]) < 1e-12 and abs(rhs - v["rhs"]) < 1e-12
 
 
+@pytest.mark.parametrize("kind", list(FamilyKind), ids=lambda k: k.value)
+def test_an_overflowing_sampled_distance_raises_sample_error(kind):
+    # the images of F stay finite, but their distance under d_X overflows;
+    # warnings are errors here, so numpy must stay silent too
+    X = box_space((-10.0, -10.0), (0.0, 0.0))
+    Y = box_space((0.0,), (10.0,))
+    F = parse_map("1.7e307*a1 - b1/100; 1.7e307*a2", 2, 1, 2)
+    G = parse_map("(a1 - b1)/5", 1, 2, 1)
+    fam = ContractionFamily(kind, 0.3, 0.3)
+    cfg = SamplerConfig(samples_per_check=200, rng_seed=0)
+    for run in (partial(check_contraction, F, G, X, Y, fam, cfg),
+                partial(estimate_constants, F, G, X, Y, kind, cfg),
+                partial(audit, F, G, X, Y, fam, point(-1.0, -1.0), point(1.0), cfg,
+                        with_estimates=True)):
+        with pytest.raises(SampleError,
+                           match="^a sampled distance overflows at contraction sample 0$"):
+            run()
+
+
 @pytest.mark.parametrize("n", [1, 2, 7, 100])
 def test_ordered_pairs_on_listed_relations_match_the_row_loop(n):
     order = OrderSpec(kind=OrderKind.DISCRETE_PLUS_PAIRS,
@@ -125,7 +144,7 @@ def test_ordered_pairs_on_listed_relations_match_the_row_loop(n):
                                    (point(1.0, 0.25), point(2.0, 2.0)),
                                    (point(0.5, 0.5), point(0.75, 1.5))))
     space = box_space((0.0, 0.0), (2.0, 2.0), order=order)
-    lo, hi = ordered_pairs(space, partial(sample_points, space, n, np.random.default_rng(4)))
+    lo, hi = ordered_pairs(space, n, np.random.default_rng(4))
     want_lo = sample_points(space, n, np.random.default_rng(4))
     want_hi = want_lo.copy()
     closure = space.order.closure
@@ -283,7 +302,7 @@ def _lp_instances(corpus):
         for rng_seed in (0, 7):
             for kind in (FamilyKind.LIN_ASYM, FamilyKind.KANNAN, FamilyKind.CHATTERJEA):
                 data = _contraction_data(p.F, p.G, p.X, p.Y, kind,
-                                         _Draws(SamplerConfig(2000, rng_seed)))
+                                         _sample(p.X, p.Y, SamplerConfig(2000, rng_seed)))
                 yield (np.concatenate([data.p_f, data.p_g]),
                        np.concatenate([data.q_f, data.q_g]),
                        np.concatenate([data.lhs_f, data.lhs_g]))
@@ -383,8 +402,8 @@ C, R, D, P = (OrderKind.COMPONENTWISE, OrderKind.COMPONENTWISE_REVERSED,
     (C, C, 1, 1), (R, D, 2, 1), (D, C, 1, 3), (D, P, 2, 2), (C, P, 3, 2), (P, R, 2, 3),
 ], ids=lambda v: v.value if isinstance(v, OrderKind) else str(v))
 def test_audit_shares_its_sample_stream_invisibly(x_kind, y_kind, dx, dy):
-    # audit hands the contraction sample's draws on to the monotonicity
-    # check; the check must come out as if it had drawn its own stream
+    # audit draws one sample of ordered pairs for all three checks; each
+    # section must come out as if its check had drawn its own stream
     F, G, X, Y = _planted_problem(x_kind, y_kind, dx, dy)
     fam = ContractionFamily(FamilyKind.LIN_ASYM, 0.2, 0.2)
     x0, y0 = point(*[0.5] * dx), point(*[0.5] * dy)
@@ -395,24 +414,23 @@ def test_audit_shares_its_sample_stream_invisibly(x_kind, y_kind, dx, dy):
         for with_estimates in (False, True):
             rep = audit(F, G, X, Y, fam, x0, y0, cfg, with_estimates=with_estimates)
             assert rep.mixed_monotone.to_dict() == alone.to_dict()
+        # the last report is the one with estimates
+        assert rep.contraction.to_dict() == check_contraction(F, G, X, Y, fam, cfg).to_dict()
+        k_hat, l_hat = estimate_constants(F, G, X, Y, fam.kind, cfg)
+        assert rep.estimated_constants == {"k": k_hat, "l": l_hat}
 
 
 # ---------------------------------------------------------------------------
 # blocked evaluation
 
-def _stream(cfg):
-    """``draw(S)()`` gives the next sampling-box draw of a fresh stream."""
-    rng = cfg.rng()
-    return lambda S: partial(sample_points, S, cfg.samples_per_check, rng)
-
-
 def _whole_array_audit(F, G, X, Y, family, cfg):
     """The audit's contraction and monotonicity results, with every map
-    image evaluated whole, each phase from a fresh stream; also the global
-    rows of the contraction violations and of the monotonicity witnesses."""
-    draw = _stream(cfg)
-    x_lo, x_hi = ordered_pairs(X, draw(X))
-    y_lo, y_hi = ordered_pairs(Y, draw(Y))
+    image evaluated whole, from X pairs, Y pairs, Y contexts and X contexts
+    drawn in that order; also the global rows of the contraction violations
+    and of the monotonicity witnesses."""
+    rng, n = cfg.rng(), cfg.samples_per_check
+    x_lo, x_hi = ordered_pairs(X, n, rng)
+    y_lo, y_hi = ordered_pairs(Y, n, rng)
     F_xy, F_uv = eval_map_batch(F, x_hi, y_lo), eval_map_batch(F, x_lo, y_hi)
     G_yx, G_vu = eval_map_batch(G, y_hi, x_lo), eval_map_batch(G, y_lo, x_hi)
     pairs = _Pairs(partial(distance_batch, X), partial(distance_batch, Y),
@@ -425,11 +443,8 @@ def _whole_array_audit(F, G, X, Y, family, cfg):
                 for lhs, p, q in ((data.lhs_f, p_f, q_f), (data.lhs_g, p_g, q_g))]
     k_hat, l_hat = _estimate_constants(data)
 
-    draw = _stream(cfg)
-    x_lo, x_hi = ordered_pairs(X, draw(X))
-    y_ctx = draw(Y)()
-    y_lo, y_hi = ordered_pairs(Y, draw(Y))
-    x_ctx = draw(X)()
+    y_ctx = sample_points(Y, n, rng)
+    x_ctx = sample_points(X, n, rng)
     clauses = (
         ("F_incr_first", X, x_lo, x_hi, y_ctx,
          eval_map_batch(F, x_lo, y_ctx), eval_map_batch(F, x_hi, y_ctx), False),
@@ -511,8 +526,7 @@ def test_contraction_phase_error_names_the_first_whole_image_sample(corpus):
     # is reported, not F(x_lo, y_hi)'s in block 0
     p = corpus["ex1"].problem
     cfg = SamplerConfig(samples_per_check=2 * _BLOCK + 1, rng_seed=0)
-    draw = _stream(cfg)
-    x_lo, x_hi = ordered_pairs(p.X, draw(p.X))
+    x_lo, x_hi = ordered_pairs(p.X, cfg.samples_per_check, cfg.rng())
     r2, r0 = 2 * _BLOCK, 5
     v1, v2 = float(x_hi[r2, 0]), float(x_lo[r0, 0])
     F = parse_map(f"(a1 - b1)/3 + 1/((a1 - ({v1!r}))*(a1 - ({v2!r})))", 1, 1, 1)
@@ -528,11 +542,11 @@ def test_monotonicity_phase_error_names_the_first_whole_image_sample(corpus):
     # pole, in block 2; G(y_lo, x_ctx) of the fourth clause has one in block 0
     p = corpus["ex1"].problem
     cfg = SamplerConfig(samples_per_check=2 * _BLOCK + 1, rng_seed=0)
-    draw = _stream(cfg)
-    ordered_pairs(p.X, draw(p.X))
-    draw(p.Y)()
-    ordered_pairs(p.Y, draw(p.Y))
-    x_ctx = draw(p.X)()
+    n, rng = cfg.samples_per_check, cfg.rng()
+    ordered_pairs(p.X, n, rng)
+    ordered_pairs(p.Y, n, rng)
+    sample_points(p.Y, n, rng)
+    x_ctx = sample_points(p.X, n, rng)
     w1, w2 = float(x_ctx[2 * _BLOCK, 0]), float(x_ctx[5, 0])
     F = parse_map(f"(a1 - b1)/3 + 1/(a1 - ({w1!r}))", 1, 1, 1)
     G = parse_map(f"(a1 - b1)/5 + 1/(b1 - ({w2!r}))", 1, 1, 1)
@@ -540,7 +554,7 @@ def test_monotonicity_phase_error_names_the_first_whole_image_sample(corpus):
         audit(F, G, p.X, p.Y, p.family, *p.seed, cfg)
     assert str(err.value) == (
         "non-finite value in output coordinate 1 at sample 16384 (inputs "
-        "a=[-8.757199925059268], b=[4.107818775399217])")
+        "a=[-8.757199925059268], b=[3.6935108193649233])")
 
 
 # ---------------------------------------------------------------------------

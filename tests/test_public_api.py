@@ -3,7 +3,7 @@
 import pytest
 
 import fgfp
-from fgfp import solver, spaces
+from fgfp import hypotheses, solver, spaces
 
 
 def test_every_public_name_resolves_and_is_listed_once():
@@ -16,6 +16,7 @@ def test_every_public_name_resolves_and_is_listed_once():
     (fgfp, "verify_trace_bounds"),
     (solver, "verify_trace_bounds"),
     (solver, "_distances"),
+    (hypotheses, "_Draws"),
     (solver.IterationTrace, "points"),
     (spaces, "sample_ordered_pairs"),
     (spaces.SpaceSpec, "weights_array"),
