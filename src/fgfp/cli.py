@@ -31,7 +31,8 @@ from .errors import FgfpError, ProblemFileError, SeedConditionError, SolveError
 from .hypotheses import SamplerConfig, audit
 from .probfile import (SCHEMA_VERSION, dumps17, load_problem_file,
                        load_seeds_file, problem_to_dict)
-from .solver import (ProblemSpec, solve, trace_to_csv, uniqueness_probe)
+from .solver import (DEFAULT_MAX_ITER, DEFAULT_TOL, ProblemSpec, solve, trace_to_csv,
+                     uniqueness_probe)
 from .spaces import product_metric_distance
 
 EXIT_OK = 0
@@ -98,18 +99,19 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p, with_solve_flags=True):
         p.add_argument("--rng-seed", type=_int_at_least(0), default=None,
                        help="sampling seed (default: FGFP_RNG_SEED or 0)")
-        p.add_argument("--samples", type=_int_at_least(1), default=2000,
-                       help="samples per hypothesis check (default 2000)")
+        p.add_argument("--samples", type=_int_at_least(1),
+                       default=SamplerConfig.samples_per_check,
+                       help="samples per hypothesis check (default %(default)s)")
         p.add_argument("--out", default=None,
                        help="write the report JSON here instead of stdout")
         p.add_argument("--timing", action="store_true",
                        help="include wall-clock milliseconds in the report "
                             "(breaks byte-for-byte determinism)")
         if with_solve_flags:
-            p.add_argument("--tol", type=_tolerance, default=1e-10,
-                           help="stopping tolerance on the step sum (default 1e-10)")
-            p.add_argument("--max-iter", type=_int_at_least(1), default=10000,
-                           help="iteration cap (default 10000)")
+            p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL,
+                           help="stopping tolerance on the step sum (default %(default)s)")
+            p.add_argument("--max-iter", type=_int_at_least(1), default=DEFAULT_MAX_ITER,
+                           help="iteration cap (default %(default)s)")
 
     p_solve = sub.add_parser("solve", help="audit, iterate and verify bounds")
     p_solve.add_argument("file", help="problem JSON file")

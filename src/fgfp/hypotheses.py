@@ -8,9 +8,10 @@ over the spaces' sampling boxes, not proofs; reports carry ``"evidence":
 One sample of ordered pairs, X pairs then Y pairs, serves the contraction
 check, the constant estimate and the monotonicity check, which draws its
 contexts after it from the same generator; ``audit`` draws it once for all
-three.  The checks evaluate their map images one block of ``_BLOCK``
-sample rows at a time and keep only the per-row results, so no full-size
-image array is ever held.
+three.  ``_by_block`` walks the checks' map images one block of ``_BLOCK``
+sample rows at a time and the checks keep only their per-row results, so
+no full-size image array is held unless an evaluation error is replayed
+on the whole images to name its sample row.
 
 The four contraction families bound d(F(x,y), F(u,v)) on order-comparable
 pairs (x >= u, y <= v) by k p + l q for the distance terms (p, q) below; the
@@ -38,6 +39,7 @@ this table in code.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
@@ -211,26 +213,24 @@ def _sample(X: SpaceSpec, Y: SpaceSpec, cfg: SamplerConfig | None) -> _Sample:
     return _Sample(rng, *ordered_pairs(X, n, rng), *ordered_pairs(Y, n, rng))
 
 
-def _rows(arr: np.ndarray, idx: int) -> list[float]:
-    return [float(v) for v in arr[idx]]
+def _by_block(images, n: int):
+    """Yield (rows, block images) for each slice of ``_BLOCK`` consecutive
+    rows covering range(n): every (map, A, B) of ``images``, in order,
+    evaluated on the slice of A and B.
 
-
-def _blocks(n: int):
-    """Slices of ``_BLOCK`` consecutive rows covering range(n)."""
-    return (slice(i, i + _BLOCK) for i in range(0, n, _BLOCK))
-
-
-def _whole_batch_error(images) -> EvaluationError | None:
-    """The error of evaluating the (map, A, B) ``images`` whole, in order.
-
-    A block's EvaluationError names a row of the block; this one names the
-    sample row of the first image with a non-finite value anywhere."""
+    A block's EvaluationError names a row of the block, so the images are
+    then evaluated whole, in order, and the first error found, which names
+    a row of the whole sample, is raised in its place."""
+    try:
+        for i in range(0, n, _BLOCK):
+            rows = slice(i, i + _BLOCK)
+            yield rows, [eval_map_batch(m, A[rows], B[rows]) for m, A, B in images]
+        return
+    except EvaluationError as exc:
+        error = exc
     for m, A, B in images:
-        try:
-            eval_map_batch(m, A, B)
-        except EvaluationError as exc:
-            return exc
-    return None
+        eval_map_batch(m, A, B)
+    raise error from None
 
 
 # ---------------------------------------------------------------------------
@@ -367,36 +367,22 @@ def _check_mixed_monotone(F: MapSpec, G: MapSpec, X: SpaceSpec, Y: SpaceSpec,
         ("G_incr_first", Y, G, s.y_lo, s.y_hi, x_ctx, False),
     )
 
-    def args(ctx, v, second):
-        return (ctx, v) if second else (v, ctx)
-
     witnesses: list[dict] = []
     checked = 0
     passed = True
-    try:
-        for clause, space, m, lo, hi, ctx, second in clauses:
-            for rows in _blocks(len(lo)):
-                c = ctx[rows]
-                img_lo = eval_map_batch(m, *args(c, lo[rows], second))
-                img_hi = eval_map_batch(m, *args(c, hi[rows], second))
-                ok = (leq_batch(space, img_hi, img_lo) if second
-                      else leq_batch(space, img_lo, img_hi))
-                checked += len(ok)
-                bad = np.flatnonzero(~ok)
-                passed = passed and not bad.size
-                for i in bad[:MAX_WITNESSES - len(witnesses)]:
-                    witnesses.append({
-                        "clause": clause,
-                        "low": _rows(lo, rows.start + i),
-                        "high": _rows(hi, rows.start + i),
-                        "context": _rows(ctx, rows.start + i),
-                        "image_low": _rows(img_lo, i),
-                        "image_high": _rows(img_hi, i),
-                    })
-    except EvaluationError as exc:
-        raise _whole_batch_error(
-            [(m, *args(ctx, v, second)) for _, _, m, lo, hi, ctx, second in clauses
-             for v in (lo, hi)]) or exc from None
+    for clause, space, m, lo, hi, ctx, second in clauses:
+        images = [(m, ctx, v) if second else (m, v, ctx) for v in (lo, hi)]
+        for rows, (img_lo, img_hi) in _by_block(images, len(lo)):
+            ok = (leq_batch(space, img_hi, img_lo) if second
+                  else leq_batch(space, img_lo, img_hi))
+            checked += len(ok)
+            bad = np.flatnonzero(~ok)
+            passed = passed and not bad.size
+            for i in bad[:MAX_WITNESSES - len(witnesses)]:
+                r = rows.start + i
+                witnesses.append({"clause": clause, "low": lo[r].tolist(), "high": hi[r].tolist(),
+                                  "context": ctx[r].tolist(), "image_low": img_lo[i].tolist(),
+                                  "image_high": img_hi[i].tolist()})
     return MonotoneCheck(passed, checked, tuple(witnesses))
 
 
@@ -416,14 +402,11 @@ def check_seed(F: MapSpec, G: MapSpec, X: SpaceSpec, Y: SpaceSpec,
 
 @dataclass(frozen=True)
 class _ContractionData:
-    """One family's contraction sample, shared by check_contraction and
-    estimate_constants: the pairs, the left sides and the family's (p, q)
-    columns of ``_FAMILIES``, so that the right sides are k*p + l*q."""
+    """One family's contraction results on a ``_Sample``, shared by
+    check_contraction and estimate_constants: the left sides and the
+    family's (p, q) columns of ``_FAMILIES``, so that the right sides are
+    k*p + l*q."""
 
-    x_lo: np.ndarray
-    x_hi: np.ndarray
-    y_lo: np.ndarray
-    y_hi: np.ndarray
     lhs_f: np.ndarray       # d_X(F(x_hi, y_lo), F(x_lo, y_hi))
     lhs_g: np.ndarray       # d_Y(G(y_hi, x_lo), G(y_lo, x_hi))
     p_f: np.ndarray
@@ -436,25 +419,20 @@ def _contraction_data(F: MapSpec, G: MapSpec, X: SpaceSpec, Y: SpaceSpec,
                       kind: FamilyKind, s: _Sample) -> _ContractionData:
     """Raises SampleError where a distance term overflows, as a sampling
     box's diameter may not."""
-    x_lo, x_hi, y_lo, y_hi = s.x_lo, s.x_hi, s.y_lo, s.y_hi
     dX, dY = partial(distance_batch, X), partial(distance_batch, Y)
     columns = _FAMILIES[kind].columns
-    images = ((F, x_hi, y_lo), (F, x_lo, y_hi), (G, y_hi, x_lo), (G, y_lo, x_hi))
-    out = np.empty((6, len(x_lo)))  # lhs_f, lhs_g, p_f, q_f, p_g, q_g
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            for rows in _blocks(len(x_lo)):
-                b = _Pairs(dX, dY, x_lo[rows], x_hi[rows], y_lo[rows], y_hi[rows],
-                           *(eval_map_batch(m, A[rows], B[rows]) for m, A, B in images))
-                (p_f, q_f), (p_g, q_g) = columns(b)
-                out[:, rows] = (dX(b.F_xy, b.F_uv), dY(b.G_yx, b.G_vu), p_f, q_f, p_g, q_g)
-    except EvaluationError as exc:
-        raise _whole_batch_error(images) or exc from None
+    images = ((F, s.x_hi, s.y_lo), (F, s.x_lo, s.y_hi), (G, s.y_hi, s.x_lo), (G, s.y_lo, s.x_hi))
+    out = np.empty((6, len(s.x_lo)))  # lhs_f, lhs_g, p_f, q_f, p_g, q_g
+    with np.errstate(over="ignore", invalid="ignore"):
+        for rows, block in _by_block(images, len(s.x_lo)):
+            b = _Pairs(dX, dY, s.x_lo[rows], s.x_hi[rows], s.y_lo[rows], s.y_hi[rows], *block)
+            (p_f, q_f), (p_g, q_g) = columns(b)
+            out[:, rows] = (dX(b.F_xy, b.F_uv), dY(b.G_yx, b.G_vu), p_f, q_f, p_g, q_g)
     # every term is a sum of distances, so >= 0: the max is finite iff all are
     if not math.isfinite(out.max()):
         row = int(np.flatnonzero(~np.isfinite(out).all(axis=0))[0])
         raise SampleError(f"a sampled distance overflows at contraction sample {row}")
-    return _ContractionData(x_lo, x_hi, y_lo, y_hi, *out)
+    return _ContractionData(*out)
 
 
 def _family_rhs(family: ContractionFamily, data: _ContractionData) -> tuple[np.ndarray, np.ndarray]:
@@ -470,7 +448,7 @@ def _side_result(side: str, lhs: np.ndarray, rhs: np.ndarray,
     max_ratio = float((lhs[usable] / rhs[usable]).max()) if usable.any() else None
     violations = []
     for i in np.flatnonzero(bad)[:MAX_WITNESSES]:
-        violations.append({"side": side, **{r: _rows(a, i) for r, a in zip("xuyv", roles)},
+        violations.append({"side": side, **{r: a[i].tolist() for r, a in zip("xuyv", roles)},
                            "lhs": float(lhs[i]), "rhs": float(rhs[i])})
     return InequalitySide(not bool(bad.any()), int(lhs.shape[0]), max_ratio,
                           tuple(violations))
@@ -480,15 +458,15 @@ def check_contraction(F: MapSpec, G: MapSpec, X: SpaceSpec, Y: SpaceSpec,
                       family: ContractionFamily,
                       cfg: SamplerConfig | None = None) -> ContractionCheck:
     """Sample the family inequality for F (on d_X) and G (on d_Y)."""
-    return _check_contraction(
-        _contraction_data(F, G, X, Y, family.kind, _sample(X, Y, cfg)), family)
+    s = _sample(X, Y, cfg)
+    return _check_contraction(s, _contraction_data(F, G, X, Y, family.kind, s), family)
 
 
-def _check_contraction(data: _ContractionData,
+def _check_contraction(s: _Sample, data: _ContractionData,
                        family: ContractionFamily) -> ContractionCheck:
     rhs_f, rhs_g = _family_rhs(family, data)
-    f_side = _side_result("F", data.lhs_f, rhs_f, (data.x_hi, data.x_lo, data.y_lo, data.y_hi))
-    g_side = _side_result("G", data.lhs_g, rhs_g, (data.x_lo, data.x_hi, data.y_hi, data.y_lo))
+    f_side = _side_result("F", data.lhs_f, rhs_f, (s.x_hi, s.x_lo, s.y_lo, s.y_hi))
+    g_side = _side_result("G", data.lhs_g, rhs_g, (s.x_lo, s.x_hi, s.y_hi, s.y_lo))
     return ContractionCheck(f_side.passed and g_side.passed, family, f_side, g_side)
 
 
@@ -514,6 +492,12 @@ def _min_sum_constants(p: np.ndarray, q: np.ndarray, c: np.ndarray) -> tuple[flo
     becomes the right line, so the walk returns the smallest optimal k.  l
     is the highest line at the returned k, so every row holds up to
     rounding.
+
+    Values beyond the double range are inf, which no finite k reaches: an
+    infinite floor admits no constants, and k_hi stops at the largest
+    double, so the lines are valued at finite k only.  Where the products
+    of a crossing overflow, the lines are first divided through by q; a
+    crossing of two infinite lines is nan and goes to hi.
     """
     active = c > RATIO_FLOOR
     if not active.any():
@@ -523,11 +507,13 @@ def _min_sum_constants(p: np.ndarray, q: np.ndarray, c: np.ndarray) -> tuple[flo
     q_ok = q > RATIO_FLOOR
     if bool((~p_ok & ~q_ok).any()):
         return math.inf, math.inf  # some sampled inequality admits no constants
-    # rows with no l-leverage force a floor on k
-    k_floor = float((c[~q_ok] / p[~q_ok]).max()) if bool((~q_ok).any()) else 0.0
-    k_hi = k_floor
-    if p_ok.any():
-        k_hi = max(k_hi, float((c[p_ok] / p[p_ok]).max()))
+    with np.errstate(over="ignore"):
+        # rows with no l-leverage force a floor on k
+        k_floor = float((c[~q_ok] / p[~q_ok]).max()) if bool((~q_ok).any()) else 0.0
+        k_hi = float((c[p_ok] / p[p_ok]).max()) if p_ok.any() else 0.0
+    if k_floor == math.inf:
+        return math.inf, math.inf
+    k_hi = min(max(k_floor, k_hi), sys.float_info.max)
 
     # line 0 is the zero line, so a tie at l = 0 picks it
     lp = np.concatenate(([0.0], p[q_ok]))
@@ -535,7 +521,8 @@ def _min_sum_constants(p: np.ndarray, q: np.ndarray, c: np.ndarray) -> tuple[flo
     lc = np.concatenate(([0.0], c[q_ok]))
 
     def top(k: float) -> tuple[np.ndarray, int]:
-        l = (lc - k * lp) / lq
+        with np.errstate(over="ignore"):
+            l = (lc - k * lp) / lq
         return l, int(l.argmax())
 
     def falls(i: int) -> bool:
@@ -550,8 +537,11 @@ def _min_sum_constants(p: np.ndarray, q: np.ndarray, c: np.ndarray) -> tuple[flo
         return hi, float(l[b])
     while True:
         pa, qa, ca, pb, qb, cb = (float(v) for v in (lp[a], lq[a], lc[a], lp[b], lq[b], lc[b]))
-        den = pa * qb - pb * qa  # > 0 in exact arithmetic; 0 if parallel to rounding
-        k = min(max((ca * qb - cb * qa) / den, lo), hi) if den > 0.0 else lo
+        num, den = ca * qb - cb * qa, pa * qb - pb * qa
+        if not math.isfinite(num + den):
+            num, den = ca / qa - cb / qb, pa / qa - pb / qb
+        # den > 0 in exact arithmetic; 0 if parallel to rounding
+        k = max(lo, min(hi, num / den)) if den > 0.0 else lo
         l, m = top(k)
         if l[m] <= max(l[a], l[b]):
             return k, float(l[m])
@@ -597,7 +587,7 @@ def _factor_witness(space: SpaceSpec) -> tuple[bool, tuple | None]:
     ties = np.reshape(list({lo, *(p for ab in order.closure for p in ab)}), (-1, 1, space.dim))
     P = np.clip(np.linspace(lo, hi, len(ties) + 1)[:0:-1], lo, hi)
     free = np.flatnonzero(~np.all(np.abs(P - ties) <= order.slack, axis=2).any(axis=0))
-    return False, ((list(lo), _rows(P, free[0])) if free.size else None)
+    return False, ((list(lo), P[free[0]].tolist()) if free.size else None)
 
 
 def check_comparability(X: SpaceSpec, Y: SpaceSpec) -> ComparabilityCheck:
@@ -624,7 +614,7 @@ def audit(F: MapSpec, G: MapSpec, X: SpaceSpec, Y: SpaceSpec,
     # the contraction columns are dropped before the monotonicity phase
     s = _sample(X, Y, cfg)
     data = _contraction_data(F, G, X, Y, family.kind, s)
-    contraction = _check_contraction(data, family)
+    contraction = _check_contraction(s, data, family)
     estimates = None
     if with_estimates:
         k_hat, l_hat = _estimate_constants(data)

@@ -1,8 +1,12 @@
+import functools
 import json
+import operator
 
 import pytest
 
 from fgfp.cli import build_parser, main
+from fgfp.hypotheses import SamplerConfig
+from fgfp.solver import DEFAULT_MAX_ITER, DEFAULT_TOL
 
 
 @pytest.fixture
@@ -356,6 +360,28 @@ def test_map_images_whose_distance_overflows_exit_1(tmp_path, capsys, command, f
     assert not out.exists()
 
 
+@pytest.mark.parametrize("upper_x, F, G, want", [
+    # some lhs/p of the constant estimate overflows a double
+    (1e-12, "-1e300*b1", "a1/5", [0.2, 1.0000000000000314e+300]),
+    # products in a crossing of the estimate's walk overflow: it looped forever
+    (1e200, "a1/3 - b1/3", "a1/3 - b1/3", [0.33333333333333448, 0.33333333333333448]),
+], ids=["ratio", "crossing"])
+def test_estimates_beyond_the_double_range_exit_2_silently(tmp_path, capsys, upper_x, F, G,
+                                                           want):
+    doc = {"spaces": {"X": {"dim": 1, "lower": [0], "upper": [upper_x]},
+                      "Y": {"dim": 1, "lower": [0], "upper": [1]}},
+           "maps": {"F": F, "G": G},
+           "family": {"kind": "LIN_ASYM", "k": 0.3, "l": 0.3},
+           "seed": {"x0": [0], "y0": [1]}}
+    path = tmp_path / "edge.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "r.json"
+    assert main(["check", str(path), "--samples", "200", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ""
+    estimate = read_json(out)["hypotheses"]["estimated_constants"]
+    assert [estimate["k"], estimate["l"]] == want
+
+
 def test_bytes_that_are_not_utf8_exit_1(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_bytes(b"\xff\xfe{")
@@ -394,6 +420,53 @@ def test_bad_extra_pairs_exit_1_with_one_error_line(tmp_path, capsys, value, mes
     err = capsys.readouterr().err
     assert err.startswith("fgfp: error: ") and err.count("\n") == 1
     assert f"spaces.Y.{message}" in err
+
+
+# (dotted keys of the value to replace in the exported ex1 document, "" for
+# the whole document; the new value, or DELETE; the error after the file path)
+DELETE = object()
+PROBLEM_FILE_REJECTIONS = {
+    "not_an_object": ("", [], ": expected an object"),
+    "missing_map": ("maps.F", DELETE, ".maps: missing key(s): F"),
+    "dim_zero": ("spaces.X.dim", 0, ".spaces.X.dim: dim must be a positive integer"),
+    "dim_bool": ("spaces.X.dim", True, ".spaces.X.dim: dim must be a positive integer"),
+    "lower_length": ("spaces.X.lower", [0, 0], ".spaces.X.lower: must be an array of length 1"),
+    "metric_kind": ("spaces.X.metric", {"kind": "L7"},
+                    ".spaces.X.metric.kind: unknown metric kind 'L7'"),
+    "order_kind": ("spaces.X.order", {"kind": "PARTIAL"},
+                   ".spaces.X.order.kind: unknown order kind 'PARTIAL'"),
+    "l1_weights": ("spaces.X.metric", {"kind": "L1", "weights": [2]},
+                   ".spaces.X.metric: weights are only valid for WEIGHTED_L1"),
+    "extra_pair": ("spaces.Y.order", {"kind": "DISCRETE_PLUS_PAIRS", "extra_pairs": [[[0]]]},
+                   ".spaces.Y.order.extra_pairs[0]: each pair must be [[...], [...]]"),
+    "sampling_box": ("spaces.X.sampling_box", [[0]],
+                     ".spaces.X.sampling_box: must be [[lower...], [upper...]]"),
+    "map_not_a_string": ("maps.F", 3, ".maps.F: expected an expression string"),
+    "G_syntax": ("maps.G", "(a1 - b1", ".maps.G: expected ')', found end of input (at position 8)"),
+    "family_kind": ("family.kind", "BANACH", ".family: 'BANACH' is not a valid FamilyKind"),
+    "k_not_a_number": ("family.k", "0.5", ".family.k: expected a number, got '0.5'"),
+    "empty_seed": ("seed.x0", [], ".seed.x0: expected a non-empty array of numbers"),
+    "seed_dim": ("seed.x0", [0, 1], ": seed dimensions do not match the spaces"),
+    "fixed_point": ("expected.fixed_point", [[0]],
+                    ".expected.fixed_point: must be [[x...], [y...]]"),
+    "unique_bool": ("expected.unique", "yes", ".expected.unique: must be a boolean"),
+}
+
+
+@pytest.mark.parametrize("case", list(PROBLEM_FILE_REJECTIONS))
+def test_problem_file_rejections_exit_1_naming_the_json_path(tmp_path, capsys, case):
+    keys, value, message = PROBLEM_FILE_REJECTIONS[case]
+    root = {"": read_json_from_export()}
+    *path, last = ["", *filter(None, keys.split("."))]
+    parent = functools.reduce(operator.getitem, path, root)
+    if value is DELETE:
+        del parent[last]
+    else:
+        parent[last] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(root[""]))
+    assert main(["check", str(bad)]) == 1
+    assert capsys.readouterr().err == f"fgfp: error: {bad}{message}\n"
 
 
 def test_solve_and_check_name_the_same_sample_for_a_singular_map(tmp_path, capsys):
@@ -448,6 +521,16 @@ def test_one_parser_serves_every_call(ex1_file, tmp_path, monkeypatch):
         monkeypatch.setenv("FGFP_RNG_SEED", env)
         assert main(["check", str(ex1_file), "--out", str(out)]) == 0
         assert read_json(out)["rng_seed"] == int(env)
+
+
+@pytest.mark.parametrize("argv", [["solve", "p.json"], ["check", "p.json"],
+                                  ["unique", "p.json", "--seeds", "s.json"],
+                                  ["corpus", "run-all"]], ids=lambda argv: argv[0])
+def test_parser_defaults_are_the_library_defaults(argv):
+    args = build_parser().parse_args(argv)
+    assert args.samples == SamplerConfig().samples_per_check
+    if argv[0] != "check":
+        assert (args.tol, args.max_iter) == (DEFAULT_TOL, DEFAULT_MAX_ITER)
 
 
 def test_numbers_printed_with_17_significant_digits(ex1_file, tmp_path):

@@ -89,27 +89,27 @@ def ref_tail_bound(family, n, d1x, d1y, component):
     return delta ** n / (1.0 - delta) * base
 
 
-def ref_distances(p, data):
-    """Every distance term of the four families at the sample's pairs, with
-    x = x_hi, u = x_lo, y = y_lo, v = y_hi on the F side."""
+def ref_distances(p, s):
+    """Every distance term of the four families at the pairs of sample ``s``,
+    with x = x_hi, u = x_lo, y = y_lo, v = y_hi on the F side."""
     X, Y = p.X, p.Y
-    F_xy = eval_map_batch(p.F, data.x_hi, data.y_lo)
-    F_uv = eval_map_batch(p.F, data.x_lo, data.y_hi)
-    G_yx = eval_map_batch(p.G, data.y_hi, data.x_lo)
-    G_vu = eval_map_batch(p.G, data.y_lo, data.x_hi)
+    F_xy = eval_map_batch(p.F, s.x_hi, s.y_lo)
+    F_uv = eval_map_batch(p.F, s.x_lo, s.y_hi)
+    G_yx = eval_map_batch(p.G, s.y_hi, s.x_lo)
+    G_vu = eval_map_batch(p.G, s.y_lo, s.x_hi)
     return SimpleNamespace(
-        dx=distance_batch(X, data.x_hi, data.x_lo),
-        dy=distance_batch(Y, data.y_hi, data.y_lo),
+        dx=distance_batch(X, s.x_hi, s.x_lo),
+        dy=distance_batch(Y, s.y_hi, s.y_lo),
         lhs_f=distance_batch(X, F_xy, F_uv),
         lhs_g=distance_batch(Y, G_yx, G_vu),
-        f_disp_hi=distance_batch(X, data.x_hi, F_xy),
-        f_disp_lo=distance_batch(X, data.x_lo, F_uv),
-        g_disp_hi=distance_batch(Y, data.y_hi, G_yx),
-        g_disp_lo=distance_batch(Y, data.y_lo, G_vu),
-        f_cross_hi=distance_batch(X, data.x_hi, F_uv),
-        f_cross_lo=distance_batch(X, data.x_lo, F_xy),
-        g_cross_hi=distance_batch(Y, data.y_hi, G_vu),
-        g_cross_lo=distance_batch(Y, data.y_lo, G_yx))
+        f_disp_hi=distance_batch(X, s.x_hi, F_xy),
+        f_disp_lo=distance_batch(X, s.x_lo, F_uv),
+        g_disp_hi=distance_batch(Y, s.y_hi, G_yx),
+        g_disp_lo=distance_batch(Y, s.y_lo, G_vu),
+        f_cross_hi=distance_batch(X, s.x_hi, F_uv),
+        f_cross_lo=distance_batch(X, s.x_lo, F_xy),
+        g_cross_hi=distance_batch(Y, s.y_hi, G_vu),
+        g_cross_lo=distance_batch(Y, s.y_lo, G_yx))
 
 
 def ref_rhs(family, d):
@@ -160,9 +160,9 @@ def test_step_and_tail_bounds_match_closed_forms(family):
 def test_contraction_rhs_matches_closed_form(corpus, family):
     # ex4's discrete orders give equal pairs, so zero distances, on even rows
     p = corpus["ex4"].problem
-    data = _contraction_data(p.F, p.G, p.X, p.Y, family.kind,
-                             _sample(p.X, p.Y, SamplerConfig(64, rng_seed=5)))
-    d = ref_distances(p, data)
+    s = _sample(p.X, p.Y, SamplerConfig(64, rng_seed=5))
+    data = _contraction_data(p.F, p.G, p.X, p.Y, family.kind, s)
+    d = ref_distances(p, s)
     assert not (d.dx + d.dy)[::2].any() and (d.dx + d.dy)[1::2].all()
     assert np.array_equal(data.lhs_f, d.lhs_f) and np.array_equal(data.lhs_g, d.lhs_g)
     for got, want in zip(_family_rhs(family, data), ref_rhs(family, d)):
@@ -174,7 +174,7 @@ def test_contraction_rhs_matches_closed_form(corpus, family):
 def test_estimated_constants_use_the_family_columns(corpus, eid, kind):
     p = corpus[eid].problem
     cfg = SamplerConfig(samples_per_check=300, rng_seed=2)
-    d = ref_distances(p, _contraction_data(p.F, p.G, p.X, p.Y, kind, _sample(p.X, p.Y, cfg)))
+    d = ref_distances(p, _sample(p.X, p.Y, cfg))
     if kind is SYM:
         # the two independent maxima over the rows with a usable sum
         s = d.dx + d.dy

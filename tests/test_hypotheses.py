@@ -14,7 +14,7 @@ from fgfp import hypotheses
 from fgfp.hypotheses import (_BLOCK, _FAMILIES, CONTRACTION_SLACK, MAX_WITNESSES,
                              RATIO_FLOOR, ComparabilityCheck, _check_contraction,
                              _contraction_data, _ContractionData, _estimate_constants,
-                             _min_sum_constants, _Pairs, _sample, audit)
+                             _min_sum_constants, _Pairs, _Sample, _sample, audit)
 from fgfp.maps import eval_map_batch, evaluation_count
 from fgfp.spaces import (OrderKind, OrderSpec, common_bounds_batch, distance_batch, leq,
                          leq_batch, metric_distance, ordered_pairs, sample_points)
@@ -135,6 +135,23 @@ def test_an_overflowing_sampled_distance_raises_sample_error(kind):
         with pytest.raises(SampleError,
                            match="^a sampled distance overflows at contraction sample 0$"):
             run()
+
+
+@pytest.mark.parametrize("kind, want", [
+    (FamilyKind.SYM_HALF, (1.9999999999999933e+300, 0.39999999999999863)),
+    (FamilyKind.LIN_ASYM, (0.2, 1.0000000000000314e+300)),
+    (FamilyKind.KANNAN, (0.2407460551044867, 0.9907460551044941)),
+    (FamilyKind.CHATTERJEA, (0.9925416285972121, 0.0)),
+], ids=[kind.value for kind in FamilyKind])
+def test_estimate_with_a_ratio_beyond_the_double_range_is_silent(kind, want):
+    # lhs near 1e300 over p below 1e-12: some c/p overflows a double;
+    # warnings are errors here, and the estimates keep their bits
+    X = box_space((0.0,), (1e-12,))
+    Y = box_space((0.0,), (1.0,))
+    F = parse_map("-1e300*b1", 1, 1, 1)
+    G = parse_map("a1/5", 1, 1, 1)
+    cfg = SamplerConfig(samples_per_check=200, rng_seed=0)
+    assert estimate_constants(F, G, X, Y, kind, cfg) == want
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 100])
@@ -360,6 +377,25 @@ def test_min_sum_constants_on_small_integer_rows(rows):
     _assert_solves_the_lp(*_lp(*rows))
 
 
+@pytest.mark.parametrize("rows, want", [
+    # c/p overflows on a row with no l-leverage: no finite k holds it
+    (((1e-10, 0.0, 1e300),), (INF, INF)),
+    # c/p overflows on the first row, so k_hi stops at the largest double,
+    # where the walk values the lines before it takes the crossing
+    (((1e-10, 1.0, 1e300), (2.0, 1.0, 1e301)), (4.5000000002250005e+300, 9.9999999955e+299)),
+    # c_a q_b and p_a q_b overflow in the crossing of the two lines, which
+    # looped forever on nan; the answer is the exact crossing, rounded
+    (((4.210483894661367e+224, 1.730626898502785e+22, 1.9399871460462765e+179),
+      (1.5723163398252519e+88, 7.273463202646366e+283, 1.1391952592918285e+188)),
+     (4.607515892665116e-46, 1.5662349936373438e-96)),
+    # c_a/q_a and p_a/q_a overflow too: the crossing is inf/inf, which
+    # looped forever on nan; k goes to hi, here the optimum
+    (((1e300, 2e-14, 1e300), (1.0, 1e20, 1e10)), (1.0, 9.999999999e-11)),
+], ids=["floor", "ceiling", "crossing", "infinite_crossing"])
+def test_min_sum_constants_on_rows_whose_ratios_overflow(rows, want):
+    assert _min_sum_constants(*_lp(*rows)) == want
+
+
 def test_audit_takes_one_contraction_sample_for_the_estimate_and_the_check(corpus):
     F, G, X, Y, fam = ex(corpus, "ex3")
     x0, y0 = corpus["ex3"].problem.seed
@@ -436,8 +472,8 @@ def _whole_array_audit(F, G, X, Y, family, cfg):
     pairs = _Pairs(partial(distance_batch, X), partial(distance_batch, Y),
                    x_lo, x_hi, y_lo, y_hi, F_xy, F_uv, G_yx, G_vu)
     (p_f, q_f), (p_g, q_g) = _FAMILIES[family.kind].columns(pairs)
-    data = _ContractionData(x_lo, x_hi, y_lo, y_hi, distance_batch(X, F_xy, F_uv),
-                            distance_batch(Y, G_yx, G_vu), p_f, q_f, p_g, q_g)
+    data = _ContractionData(distance_batch(X, F_xy, F_uv), distance_batch(Y, G_yx, G_vu),
+                            p_f, q_f, p_g, q_g)
     k, l = family.k, family.l
     bad_rows = [np.flatnonzero(lhs > k * p + l * q + CONTRACTION_SLACK)
                 for lhs, p, q in ((data.lhs_f, p_f, q_f), (data.lhs_g, p_g, q_g))]
@@ -467,7 +503,8 @@ def _whole_array_audit(F, G, X, Y, family, cfg):
                               "image_high": img_hi[i].tolist()})
     monotone = {"passed": not any(r.size for r in clause_rows),
                 "checked": 4 * cfg.samples_per_check, "counterexamples": witnesses}
-    return (_check_contraction(data, family).to_dict(), monotone, {"k": k_hat, "l": l_hat},
+    contraction = _check_contraction(_Sample(rng, x_lo, x_hi, y_lo, y_hi), data, family)
+    return (contraction.to_dict(), monotone, {"k": k_hat, "l": l_hat},
             bad_rows, clause_rows, witness_rows)
 
 

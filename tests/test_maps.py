@@ -73,6 +73,20 @@ def test_unexpected_character_position():
     assert err.value.position == 3
 
 
+@pytest.mark.parametrize("text, message, position", [
+    ("foo(a1)", "unknown function 'foo'", 0),
+    ("abs(a1, b1)", "abs takes exactly one argument", 0),
+    ("max(a1)", "max takes at least two arguments", 0),
+    ("a1 b1", "unexpected 'b1' after expression", 3),
+    ("(a1", "expected ')', found end of input", 3),
+])
+def test_parser_rejections_name_the_token(text, message, position):
+    with pytest.raises(ExpressionError) as err:
+        parse_map(text, 1, 1, 1)
+    assert err.value.position == position
+    assert str(err.value) == f"{message} (at position {position})"
+
+
 def test_unknown_variable_rejected():
     with pytest.raises(ExpressionError):
         parse_map("c1", 1, 1, 1)

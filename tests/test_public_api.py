@@ -17,6 +17,9 @@ def test_every_public_name_resolves_and_is_listed_once():
     (solver, "verify_trace_bounds"),
     (solver, "_distances"),
     (hypotheses, "_Draws"),
+    (hypotheses, "_blocks"),
+    (hypotheses, "_whole_batch_error"),
+    (hypotheses, "_rows"),
     (solver.IterationTrace, "points"),
     (spaces, "sample_ordered_pairs"),
     (spaces.SpaceSpec, "weights_array"),
