@@ -7,11 +7,13 @@ over the spaces' sampling boxes, not proofs; reports carry ``"evidence":
 "sampled"``.  The orders alone decide comparability, with no sample.
 One sample of ordered pairs, X pairs then Y pairs, serves the contraction
 check, the constant estimate and the monotonicity check, which draws its
-contexts after it from the same generator; ``audit`` draws it once for all
-three.  ``_by_block`` walks the checks' map images one block of ``_BLOCK``
-sample rows at a time and the checks keep only their per-row results, so
-no full-size image array is held unless an evaluation error is replayed
-on the whole images to name its sample row.
+contexts after it from the same generator; ``audit`` runs all three in
+one walk over the sample.  The walk draws each block of ``_BLOCK`` sample
+rows where it is used, as ``_sample_blocks`` says, and runs every check
+on it while it is in cache; the checks keep per-block verdicts and
+witnesses, and only the constant estimate keeps columns of sample size.
+An error in a block is raised by walking again as one block of all rows,
+so that it is the first one of the whole sample.
 
 The four contraction families bound d(F(x,y), F(u,v)) on order-comparable
 pairs (x >= u, y <= v) by k p + l q for the distance terms (p, q) below; the
@@ -44,14 +46,15 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
+from itertools import accumulate, chain
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import EvaluationError, SampleError
 from .maps import MapSpec, eval_map, eval_map_batch
-from .spaces import (OrderKind, Point, SpaceSpec, distance_batch, leq, leq_batch,
-                     ordered_pairs, sample_points)
+from .spaces import (Point, SpaceSpec, distance_batch, empty_sample, leq, leq_batch,
+                     pair_rows, sample_points)
 
 # Additive slack when comparing inequality sides along samples.
 CONTRACTION_SLACK = 1e-12
@@ -59,8 +62,9 @@ CONTRACTION_SLACK = 1e-12
 RATIO_FLOOR = 1e-14
 # Cap on counterexamples carried inside a report.
 MAX_WITNESSES = 10
-# Sample rows per block of map images: a block's images stay in cache and
-# reuse freed memory, where full-size ones would fault in fresh pages.
+# Sample rows per block of the audit's walk: a block's draws, images and
+# terms stay in cache and reuse freed memory, where full-size arrays
+# would fault in fresh pages.
 _BLOCK = 8192
 
 
@@ -193,44 +197,46 @@ class SamplerConfig:
         return np.random.default_rng(self.rng_seed)
 
 
-class _Sample(NamedTuple):
-    """The ordered pairs that every sampled check reads, and the generator
-    they were drawn from, which the monotonicity check goes on drawing its
-    contexts from."""
+class _Block(NamedTuple):
+    """Rows ``rows`` of the audit's sample: the order-comparable pairs and,
+    when the monotonicity check runs, its contexts."""
 
-    rng: np.random.Generator
+    rows: slice
     x_lo: np.ndarray
     x_hi: np.ndarray
     y_lo: np.ndarray
     y_hi: np.ndarray
+    y_ctx: np.ndarray | None = None
+    x_ctx: np.ndarray | None = None
 
 
-def _sample(X: SpaceSpec, Y: SpaceSpec, cfg: SamplerConfig | None) -> _Sample:
-    """``samples_per_check`` ordered pairs in X, then as many in Y, from one
-    ``cfg.rng()``."""
-    cfg = cfg or SamplerConfig()
-    rng, n = cfg.rng(), cfg.samples_per_check
-    return _Sample(rng, *ordered_pairs(X, n, rng), *ordered_pairs(Y, n, rng))
+def _sample_blocks(X: SpaceSpec, Y: SpaceSpec, n: int, rng: np.random.Generator,
+                   contexts: bool, size: int):
+    """Yield the ``_Block``s of ``size`` consecutive rows covering range(n).
 
-
-def _by_block(images, n: int):
-    """Yield (rows, block images) for each slice of ``_BLOCK`` consecutive
-    rows covering range(n): every (map, A, B) of ``images``, in order,
-    evaluated on the slice of A and B.
-
-    A block's EvaluationError names a row of the block, so the images are
-    then evaluated whole, in order, and the first error found, which names
-    a row of the whole sample, is raised in its place."""
-    try:
-        for i in range(0, n, _BLOCK):
-            rows = slice(i, i + _BLOCK)
-            yield rows, [eval_map_batch(m, A[rows], B[rows]) for m, A, B in images]
-        return
-    except EvaluationError as exc:
-        error = exc
-    for m, A, B in images:
-        eval_map_batch(m, A, B)
-    raise error from None
+    Drawn whole, the sample takes its (n, dim) ``sample_points`` arrays
+    from ``rng`` in this order: the draws of ``ordered_pairs`` on X, then
+    on Y, then, with ``contexts``, the Y and the X contexts.  ``random``
+    takes one 64-bit output of the generator per double, so row r of an
+    array that starts at output o begins at output o + r * dim.  A block
+    draws each array's rows there, moving the generator with ``advance``
+    (backwards by going round its 2^128 period), so its rows are the whole
+    sample's bit for bit; a sample of one block draws as a whole one does."""
+    kx, ky = 1 + X.order.componentwise, 1 + Y.order.componentwise
+    arrays = [X] * kx + [Y] * ky + ([Y, X] if contexts else [])
+    starts = list(accumulate((n * S.dim for S in arrays), initial=0))
+    at = 0  # outputs taken so far
+    for i in range(0, n, size):
+        m = min(size, n - i)
+        draws = []
+        for S, start in zip(arrays, starts):
+            start += i * S.dim
+            if start != at:
+                rng.bit_generator.advance((start - at) % 2**128)
+            draws.append(sample_points(S, m, rng))
+            at = start + m * S.dim
+        yield _Block(slice(i, i + m), *pair_rows(X, i, *draws[:kx]),
+                     *pair_rows(Y, i, *draws[kx:kx + ky]), *draws[kx + ky:])
 
 
 # ---------------------------------------------------------------------------
@@ -347,43 +353,35 @@ def check_mixed_monotone(F: MapSpec, G: MapSpec, X: SpaceSpec, Y: SpaceSpec,
     For x1 <= x2 and any y:  F(x1,y) <= F(x2,y)  and  G(y,x1) >= G(y,x2).
     For y1 <= y2 and any x:  F(x,y1) >= F(x,y2)  and  G(y1,x) <= G(y2,x).
     """
-    return _check_mixed_monotone(F, G, X, Y, _sample(X, Y, cfg))
+    return _sampled_checks(F, G, X, Y, cfg, monotone=True).mixed_monotone
 
 
-def _check_mixed_monotone(F: MapSpec, G: MapSpec, X: SpaceSpec, Y: SpaceSpec,
-                          s: _Sample) -> MonotoneCheck:
-    # the stream's order, pairs then Y contexts then X contexts, fixes the
-    # witnesses that the determinism digests pin
-    y_ctx = sample_points(Y, len(s.x_lo), s.rng)
-    x_ctx = sample_points(X, len(s.x_lo), s.rng)
-
+def _monotone_block(F: MapSpec, G: MapSpec, X: SpaceSpec, Y: SpaceSpec, b: _Block,
+                    found: tuple[list, ...]) -> bool:
+    """Whether every row of block ``b`` holds the four clauses; each
+    clause's violations are added to its list of ``found``, up to
+    MAX_WITNESSES."""
     # (clause, space of the images, map, low, high, context, second): a
     # clause that varies the map's second argument puts the context first
     # and asks the images to decrease
     clauses = (
-        ("F_incr_first", X, F, s.x_lo, s.x_hi, y_ctx, False),
-        ("G_decr_second", Y, G, s.x_lo, s.x_hi, y_ctx, True),
-        ("F_decr_second", X, F, s.y_lo, s.y_hi, x_ctx, True),
-        ("G_incr_first", Y, G, s.y_lo, s.y_hi, x_ctx, False),
+        ("F_incr_first", X, F, b.x_lo, b.x_hi, b.y_ctx, False),
+        ("G_decr_second", Y, G, b.x_lo, b.x_hi, b.y_ctx, True),
+        ("F_decr_second", X, F, b.y_lo, b.y_hi, b.x_ctx, True),
+        ("G_incr_first", Y, G, b.y_lo, b.y_hi, b.x_ctx, False),
     )
-
-    witnesses: list[dict] = []
-    checked = 0
     passed = True
-    for clause, space, m, lo, hi, ctx, second in clauses:
-        images = [(m, ctx, v) if second else (m, v, ctx) for v in (lo, hi)]
-        for rows, (img_lo, img_hi) in _by_block(images, len(lo)):
-            ok = (leq_batch(space, img_hi, img_lo) if second
-                  else leq_batch(space, img_lo, img_hi))
-            checked += len(ok)
-            bad = np.flatnonzero(~ok)
-            passed = passed and not bad.size
-            for i in bad[:MAX_WITNESSES - len(witnesses)]:
-                r = rows.start + i
-                witnesses.append({"clause": clause, "low": lo[r].tolist(), "high": hi[r].tolist(),
-                                  "context": ctx[r].tolist(), "image_low": img_lo[i].tolist(),
-                                  "image_high": img_hi[i].tolist()})
-    return MonotoneCheck(passed, checked, tuple(witnesses))
+    for (clause, space, m, lo, hi, ctx, second), witnesses in zip(clauses, found):
+        img_lo, img_hi = [eval_map_batch(m, ctx, v) if second else eval_map_batch(m, v, ctx)
+                          for v in (lo, hi)]
+        ok = leq_batch(space, img_hi, img_lo) if second else leq_batch(space, img_lo, img_hi)
+        bad = np.flatnonzero(~ok)
+        passed = passed and not bad.size
+        for i in bad[:MAX_WITNESSES - len(witnesses)]:
+            witnesses.append({"clause": clause, "low": lo[i].tolist(), "high": hi[i].tolist(),
+                              "context": ctx[i].tolist(), "image_low": img_lo[i].tolist(),
+                              "image_high": img_hi[i].tolist()})
+    return passed
 
 
 def check_seed(F: MapSpec, G: MapSpec, X: SpaceSpec, Y: SpaceSpec,
@@ -400,74 +398,54 @@ def check_seed(F: MapSpec, G: MapSpec, X: SpaceSpec, Y: SpaceSpec,
     return SeedCheck(x_ok and y_ok, x_ok, y_ok, x0, y0, fx0, gy0)
 
 
-@dataclass(frozen=True)
-class _ContractionData:
-    """One family's contraction results on a ``_Sample``, shared by
-    check_contraction and estimate_constants: the left sides and the
-    family's (p, q) columns of ``_FAMILIES``, so that the right sides are
-    k*p + l*q."""
-
-    lhs_f: np.ndarray       # d_X(F(x_hi, y_lo), F(x_lo, y_hi))
-    lhs_g: np.ndarray       # d_Y(G(y_hi, x_lo), G(y_lo, x_hi))
-    p_f: np.ndarray
-    q_f: np.ndarray
-    p_g: np.ndarray
-    q_g: np.ndarray
-
-
-def _contraction_data(F: MapSpec, G: MapSpec, X: SpaceSpec, Y: SpaceSpec,
-                      kind: FamilyKind, s: _Sample) -> _ContractionData:
-    """Raises SampleError where a distance term overflows, as a sampling
-    box's diameter may not."""
+def _contraction_terms(F: MapSpec, G: MapSpec, X: SpaceSpec, Y: SpaceSpec,
+                       kind: FamilyKind, b: _Block) -> tuple[tuple[np.ndarray, ...], ...]:
+    """(p, q, lhs) of the F and of the G inequality at block ``b``'s pairs:
+    the family's columns of ``_FAMILIES``, so that the right sides are
+    k*p + l*q, and the left sides d_X(F(x_hi, y_lo), F(x_lo, y_hi)) and
+    d_Y(G(y_hi, x_lo), G(y_lo, x_hi)).  Raises SampleError where a
+    distance term overflows, as a sampling box's diameter may not."""
     dX, dY = partial(distance_batch, X), partial(distance_batch, Y)
-    columns = _FAMILIES[kind].columns
-    images = ((F, s.x_hi, s.y_lo), (F, s.x_lo, s.y_hi), (G, s.y_hi, s.x_lo), (G, s.y_lo, s.x_hi))
-    out = np.empty((6, len(s.x_lo)))  # lhs_f, lhs_g, p_f, q_f, p_g, q_g
     with np.errstate(over="ignore", invalid="ignore"):
-        for rows, block in _by_block(images, len(s.x_lo)):
-            b = _Pairs(dX, dY, s.x_lo[rows], s.x_hi[rows], s.y_lo[rows], s.y_hi[rows], *block)
-            (p_f, q_f), (p_g, q_g) = columns(b)
-            out[:, rows] = (dX(b.F_xy, b.F_uv), dY(b.G_yx, b.G_vu), p_f, q_f, p_g, q_g)
+        s = _Pairs(dX, dY, b.x_lo, b.x_hi, b.y_lo, b.y_hi,
+                   eval_map_batch(F, b.x_hi, b.y_lo), eval_map_batch(F, b.x_lo, b.y_hi),
+                   eval_map_batch(G, b.y_hi, b.x_lo), eval_map_batch(G, b.y_lo, b.x_hi))
+        (p_f, q_f), (p_g, q_g) = _FAMILIES[kind].columns(s)
+        terms = (p_f, q_f, dX(s.F_xy, s.F_uv)), (p_g, q_g, dY(s.G_yx, s.G_vu))
     # every term is a sum of distances, so >= 0: the max is finite iff all are
-    if not math.isfinite(out.max()):
-        row = int(np.flatnonzero(~np.isfinite(out).all(axis=0))[0])
-        raise SampleError(f"a sampled distance overflows at contraction sample {row}")
-    return _ContractionData(*out)
+    if not all(math.isfinite(t.max()) for side in terms for t in side):
+        row = np.flatnonzero(~np.isfinite(np.vstack(terms[0] + terms[1])).all(axis=0))[0]
+        raise SampleError(f"a sampled distance overflows at contraction sample "
+                          f"{b.rows.start + row}")
+    return terms
 
 
-def _family_rhs(family: ContractionFamily, data: _ContractionData) -> tuple[np.ndarray, np.ndarray]:
-    k, l = family.k, family.l
-    return k * data.p_f + l * data.q_f, k * data.p_g + l * data.q_g
-
-
-def _side_result(side: str, lhs: np.ndarray, rhs: np.ndarray,
-                 roles: tuple[np.ndarray, ...]) -> InequalitySide:
-    """One inequality's verdict; ``roles`` are the x, u, y, v arrays."""
-    bad = lhs > rhs + CONTRACTION_SLACK
+def _side_result(side: str, lhs: np.ndarray, rhs: np.ndarray, roles: tuple[np.ndarray, ...],
+                 before: InequalitySide) -> InequalitySide:
+    """One inequality's verdict on the blocks of ``before`` and on this one;
+    ``roles`` are the x, u, y, v arrays."""
+    bad = np.flatnonzero(lhs > rhs + CONTRACTION_SLACK)
     usable = rhs >= RATIO_FLOOR
-    max_ratio = float((lhs[usable] / rhs[usable]).max()) if usable.any() else None
-    violations = []
-    for i in np.flatnonzero(bad)[:MAX_WITNESSES]:
-        violations.append({"side": side, **{r: a[i].tolist() for r, a in zip("xuyv", roles)},
-                           "lhs": float(lhs[i]), "rhs": float(rhs[i])})
-    return InequalitySide(not bool(bad.any()), int(lhs.shape[0]), max_ratio,
-                          tuple(violations))
+    ratio = float((lhs[usable] / rhs[usable]).max()) if usable.any() else None
+    ratios = [r for r in (before.max_ratio, ratio) if r is not None]
+    violations = tuple({"side": side, **{r: a[i].tolist() for r, a in zip("xuyv", roles)},
+                        "lhs": float(lhs[i]), "rhs": float(rhs[i])}
+                       for i in bad[:MAX_WITNESSES - len(before.violations)])
+    return InequalitySide(before.passed and not bad.size, before.checked + len(lhs),
+                          max(ratios, default=None), before.violations + violations)
 
 
 def check_contraction(F: MapSpec, G: MapSpec, X: SpaceSpec, Y: SpaceSpec,
                       family: ContractionFamily,
                       cfg: SamplerConfig | None = None) -> ContractionCheck:
     """Sample the family inequality for F (on d_X) and G (on d_Y)."""
-    s = _sample(X, Y, cfg)
-    return _check_contraction(s, _contraction_data(F, G, X, Y, family.kind, s), family)
+    return _sampled_checks(F, G, X, Y, cfg, family.kind, family).contraction
 
 
-def _check_contraction(s: _Sample, data: _ContractionData,
-                       family: ContractionFamily) -> ContractionCheck:
-    rhs_f, rhs_g = _family_rhs(family, data)
-    f_side = _side_result("F", data.lhs_f, rhs_f, (s.x_hi, s.x_lo, s.y_lo, s.y_hi))
-    g_side = _side_result("G", data.lhs_g, rhs_g, (s.x_lo, s.x_hi, s.y_hi, s.y_lo))
-    return ContractionCheck(f_side.passed and g_side.passed, family, f_side, g_side)
+def _kept(mask: np.ndarray, *columns: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The columns' rows where ``mask`` holds; the columns themselves where
+    it holds on every row, which boolean indexing copies slowly."""
+    return columns if mask.all() else tuple(a[mask] for a in columns)
 
 
 def _min_sum_constants(p: np.ndarray, q: np.ndarray, c: np.ndarray) -> tuple[float, float]:
@@ -498,11 +476,17 @@ def _min_sum_constants(p: np.ndarray, q: np.ndarray, c: np.ndarray) -> tuple[flo
     double, so the lines are valued at finite k only.  Where the products
     of a crossing overflow, the lines are first divided through by q; a
     crossing of two infinite lines is nan and goes to hi.
+
+    Each pass over the rows writes one reused buffer, which ``top``
+    returns: read it before the next pass.  Rows whose scales span more
+    than about 1e100 can get a feasible but far from minimal l: ``top``
+    values a falling line as (c - k p)/q, whose cancellation error, about
+    c 1e-16 / q, can exceed the optimal l.
     """
     active = c > RATIO_FLOOR
     if not active.any():
         return 0.0, 0.0
-    p, q, c = p[active], q[active], c[active]
+    p, q, c = _kept(active, p, q, c)
     p_ok = p > RATIO_FLOOR
     q_ok = q > RATIO_FLOOR
     if bool((~p_ok & ~q_ok).any()):
@@ -510,20 +494,23 @@ def _min_sum_constants(p: np.ndarray, q: np.ndarray, c: np.ndarray) -> tuple[flo
     with np.errstate(over="ignore"):
         # rows with no l-leverage force a floor on k
         k_floor = float((c[~q_ok] / p[~q_ok]).max()) if bool((~q_ok).any()) else 0.0
-        k_hi = float((c[p_ok] / p[p_ok]).max()) if p_ok.any() else 0.0
+        c_p, p_p = _kept(p_ok, c, p)
+        k_hi = float((c_p / p_p).max()) if p_ok.any() else 0.0
     if k_floor == math.inf:
         return math.inf, math.inf
     k_hi = min(max(k_floor, k_hi), sys.float_info.max)
 
     # line 0 is the zero line, so a tie at l = 0 picks it
-    lp = np.concatenate(([0.0], p[q_ok]))
-    lq = np.concatenate(([1.0], q[q_ok]))
-    lc = np.concatenate(([0.0], c[q_ok]))
+    lp, lq, lc = (np.concatenate(([v], a)) for v, a in zip((0.0, 1.0, 0.0), _kept(q_ok, p, q, c)))
+
+    buf = np.empty_like(lc)  # each pass writes the lines' values at k here
 
     def top(k: float) -> tuple[np.ndarray, int]:
         with np.errstate(over="ignore"):
-            l = (lc - k * lp) / lq
-        return l, int(l.argmax())
+            np.multiply(k, lp, out=buf)
+            np.subtract(lc, buf, out=buf)
+            np.divide(buf, lq, out=buf)
+        return buf, int(buf.argmax())
 
     def falls(i: int) -> bool:
         return bool(lp[i] > lq[i])
@@ -560,16 +547,73 @@ def estimate_constants(F: MapSpec, G: MapSpec, X: SpaceSpec, Y: SpaceSpec,
     rows), so its k and l are the largest sampled ratios lhs/p and lhs/q.
     Uses the same sample as check_contraction for the same config.
     """
-    return _estimate_constants(
-        _contraction_data(F, G, X, Y, FamilyKind(kind), _sample(X, Y, cfg)))
+    return _sampled_checks(F, G, X, Y, cfg, FamilyKind(kind), estimate=True).estimates
 
 
-def _estimate_constants(data: _ContractionData) -> tuple[float, float]:
-    p = np.concatenate([data.p_f, data.p_g])
-    q = np.concatenate([data.q_f, data.q_g])
-    if not bool((np.maximum(p, q) >= RATIO_FLOOR).any()):
-        raise SampleError("degenerate samples: all inequality right-hand sides are zero")
-    return _min_sum_constants(p, q, np.concatenate([data.lhs_f, data.lhs_g]))
+class _Checks(NamedTuple):
+    contraction: ContractionCheck | None
+    estimates: tuple[float, float] | None
+    mixed_monotone: MonotoneCheck | None
+
+
+def _sampled_checks(F: MapSpec, G: MapSpec, X: SpaceSpec, Y: SpaceSpec,
+                    cfg: SamplerConfig | None, kind: FamilyKind | None = None,
+                    family: ContractionFamily | None = None, estimate: bool = False,
+                    monotone: bool = False) -> _Checks:
+    """The sampled checks in one walk over the sample's blocks: with
+    ``kind``, that family's contraction terms, judged for ``family`` and,
+    with ``estimate``, kept for the constant estimate; with ``monotone``,
+    the monotonicity clauses.
+
+    Run whole, one after another, the checks meet errors in this order: a
+    contraction EvaluationError, an overflowing distance term, a
+    degenerate estimate, a monotonicity EvaluationError, each at its first
+    row.  A block's error need not be that one, so on any error the walk
+    is made again as one block of all rows, which raises it."""
+    cfg = cfg or SamplerConfig()
+    walk = partial(_walk, F, G, X, Y, cfg, kind, family, estimate, monotone)
+    try:
+        return walk(_BLOCK)
+    except (EvaluationError, SampleError):
+        if cfg.samples_per_check <= _BLOCK:
+            raise
+    return walk(cfg.samples_per_check)
+
+
+def _walk(F: MapSpec, G: MapSpec, X: SpaceSpec, Y: SpaceSpec, cfg: SamplerConfig,
+          kind: FamilyKind | None, family: ContractionFamily | None, estimate: bool,
+          monotone: bool, size: int) -> _Checks:
+    n = cfg.samples_per_check
+    for S in (X, Y):  # a sample that cannot be drawn whole fails before any draw
+        empty_sample(S, n)
+    sides = [InequalitySide(True, 0, None)] * 2
+    if estimate:  # p, q and lhs of the F rows, then of the G rows
+        try:
+            pqc = np.empty((3, 2, n))
+        except MemoryError as exc:
+            raise SampleError(f"cannot hold the estimate's terms of {n} samples: {exc}") from None
+    found = ([], [], [], [])      # witnesses per monotonicity clause
+    monotone_ok = True
+    for b in _sample_blocks(X, Y, n, cfg.rng(), monotone, size):
+        if kind is not None:
+            terms = _contraction_terms(F, G, X, Y, kind, b)
+            if family is not None:
+                roles = (b.x_hi, b.x_lo, b.y_lo, b.y_hi), (b.x_lo, b.x_hi, b.y_hi, b.y_lo)
+                sides = [_side_result(side, lhs, family.k * p + family.l * q, r, before)
+                         for side, (p, q, lhs), r, before in zip("FG", terms, roles, sides)]
+            if estimate:
+                for j, side_terms in enumerate(terms):
+                    pqc[:, j, b.rows] = side_terms
+                if b.rows.stop == n and not (pqc[:2] >= RATIO_FLOOR).any():
+                    raise SampleError("degenerate samples: all inequality right-hand sides are zero")
+        if monotone:
+            monotone_ok = _monotone_block(F, G, X, Y, b, found) and monotone_ok
+    return _Checks(
+        None if family is None else ContractionCheck(sides[0].passed and sides[1].passed,
+                                                     family, *sides),
+        _min_sum_constants(*pqc.reshape(3, -1)) if estimate else None,
+        MonotoneCheck(monotone_ok, 4 * n, tuple(chain(*found))[:MAX_WITNESSES])
+        if monotone else None)
 
 
 def _factor_witness(space: SpaceSpec) -> tuple[bool, tuple | None]:
@@ -581,8 +625,7 @@ def _factor_witness(space: SpaceSpec) -> tuple[bool, tuple | None]:
     which no third point bounds.  One exists if an extent exceeds 2 (m + 1)
     slack: each tie point is then near at most one P_j."""
     order, (lo, hi) = space.order, space.sampling_box
-    if order.kind in (OrderKind.COMPONENTWISE, OrderKind.COMPONENTWISE_REVERSED) or all(
-            b - a <= order.slack for a, b in zip(lo, hi)):
+    if order.componentwise or all(b - a <= order.slack for a, b in zip(lo, hi)):
         return True, None
     ties = np.reshape(list({lo, *(p for ab in order.closure for p in ab)}), (-1, 1, space.dim))
     P = np.clip(np.linspace(lo, hi, len(ties) + 1)[:0:-1], lo, hi)
@@ -609,24 +652,16 @@ def audit(F: MapSpec, G: MapSpec, X: SpaceSpec, Y: SpaceSpec,
           cfg: SamplerConfig | None = None,
           with_estimates: bool = False) -> HypothesisReport:
     """Run every checker and aggregate the verdicts into one report."""
-    # one sample of ordered pairs serves the contraction check, the
-    # estimate and then the monotonicity check, as it does each run alone;
-    # the contraction columns are dropped before the monotonicity phase
-    s = _sample(X, Y, cfg)
-    data = _contraction_data(F, G, X, Y, family.kind, s)
-    contraction = _check_contraction(s, data, family)
+    checks = _sampled_checks(F, G, X, Y, cfg, family.kind, family, with_estimates, True)
     estimates = None
     if with_estimates:
-        k_hat, l_hat = _estimate_constants(data)
+        k_hat, l_hat = checks.estimates
         estimates = {"k": k_hat, "l": l_hat}
-    del data
-    mixed_monotone = _check_mixed_monotone(F, G, X, Y, s)
-    seed = check_seed(F, G, X, Y, x0, y0)
     return HypothesisReport(
         family=family,
-        mixed_monotone=mixed_monotone,
-        seed=seed,
-        contraction=contraction,
+        mixed_monotone=checks.mixed_monotone,
+        seed=check_seed(F, G, X, Y, x0, y0),
+        contraction=checks.contraction,
         comparability=check_comparability(X, Y),
         estimated_constants=estimates,
     )

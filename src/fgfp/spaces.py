@@ -146,6 +146,10 @@ class OrderSpec:
     def closure(self) -> tuple[tuple[tuple[float, ...], tuple[float, ...]], ...]:
         return self._closure
 
+    @property
+    def componentwise(self) -> bool:
+        return self.kind in (OrderKind.COMPONENTWISE, OrderKind.COMPONENTWISE_REVERSED)
+
 
 @dataclass(frozen=True)
 class MetricSpec:
@@ -389,6 +393,15 @@ def distance_batch(space: SpaceSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray
     return total
 
 
+def empty_sample(space: SpaceSpec, n: int) -> np.ndarray:
+    """An uninitialised (n, dim) array, or SampleError where it cannot be
+    allocated."""
+    try:
+        return np.empty((n, space.dim))
+    except (MemoryError, ValueError) as exc:  # ValueError: n * dim overflows
+        raise SampleError(f"cannot draw {n} samples of dimension {space.dim}: {exc}") from None
+
+
 def sample_points(space: SpaceSpec, n: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform samples from the sampling box, shape (n, dim).
 
@@ -398,10 +411,7 @@ def sample_points(space: SpaceSpec, n: int, rng: np.random.Generator) -> np.ndar
     short inner axis.  Raises SampleError where hi - lo overflows or where
     the (n, dim) draw cannot be allocated.
     """
-    try:
-        U = rng.random((n, space.dim))
-    except (MemoryError, ValueError) as exc:  # ValueError: n * dim overflows
-        raise SampleError(f"cannot draw {n} samples of dimension {space.dim}: {exc}") from None
+    U = rng.random(out=empty_sample(space, n))
     for col, lo, hi in zip(U.T, *space.sampling_box):
         extent = hi - lo
         if not math.isfinite(extent):
@@ -414,20 +424,27 @@ def sample_points(space: SpaceSpec, n: int, rng: np.random.Generator) -> np.ndar
 def ordered_pairs(space: SpaceSpec, n: int,
                   rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """``n`` pairs (lo, hi) with lo <= hi in the space order, as two (n, dim)
-    arrays built from ``sample_points`` draws on ``rng``: the rowwise min
-    and max of two draws for componentwise orders; for discrete ones, equal
-    pairs from one draw with every other row set to a listed relation."""
-    kind = space.order.kind
-    U = sample_points(space, n, rng)
-    if kind is OrderKind.COMPONENTWISE or kind is OrderKind.COMPONENTWISE_REVERSED:
-        V = sample_points(space, n, rng)
-        lo, hi = np.minimum(U, V), np.maximum(U, V)
-        return (hi, lo) if kind is OrderKind.COMPONENTWISE_REVERSED else (lo, hi)
+    arrays built by ``pair_rows`` from ``sample_points`` draws on ``rng``:
+    two for a componentwise order, one for a discrete one."""
+    return pair_rows(space, 0, *(sample_points(space, n, rng)
+                                 for _ in range(1 + space.order.componentwise)))
+
+
+def pair_rows(space: SpaceSpec, first: int, U: np.ndarray,
+              V: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Rows first, first + 1, ... of ``ordered_pairs``' (lo, hi), from the
+    same rows of its draws U and, for a componentwise order, V: their
+    rowwise min and max; for a discrete order, equal pairs from U with
+    every odd row of the whole sample set to a listed relation.  Takes
+    over U and V."""
+    if V is not None:
+        lo, hi = np.minimum(U, V), np.maximum(U, V, out=V)
+        return (hi, lo) if space.order.kind is OrderKind.COMPONENTWISE_REVERSED else (lo, hi)
     closure = space.order.closure
     hi = U.copy()
     if closure:
-        rows = np.arange(1, n, 2)
-        pairs = np.asarray(closure, dtype=np.float64)[(rows // 2) % len(closure)]
+        rows = np.arange((first + 1) % 2, len(U), 2)
+        pairs = np.asarray(closure, dtype=np.float64)[((first + rows) // 2) % len(closure)]
         U[rows] = pairs[:, 0]
         hi[rows] = pairs[:, 1]
     return U, hi

@@ -16,10 +16,9 @@ import pytest
 
 from fgfp import (ContractionFamily, FamilyKind, SamplerConfig,
                   estimate_constants, step_bound, tail_bound)
-from fgfp.hypotheses import (RATIO_FLOOR, _contraction_data, _family_rhs,
-                             _min_sum_constants, _sample)
+from fgfp.hypotheses import RATIO_FLOOR, _Block, _contraction_terms, _min_sum_constants
 from fgfp.maps import eval_map_batch
-from fgfp.spaces import distance_batch
+from fgfp.spaces import distance_batch, ordered_pairs
 
 SYM, LIN, KAN, CHA = (FamilyKind.SYM_HALF, FamilyKind.LIN_ASYM,
                       FamilyKind.KANNAN, FamilyKind.CHATTERJEA)
@@ -87,6 +86,13 @@ def ref_tail_bound(family, n, d1x, d1y, component):
         delta = l / (1.0 - l) if component == "x" else k / (1.0 - k)
     base = d1x if component == "x" else d1y
     return delta ** n / (1.0 - delta) * base
+
+
+def whole_sample(p, cfg):
+    """The ordered pairs of the audit's sample, drawn whole: X pairs, then Y
+    pairs, from one ``cfg.rng()``."""
+    rng, n = cfg.rng(), cfg.samples_per_check
+    return _Block(slice(0, n), *ordered_pairs(p.X, n, rng), *ordered_pairs(p.Y, n, rng))
 
 
 def ref_distances(p, s):
@@ -160,13 +166,14 @@ def test_step_and_tail_bounds_match_closed_forms(family):
 def test_contraction_rhs_matches_closed_form(corpus, family):
     # ex4's discrete orders give equal pairs, so zero distances, on even rows
     p = corpus["ex4"].problem
-    s = _sample(p.X, p.Y, SamplerConfig(64, rng_seed=5))
-    data = _contraction_data(p.F, p.G, p.X, p.Y, family.kind, s)
+    s = whole_sample(p, SamplerConfig(64, rng_seed=5))
+    f, g = _contraction_terms(p.F, p.G, p.X, p.Y, family.kind, s)
     d = ref_distances(p, s)
     assert not (d.dx + d.dy)[::2].any() and (d.dx + d.dy)[1::2].all()
-    assert np.array_equal(data.lhs_f, d.lhs_f) and np.array_equal(data.lhs_g, d.lhs_g)
-    for got, want in zip(_family_rhs(family, data), ref_rhs(family, d)):
-        assert np.array_equal(got, want)
+    assert np.array_equal(f[2], d.lhs_f) and np.array_equal(g[2], d.lhs_g)
+    # the audit's right sides are k*p + l*q
+    for (p_col, q_col, _), want in zip((f, g), ref_rhs(family, d)):
+        assert np.array_equal(family.k * p_col + family.l * q_col, want)
 
 
 @pytest.mark.parametrize("eid", ["ex1", "ex2", "ex3", "ex4"])
@@ -174,7 +181,7 @@ def test_contraction_rhs_matches_closed_form(corpus, family):
 def test_estimated_constants_use_the_family_columns(corpus, eid, kind):
     p = corpus[eid].problem
     cfg = SamplerConfig(samples_per_check=300, rng_seed=2)
-    d = ref_distances(p, _sample(p.X, p.Y, cfg))
+    d = ref_distances(p, whole_sample(p, cfg))
     if kind is SYM:
         # the two independent maxima over the rows with a usable sum
         s = d.dx + d.dy

@@ -12,9 +12,8 @@ from fgfp import (ContractionFamily, EvaluationError, FamilyKind, SampleError,
                   estimate_constants, eval_map, parse_map, point)
 from fgfp import hypotheses
 from fgfp.hypotheses import (_BLOCK, _FAMILIES, CONTRACTION_SLACK, MAX_WITNESSES,
-                             RATIO_FLOOR, ComparabilityCheck, _check_contraction,
-                             _contraction_data, _ContractionData, _estimate_constants,
-                             _min_sum_constants, _Pairs, _Sample, _sample, audit)
+                             RATIO_FLOOR, ComparabilityCheck, _Block, _contraction_terms,
+                             _min_sum_constants, _Pairs, audit)
 from fgfp.maps import eval_map_batch, evaluation_count
 from fgfp.spaces import (OrderKind, OrderSpec, common_bounds_batch, distance_batch, leq,
                          leq_batch, metric_distance, ordered_pairs, sample_points)
@@ -318,11 +317,11 @@ def _lp_instances(corpus):
         p = entry.problem
         for rng_seed in (0, 7):
             for kind in (FamilyKind.LIN_ASYM, FamilyKind.KANNAN, FamilyKind.CHATTERJEA):
-                data = _contraction_data(p.F, p.G, p.X, p.Y, kind,
-                                         _sample(p.X, p.Y, SamplerConfig(2000, rng_seed)))
-                yield (np.concatenate([data.p_f, data.p_g]),
-                       np.concatenate([data.q_f, data.q_g]),
-                       np.concatenate([data.lhs_f, data.lhs_g]))
+                rng = np.random.default_rng(rng_seed)
+                b = _Block(slice(0, 2000), *ordered_pairs(p.X, 2000, rng),
+                           *ordered_pairs(p.Y, 2000, rng))
+                f, g = _contraction_terms(p.F, p.G, p.X, p.Y, kind, b)
+                yield tuple(np.concatenate(columns) for columns in zip(f, g))
     # k_floor == k_hi: the row without l-leverage pins k
     yield np.array([1.0, 1.0]), np.array([0.0, 1.0]), np.array([2.0, 1.0])
     rng = np.random.default_rng(8)
@@ -396,6 +395,21 @@ def test_min_sum_constants_on_rows_whose_ratios_overflow(rows, want):
     assert _min_sum_constants(*_lp(*rows)) == want
 
 
+@pytest.mark.parametrize("rows", [
+    ((4.7e105, 7.5e30, 1.09e244), (0.0, 1.4e89, 1.84e126)),
+    ((4.712874398608217e+105, 7.46546800706458e+30, 1.079993222821809e+244),
+     (0.0, 1.4e89, 1.84e126)),
+], ids=["rounded", "cancelling"])
+def test_min_sum_constants_on_rows_of_extreme_scale_stay_feasible(rows):
+    # the rows' scales span about 1e140, so top(k) cancels: the second set
+    # gets l = 2.03e197 where the optimum has l = 1.31e37, but every row
+    # still holds up to rounding
+    p, q, c = _lp(*rows)
+    k, l = _min_sum_constants(p, q, c)
+    assert k >= 0.0 and l >= 0.0
+    assert (k * p + l * q >= c * (1.0 - 1e-12)).all()
+
+
 def test_audit_takes_one_contraction_sample_for_the_estimate_and_the_check(corpus):
     F, G, X, Y, fam = ex(corpus, "ex3")
     x0, y0 = corpus["ex3"].problem.seed
@@ -412,20 +426,21 @@ def test_audit_takes_one_contraction_sample_for_the_estimate_and_the_check(corpu
     assert rep.to_dict() == {**plain, "estimated_constants": {"k": k_hat, "l": l_hat}}
 
 
-def _planted_problem(x_kind, y_kind, dx, dy):
-    """Maps on [0, 1] boxes that break each monotonicity clause on a few
-    rows near the box's upper corner; under discrete orders, on every row
-    where the pair differs."""
+def _planted_problem(x_kind, y_kind, dx, dy, corner=0.95):
+    """Maps on [0, 1] boxes that break each monotonicity clause on the rows
+    beyond ``corner``, a few near the box's upper corner by default; under
+    discrete orders, on every row where the pair differs."""
     def order(kind, dim):
-        pairs = ((point(*[0.2] * dim), point(*[0.6] * dim)),) \
+        pairs = ((point(*[0.2] * dim), point(*[0.6] * dim)),
+                 (point(*[0.6] * dim), point(*[0.9] * dim))) \
             if kind is OrderKind.DISCRETE_PLUS_PAIRS else ()
         return OrderSpec(kind=kind, extra_pairs=pairs)
 
     X = box_space((0.0,) * dx, (1.0,) * dx, order=order(x_kind, dx))
     Y = box_space((0.0,) * dy, (1.0,) * dy, order=order(y_kind, dy))
-    F = parse_map("; ".join(f"a{i}/4 - b1/4 - 3*max(a1 - 0.95, 0) + 3*max(b1 - 0.95, 0)"
+    F = parse_map("; ".join(f"a{i}/4 - b1/4 - 3*max(a1 - {corner}, 0) + 3*max(b1 - {corner}, 0)"
                             for i in range(1, dx + 1)), dx, dy, dx)
-    G = parse_map("; ".join(f"a{j}/4 - b1/4 - 3*max(a1 - 0.95, 0) + 3*max(b1 - 0.95, 0)"
+    G = parse_map("; ".join(f"a{j}/4 - b1/4 - 3*max(a1 - {corner}, 0) + 3*max(b1 - {corner}, 0)"
                             for j in range(1, dy + 1)), dy, dx, dy)
     return F, G, X, Y
 
@@ -434,9 +449,13 @@ C, R, D, P = (OrderKind.COMPONENTWISE, OrderKind.COMPONENTWISE_REVERSED,
               OrderKind.DISCRETE, OrderKind.DISCRETE_PLUS_PAIRS)
 
 
-@pytest.mark.parametrize("x_kind, y_kind, dx, dy", [
+# (X order, Y order, X dimension, Y dimension): every order kind on each side
+ORDER_PAIRS = pytest.mark.parametrize("x_kind, y_kind, dx, dy", [
     (C, C, 1, 1), (R, D, 2, 1), (D, C, 1, 3), (D, P, 2, 2), (C, P, 3, 2), (P, R, 2, 3),
 ], ids=lambda v: v.value if isinstance(v, OrderKind) else str(v))
+
+
+@ORDER_PAIRS
 def test_audit_shares_its_sample_stream_invisibly(x_kind, y_kind, dx, dy):
     # audit draws one sample of ordered pairs for all three checks; each
     # section must come out as if its check had drawn its own stream
@@ -459,6 +478,17 @@ def test_audit_shares_its_sample_stream_invisibly(x_kind, y_kind, dx, dy):
 # ---------------------------------------------------------------------------
 # blocked evaluation
 
+def _side_reference(side, lhs, rhs, roles):
+    """One inequality's verdict, as a report section, from whole columns."""
+    bad = np.flatnonzero(lhs > rhs + CONTRACTION_SLACK)
+    usable = rhs >= RATIO_FLOOR
+    return {"passed": not bad.size, "checked": len(lhs),
+            "max_ratio": float((lhs[usable] / rhs[usable]).max()) if usable.any() else None,
+            "violations": [{"side": side, **{r: a[i].tolist() for r, a in zip("xuyv", roles)},
+                            "lhs": float(lhs[i]), "rhs": float(rhs[i])}
+                           for i in bad[:MAX_WITNESSES]]}
+
+
 def _whole_array_audit(F, G, X, Y, family, cfg):
     """The audit's contraction and monotonicity results, with every map
     image evaluated whole, from X pairs, Y pairs, Y contexts and X contexts
@@ -472,12 +502,20 @@ def _whole_array_audit(F, G, X, Y, family, cfg):
     pairs = _Pairs(partial(distance_batch, X), partial(distance_batch, Y),
                    x_lo, x_hi, y_lo, y_hi, F_xy, F_uv, G_yx, G_vu)
     (p_f, q_f), (p_g, q_g) = _FAMILIES[family.kind].columns(pairs)
-    data = _ContractionData(distance_batch(X, F_xy, F_uv), distance_batch(Y, G_yx, G_vu),
-                            p_f, q_f, p_g, q_g)
+    lhs_f, lhs_g = distance_batch(X, F_xy, F_uv), distance_batch(Y, G_yx, G_vu)
     k, l = family.k, family.l
-    bad_rows = [np.flatnonzero(lhs > k * p + l * q + CONTRACTION_SLACK)
-                for lhs, p, q in ((data.lhs_f, p_f, q_f), (data.lhs_g, p_g, q_g))]
-    k_hat, l_hat = _estimate_constants(data)
+    rhs_f, rhs_g = k * p_f + l * q_f, k * p_g + l * q_g
+    bad_rows = [np.flatnonzero(lhs > rhs + CONTRACTION_SLACK)
+                for lhs, rhs in ((lhs_f, rhs_f), (lhs_g, rhs_g))]
+    f_side = _side_reference("F", lhs_f, rhs_f, (x_hi, x_lo, y_lo, y_hi))
+    g_side = _side_reference("G", lhs_g, rhs_g, (x_lo, x_hi, y_hi, y_lo))
+    contraction = {"passed": f_side["passed"] and g_side["passed"],
+                   "family": family.to_dict(), "inequality_f": f_side, "inequality_g": g_side}
+    p, q = np.concatenate([p_f, p_g]), np.concatenate([q_f, q_g])
+    estimates = None  # degenerate: audit raises SampleError
+    if (np.maximum(p, q) >= RATIO_FLOOR).any():
+        k_hat, l_hat = _min_sum_constants(p, q, np.concatenate([lhs_f, lhs_g]))
+        estimates = {"k": k_hat, "l": l_hat}
 
     y_ctx = sample_points(Y, n, rng)
     x_ctx = sample_points(X, n, rng)
@@ -503,9 +541,7 @@ def _whole_array_audit(F, G, X, Y, family, cfg):
                               "image_high": img_hi[i].tolist()})
     monotone = {"passed": not any(r.size for r in clause_rows),
                 "checked": 4 * cfg.samples_per_check, "counterexamples": witnesses}
-    contraction = _check_contraction(_Sample(rng, x_lo, x_hi, y_lo, y_hi), data, family)
-    return (contraction.to_dict(), monotone, {"k": k_hat, "l": l_hat},
-            bad_rows, clause_rows, witness_rows)
+    return contraction, monotone, estimates, bad_rows, clause_rows, witness_rows
 
 
 def _rare_breaks(rate_f, rate_g):
@@ -523,13 +559,16 @@ def _rare_breaks(rate_f, rate_g):
     return F, G, X, Y
 
 
-@pytest.mark.parametrize("n", [2 * _BLOCK + 1, 2 * _BLOCK])
-@pytest.mark.parametrize("family", [
+BLOCK_FAMILIES = [
     ContractionFamily(FamilyKind.SYM_HALF, 0.6, 0.6),
     ContractionFamily(FamilyKind.LIN_ASYM, 0.3, 0.6),
     ContractionFamily(FamilyKind.KANNAN, 0.3, 0.3),
     ContractionFamily(FamilyKind.CHATTERJEA, 0.3, 0.3),
-], ids=lambda f: f.kind.value)
+]
+
+
+@pytest.mark.parametrize("n", [2 * _BLOCK + 1, 2 * _BLOCK])
+@pytest.mark.parametrize("family", BLOCK_FAMILIES, ids=lambda f: f.kind.value)
 def test_blocked_audit_matches_the_whole_array_reference(family, n, monkeypatch):
     F, G, X, Y = _rare_breaks(1 / 4000, 1 / 2500)
     cfg = SamplerConfig(samples_per_check=n, rng_seed=0)
@@ -556,6 +595,40 @@ def test_blocked_audit_matches_the_whole_array_reference(family, n, monkeypatch)
     assert got["mixed_monotone"] == monotone
     assert got["estimated_constants"] == estimates
     assert max(block_rows) == _BLOCK and sum(block_rows) == 12 * n
+
+
+@pytest.mark.parametrize("block", [7, _BLOCK])
+@ORDER_PAIRS
+def test_audit_matches_the_whole_sample_reference_at_block_edges(x_kind, y_kind, dx, dy, block,
+                                                                 monkeypatch):
+    # an odd block size starts every other block on an odd row: the listed
+    # relations of DISCRETE_PLUS_PAIRS fall on the whole sample's odd rows
+    monkeypatch.setattr(hypotheses, "_BLOCK", block)
+    F, G, X, Y = _planted_problem(x_kind, y_kind, dx, dy, corner=0.6)
+    x0, y0 = point(*[0.5] * dx), point(*[0.5] * dy)
+    for n in (1, block - 1, block, block + 1, 2 * block + 3):
+        for family in BLOCK_FAMILIES:
+            cfg = SamplerConfig(samples_per_check=n, rng_seed=7)
+            contraction, monotone, estimates, bad_rows, _, witness_rows = \
+                _whole_array_audit(F, G, X, Y, family, cfg)
+            got = audit(F, G, X, Y, family, x0, y0, cfg).to_dict()
+            assert got["contraction"] == contraction
+            assert got["mixed_monotone"] == monotone
+            if estimates is None:
+                with pytest.raises(SampleError, match="degenerate"):
+                    audit(F, G, X, Y, family, x0, y0, cfg, with_estimates=True)
+            else:
+                rep = audit(F, G, X, Y, family, x0, y0, cfg, with_estimates=True)
+                assert rep.estimated_constants == estimates
+    # in the largest sample the contraction violations fall in more than one
+    # block; at block size 7 the witnesses do too, and in more than one
+    # clause, but under a discrete X order, where every differing Y pair
+    # breaks F_decr_second
+    assert all(len(set(rows // block)) > 1 for rows in bad_rows)
+    if block == 7:
+        clauses = {w["clause"] for w in monotone["counterexamples"]}
+        assert len({r // block for r in witness_rows}) > 1
+        assert len(clauses) > 1 or x_kind is D and clauses == {"F_decr_second"}
 
 
 def test_contraction_phase_error_names_the_first_whole_image_sample(corpus):
@@ -592,6 +665,103 @@ def test_monotonicity_phase_error_names_the_first_whole_image_sample(corpus):
     assert str(err.value) == (
         "non-finite value in output coordinate 1 at sample 16384 (inputs "
         "a=[-8.757199925059268], b=[3.6935108193649233])")
+
+
+def test_positioned_draws_equal_one_whole_draw():
+    # the audit draws its sample block by block from SamplerConfig.rng(),
+    # moved with bit_generator.advance; that holds while random takes one
+    # 64-bit output per double, and a numpy change that breaks it fails here
+    whole = SamplerConfig(rng_seed=11).rng().random((40, 3))
+    rng, at, parts = SamplerConfig(rng_seed=11).rng(), 0, {}
+    for start, stop in ((25, 40), (0, 10), (10, 25)):  # back to row 0 wraps the period
+        rng.bit_generator.advance((3 * start - at) % 2**128)
+        parts[start] = rng.random((stop - start, 3))
+        at = 3 * stop
+    assert np.array_equal(np.concatenate([parts[r] for r in sorted(parts)]), whole)
+
+
+def _whole_sample(p, cfg):
+    """The audit's sample drawn whole: X pairs, Y pairs, Y contexts, X contexts."""
+    n, rng = cfg.samples_per_check, cfg.rng()
+    return (*ordered_pairs(p.X, n, rng), *ordered_pairs(p.Y, n, rng),
+            sample_points(p.Y, n, rng), sample_points(p.X, n, rng))
+
+
+def _first_image_error(*images):
+    """The message of the first EvaluationError among whole map images."""
+    for m, A, B in images:
+        try:
+            eval_map_batch(m, A, B)
+        except EvaluationError as exc:
+            return str(exc)
+    return None
+
+
+def test_contraction_error_in_a_late_block_comes_before_a_monotonicity_error(corpus,
+                                                                           monkeypatch):
+    monkeypatch.setattr(hypotheses, "_BLOCK", 7)
+    p = corpus["ex1"].problem
+    cfg = SamplerConfig(samples_per_check=30, rng_seed=0)
+    x_lo, x_hi, y_lo, y_hi, y_ctx, x_ctx = _whole_sample(p, cfg)
+    # F has a pole at x_hi of row 25, in block 3; G one at the X context of
+    # row 2, in block 0
+    F = parse_map(f"(a1 - b1)/3 + 1/(a1 - ({float(x_hi[25, 0])!r}))", 1, 1, 1)
+    G = parse_map(f"(a1 - b1)/5 + 1/(b1 - ({float(x_ctx[2, 0])!r}))", 1, 1, 1)
+    want = _first_image_error((F, x_hi, y_lo))
+    assert "at sample 25 " in want
+    with pytest.raises(EvaluationError) as err:
+        audit(F, G, p.X, p.Y, p.family, *p.seed, cfg)
+    assert str(err.value) == want
+    # alone, the monotonicity check meets F's pole in its first clause first
+    want = _first_image_error((F, x_lo, y_ctx), (F, x_hi, y_ctx), (G, y_ctx, x_lo),
+                              (G, y_ctx, x_hi), (F, x_ctx, y_lo), (F, x_ctx, y_hi),
+                              (G, y_lo, x_ctx), (G, y_hi, x_ctx))
+    assert "at sample 25 " in want
+    with pytest.raises(EvaluationError) as err:
+        check_mixed_monotone(F, G, p.X, p.Y, cfg)
+    assert str(err.value) == want
+
+
+def test_contraction_error_in_a_late_block_comes_before_an_early_overflow(corpus, monkeypatch):
+    monkeypatch.setattr(hypotheses, "_BLOCK", 7)
+    p = corpus["ex1"].problem
+    cfg = SamplerConfig(samples_per_check=30, rng_seed=0)
+    x_lo, x_hi, y_lo, y_hi, _, _ = _whole_sample(p, cfg)
+
+    def bump(v):  # 1 at v, 0 at every other sampled coordinate
+        return f"max(1 - 1e12*abs(a1 - ({float(v)!r})), 0)"
+
+    # F(x_hi, y_lo) = 1.5e308 and F(x_lo, y_hi) = -1.5e308 at row 3: their
+    # distance overflows
+    overflowing = f"(a1 - b1)/3 + 1.5e308*{bump(x_hi[3, 0])} - 1.5e308*{bump(x_lo[3, 0])}"
+    with pytest.raises(SampleError) as err:
+        audit(parse_map(overflowing, 1, 1, 1), p.G, p.X, p.Y, p.family, *p.seed, cfg)
+    assert str(err.value) == "a sampled distance overflows at contraction sample 3"
+    # a pole of F(x_lo, y_hi) at row 25, in block 3, comes first
+    F = parse_map(f"{overflowing} + 1/(a1 - ({float(x_lo[25, 0])!r}))", 1, 1, 1)
+    want = _first_image_error((F, x_hi, y_lo), (F, x_lo, y_hi))
+    assert "at sample 25 " in want
+    with pytest.raises(EvaluationError) as err:
+        audit(F, p.G, p.X, p.Y, p.family, *p.seed, cfg)
+    assert str(err.value) == want
+
+
+def test_estimate_terms_that_cannot_be_allocated_raise_sample_error(corpus, monkeypatch):
+    # the sample's arrays can be allocated, the estimate's 6n terms cannot
+    p = corpus["ex1"].problem
+    empty = np.empty
+
+    def refusing(shape, *args, **kwargs):
+        if shape == (3, 2, 300):
+            raise MemoryError("Unable to allocate 14.1 KiB")
+        return empty(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "empty", refusing)
+    with pytest.raises(SampleError) as err:
+        audit(p.F, p.G, p.X, p.Y, p.family, *p.seed, SamplerConfig(300, 0), with_estimates=True)
+    assert str(err.value) == ("cannot hold the estimate's terms of 300 samples: "
+                              "Unable to allocate 14.1 KiB")
+    audit(p.F, p.G, p.X, p.Y, p.family, *p.seed, SamplerConfig(300, 0))
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,9 @@ def test_every_public_name_resolves_and_is_listed_once():
     (hypotheses, "_blocks"),
     (hypotheses, "_whole_batch_error"),
     (hypotheses, "_rows"),
+    (hypotheses, "_by_block"),
+    (hypotheses, "_sample"),
+    (hypotheses, "_ContractionData"),
     (solver.IterationTrace, "points"),
     (spaces, "sample_ordered_pairs"),
     (spaces.SpaceSpec, "weights_array"),
