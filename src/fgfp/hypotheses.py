@@ -64,7 +64,8 @@ RATIO_FLOOR = 1e-14
 MAX_WITNESSES = 10
 # Sample rows per block of the audit's walk: a block's draws, images and
 # terms stay in cache and reuse freed memory, where full-size arrays
-# would fault in fresh pages.
+# would fault in fresh pages.  The blocks are column-major, so each
+# column that a kernel reads is contiguous.
 _BLOCK = 8192
 
 
@@ -426,7 +427,7 @@ def _side_result(side: str, lhs: np.ndarray, rhs: np.ndarray, roles: tuple[np.nd
     ``roles`` are the x, u, y, v arrays."""
     bad = np.flatnonzero(lhs > rhs + CONTRACTION_SLACK)
     usable = rhs >= RATIO_FLOOR
-    ratio = float((lhs[usable] / rhs[usable]).max()) if usable.any() else None
+    ratio = float(np.divide(*_kept(usable, lhs, rhs)).max()) if usable.any() else None
     ratios = [r for r in (before.max_ratio, ratio) if r is not None]
     violations = tuple({"side": side, **{r: a[i].tolist() for r, a in zip("xuyv", roles)},
                         "lhs": float(lhs[i]), "rhs": float(rhs[i])}
@@ -446,6 +447,12 @@ def _kept(mask: np.ndarray, *columns: np.ndarray) -> tuple[np.ndarray, ...]:
     """The columns' rows where ``mask`` holds; the columns themselves where
     it holds on every row, which boolean indexing copies slowly."""
     return columns if mask.all() else tuple(a[mask] for a in columns)
+
+
+def _where(mask: np.ndarray) -> np.ndarray | bool:
+    """A ufunc ``where`` argument for ``mask``: True where it holds on every
+    row, as a masked ufunc runs slowly even on a mask of all True."""
+    return True if mask.all() else mask
 
 
 def _min_sum_constants(p: np.ndarray, q: np.ndarray, c: np.ndarray) -> tuple[float, float]:
@@ -477,8 +484,10 @@ def _min_sum_constants(p: np.ndarray, q: np.ndarray, c: np.ndarray) -> tuple[flo
     of a crossing overflow, the lines are first divided through by q; a
     crossing of two infinite lines is nan and goes to hi.
 
-    Each pass over the rows writes one reused buffer, which ``top``
-    returns: read it before the next pass.  Rows whose scales span more
+    Each pass over the rows writes one reused buffer, masked to the rows
+    it concerns, so that no row is copied once the rows with c_i at or
+    below RATIO_FLOOR are dropped; rows without l-leverage read -inf as
+    lines, and the zero line is kept apart.  Rows whose scales span more
     than about 1e100 can get a feasible but far from minimal l: ``top``
     values a falling line as (c - k p)/q, whose cancellation error, about
     c 1e-16 / q, can exceed the optimal l.
@@ -489,49 +498,65 @@ def _min_sum_constants(p: np.ndarray, q: np.ndarray, c: np.ndarray) -> tuple[flo
     p, q, c = _kept(active, p, q, c)
     p_ok = p > RATIO_FLOOR
     q_ok = q > RATIO_FLOOR
-    if bool((~p_ok & ~q_ok).any()):
+    if not (p_ok | q_ok).all():
         return math.inf, math.inf  # some sampled inequality admits no constants
+    buf = np.empty_like(c)  # every pass over the rows writes here
+
+    def max_ratio(mask: np.ndarray) -> float:
+        """The largest c/p on the rows where ``mask`` holds."""
+        rows = _where(mask)
+        np.divide(c, p, out=buf, where=rows)
+        return float(buf.max(where=rows, initial=-math.inf))
+
     with np.errstate(over="ignore"):
         # rows with no l-leverage force a floor on k
-        k_floor = float((c[~q_ok] / p[~q_ok]).max()) if bool((~q_ok).any()) else 0.0
-        c_p, p_p = _kept(p_ok, c, p)
-        k_hi = float((c_p / p_p).max()) if p_ok.any() else 0.0
+        k_floor = 0.0 if q_ok.all() else max_ratio(~q_ok)
+        k_hi = max_ratio(p_ok) if p_ok.any() else 0.0
     if k_floor == math.inf:
         return math.inf, math.inf
     k_hi = min(max(k_floor, k_hi), sys.float_info.max)
 
-    # line 0 is the zero line, so a tie at l = 0 picks it
-    lp, lq, lc = (np.concatenate(([v], a)) for v, a in zip((0.0, 1.0, 0.0), _kept(q_ok, p, q, c)))
+    # the rows with l-leverage are the lines; the zero line is line -1,
+    # which a tie on top picks
+    lines = _where(q_ok)
+    np.copyto(buf, -math.inf, where=~q_ok)
 
-    buf = np.empty_like(lc)  # each pass writes the lines' values at k here
+    def line(i: int) -> tuple[float, float, float]:
+        return (0.0, 1.0, 0.0) if i < 0 else (float(p[i]), float(q[i]), float(c[i]))
 
-    def top(k: float) -> tuple[np.ndarray, int]:
+    def at(i: int) -> float:
+        """Line i's value at the k of the last pass."""
+        return 0.0 if i < 0 else float(buf[i])
+
+    def top(k: float) -> int:
         with np.errstate(over="ignore"):
-            np.multiply(k, lp, out=buf)
-            np.subtract(lc, buf, out=buf)
-            np.divide(buf, lq, out=buf)
-        return buf, int(buf.argmax())
+            np.multiply(k, p, out=buf, where=lines)
+            np.subtract(c, buf, out=buf, where=lines)
+            np.divide(buf, q, out=buf, where=lines)
+        m = int(buf.argmax())
+        return -1 if buf[m] <= 0.0 else m
 
     def falls(i: int) -> bool:
-        return bool(lp[i] > lq[i])
+        p_i, q_i, _ = line(i)
+        return p_i > q_i
 
     lo, hi = k_floor, k_hi
-    l, a = top(lo)
+    a = top(lo)
     if not falls(a):
-        return lo, float(l[a])
-    l, b = top(hi)
+        return lo, at(a)
+    b = top(hi)
     if falls(b):
-        return hi, float(l[b])
+        return hi, at(b)
     while True:
-        pa, qa, ca, pb, qb, cb = (float(v) for v in (lp[a], lq[a], lc[a], lp[b], lq[b], lc[b]))
+        (pa, qa, ca), (pb, qb, cb) = line(a), line(b)
         num, den = ca * qb - cb * qa, pa * qb - pb * qa
         if not math.isfinite(num + den):
             num, den = ca / qa - cb / qb, pa / qa - pb / qb
         # den > 0 in exact arithmetic; 0 if parallel to rounding
         k = max(lo, min(hi, num / den)) if den > 0.0 else lo
-        l, m = top(k)
-        if l[m] <= max(l[a], l[b]):
-            return k, float(l[m])
+        m = top(k)
+        if at(m) <= max(at(a), at(b)):
+            return k, at(m)
         if falls(m):
             lo, a = k, m
         else:

@@ -375,11 +375,13 @@ def evaluation_count() -> int:
 def eval_map_batch(m: MapSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Evaluate the map over batches: A is (n, first_arg_dim), B is (n, second_arg_dim).
 
-    Returns (n, out_dim).  Raises EvaluationError if any output is non-finite
+    Takes batches of any memory layout and returns (n, out_dim) in
+    column-major order, as the vector mode writes one column per output
+    coordinate.  Raises EvaluationError if any output is non-finite
     (runtime division by zero shows up here as inf/nan).
     """
-    A = np.ascontiguousarray(A, dtype=np.float64)
-    B = np.ascontiguousarray(B, dtype=np.float64)
+    A = np.asarray(A, dtype=np.float64)
+    B = np.asarray(B, dtype=np.float64)
     if A.ndim != 2 or B.ndim != 2 or A.shape[0] != B.shape[0]:
         raise DimensionMismatch("argument batches must be 2-d with matching row counts")
     if A.shape[1] != m.first_arg_dim or B.shape[1] != m.second_arg_dim:
@@ -395,7 +397,7 @@ def _eval_vector(m: MapSpec, A: np.ndarray, B: np.ndarray, single: bool) -> np.n
     only the inputs when the batch is a ``single`` point."""
     global _eval_rows
     n = A.shape[0]
-    out = np.empty((n, m.out_dim), dtype=np.float64)
+    out = np.empty((n, m.out_dim), dtype=np.float64, order="F")
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         m.vector(A, B, out)
     _eval_rows += n

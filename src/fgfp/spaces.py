@@ -393,32 +393,34 @@ def distance_batch(space: SpaceSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray
     return total
 
 
-def empty_sample(space: SpaceSpec, n: int) -> np.ndarray:
-    """An uninitialised (n, dim) array, or SampleError where it cannot be
-    allocated."""
+def empty_sample(space: SpaceSpec, n: int, order: str = "C") -> np.ndarray:
+    """An uninitialised (n, dim) array in ``order``, or SampleError where
+    it cannot be allocated."""
     try:
-        return np.empty((n, space.dim))
+        return np.empty((n, space.dim), order=order)
     except (MemoryError, ValueError) as exc:  # ValueError: n * dim overflows
         raise SampleError(f"cannot draw {n} samples of dimension {space.dim}: {exc}") from None
 
 
 def sample_points(space: SpaceSpec, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform samples from the sampling box, shape (n, dim).
+    """Uniform samples from the sampling box, shape (n, dim), column-major.
 
     Bit for bit ``rng.uniform(lo, hi, (n, dim))``, whose formula is
-    ``lo + (hi - lo) * u`` on ``rng.random``'s doubles; applied here one
-    column at a time, as ``uniform`` is slow to broadcast bounds along a
-    short inner axis.  Raises SampleError where hi - lo overflows or where
-    the (n, dim) draw cannot be allocated.
+    ``lo + (hi - lo) * u`` on ``rng.random``'s doubles.  Those are drawn
+    row-major, in ``uniform``'s order; each column is scaled into a
+    column-major result, so that the kernels reading it one column at a
+    time read contiguous memory.  Raises SampleError where hi - lo
+    overflows or where the (n, dim) draw cannot be allocated.
     """
     U = rng.random(out=empty_sample(space, n))
-    for col, lo, hi in zip(U.T, *space.sampling_box):
+    S = U if space.dim == 1 else empty_sample(space, n, order="F")
+    for u, s, lo, hi in zip(U.T, S.T, *space.sampling_box):
         extent = hi - lo
         if not math.isfinite(extent):
             raise SampleError(f"sampling box extent {hi!r} - {lo!r} overflows")
-        col *= extent
-        col += lo
-    return U
+        np.multiply(u, extent, out=s)
+        s += lo
+    return S
 
 
 def ordered_pairs(space: SpaceSpec, n: int,
@@ -436,12 +438,12 @@ def pair_rows(space: SpaceSpec, first: int, U: np.ndarray,
     same rows of its draws U and, for a componentwise order, V: their
     rowwise min and max; for a discrete order, equal pairs from U with
     every odd row of the whole sample set to a listed relation.  Takes
-    over U and V."""
+    over U and V, and keeps their memory layout."""
     if V is not None:
         lo, hi = np.minimum(U, V), np.maximum(U, V, out=V)
         return (hi, lo) if space.order.kind is OrderKind.COMPONENTWISE_REVERSED else (lo, hi)
     closure = space.order.closure
-    hi = U.copy()
+    hi = U.copy(order="K")
     if closure:
         rows = np.arange((first + 1) % 2, len(U), 2)
         pairs = np.asarray(closure, dtype=np.float64)[((first + rows) // 2) % len(closure)]

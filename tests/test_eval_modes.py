@@ -77,6 +77,35 @@ def test_vector_mode_copies_bare_variable_output():
     assert out[0, 0] == 1.0
 
 
+def test_batches_of_any_layout_give_the_same_bits_column_major():
+    m = parse_map("a1*b2 - a3; min(a2, b1)/3 + a1; abs(a3 - b2)", 3, 2, 3)
+    rng = np.random.default_rng(9)
+    A = rng.uniform(-5, 5, (40, 3))
+    B = rng.uniform(-5, 5, (40, 2))
+    wide_A, wide_B = rng.uniform(-5, 5, (80, 7)), rng.uniform(-5, 5, (80, 5))
+    wide_A[::2, 1:6:2], wide_B[::2, ::3] = A, B
+    layouts = {"C": (A, B), "F": (np.asfortranarray(A), np.asfortranarray(B)),
+               "strided": (wide_A[::2, 1:6:2], wide_B[::2, ::3])}
+    want = eval_map_batch(m, A, B)
+    for name, (a, b) in layouts.items():
+        out = eval_map_batch(m, a, b)
+        assert out.flags.f_contiguous, name
+        assert np.array_equal(out.view(np.int64), want.view(np.int64)), name
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_the_first_non_finite_output_is_named_in_row_order(order):
+    # two rows and two coordinates fail; column-major memory holds (5, 1)
+    # first, row order (3, 2)
+    m = parse_map("1/a1; 1/a2", 2, 1, 2)
+    A = np.array(np.arange(1.0, 17.0).reshape(8, 2), order=order)
+    A[5, 0] = A[3, 1] = 0.0
+    with pytest.raises(EvaluationError) as err:
+        eval_map_batch(m, A, np.zeros((8, 1), order=order))
+    assert str(err.value) == ("non-finite value in output coordinate 2 at sample 3 "
+                              "(inputs a=[7.0, 0.0], b=[0.0])")
+
+
 def test_generated_source_is_pinned():
     # every operator, a unary "+", a three-argument min, a constant the
     # vector mode hoists once (k0), an infinite literal, and a2 read

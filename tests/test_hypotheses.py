@@ -489,14 +489,36 @@ def _side_reference(side, lhs, rhs, roles):
                            for i in bad[:MAX_WITNESSES]]}
 
 
+def _uniform(S, n, rng):
+    """n row-major uniform draws from S's sampling box."""
+    return rng.uniform(*S.sampling_box, (n, S.dim))
+
+
+def _reference_pairs(S, n, rng):
+    """``ordered_pairs(S, n, rng)`` built from row-major ``uniform`` draws,
+    sharing no code with ``spaces``' sampling: the rowwise min and max of
+    two draws, or one draw with the listed relations on its odd rows."""
+    if S.order.componentwise:
+        U, V = _uniform(S, n, rng), _uniform(S, n, rng)
+        lo, hi = np.minimum(U, V), np.maximum(U, V)
+        return (hi, lo) if S.order.kind is OrderKind.COMPONENTWISE_REVERSED else (lo, hi)
+    lo = _uniform(S, n, rng)
+    hi = lo.copy()
+    closure = S.order.closure
+    if closure:
+        for i in range(1, n, 2):
+            lo[i], hi[i] = closure[(i // 2) % len(closure)]
+    return lo, hi
+
+
 def _whole_array_audit(F, G, X, Y, family, cfg):
     """The audit's contraction and monotonicity results, with every map
     image evaluated whole, from X pairs, Y pairs, Y contexts and X contexts
-    drawn in that order; also the global rows of the contraction violations
-    and of the monotonicity witnesses."""
+    drawn in that order with ``rng.uniform``, row-major; also the global
+    rows of the contraction violations and of the monotonicity witnesses."""
     rng, n = cfg.rng(), cfg.samples_per_check
-    x_lo, x_hi = ordered_pairs(X, n, rng)
-    y_lo, y_hi = ordered_pairs(Y, n, rng)
+    x_lo, x_hi = _reference_pairs(X, n, rng)
+    y_lo, y_hi = _reference_pairs(Y, n, rng)
     F_xy, F_uv = eval_map_batch(F, x_hi, y_lo), eval_map_batch(F, x_lo, y_hi)
     G_yx, G_vu = eval_map_batch(G, y_hi, x_lo), eval_map_batch(G, y_lo, x_hi)
     pairs = _Pairs(partial(distance_batch, X), partial(distance_batch, Y),
@@ -517,8 +539,8 @@ def _whole_array_audit(F, G, X, Y, family, cfg):
         k_hat, l_hat = _min_sum_constants(p, q, np.concatenate([lhs_f, lhs_g]))
         estimates = {"k": k_hat, "l": l_hat}
 
-    y_ctx = sample_points(Y, n, rng)
-    x_ctx = sample_points(X, n, rng)
+    y_ctx = _uniform(Y, n, rng)
+    x_ctx = _uniform(X, n, rng)
     clauses = (
         ("F_incr_first", X, x_lo, x_hi, y_ctx,
          eval_map_batch(F, x_lo, y_ctx), eval_map_batch(F, x_hi, y_ctx), False),
@@ -629,6 +651,30 @@ def test_audit_matches_the_whole_sample_reference_at_block_edges(x_kind, y_kind,
         clauses = {w["clause"] for w in monotone["counterexamples"]}
         assert len({r // block for r in witness_rows}) > 1
         assert len(clauses) > 1 or x_kind is D and clauses == {"F_decr_second"}
+
+
+@ORDER_PAIRS
+def test_the_walk_passes_contiguous_columns(x_kind, y_kind, dx, dy, monkeypatch):
+    # every kernel reads its arrays one column at a time
+    F, G, X, Y = _planted_problem(x_kind, y_kind, dx, dy)
+    seen = []
+
+    def spy(kernel):
+        def call(*args):
+            out = kernel(*args)
+            seen.extend(a for a in (*args, out) if isinstance(a, np.ndarray) and a.ndim == 2)
+            return out
+        return call
+
+    for name in ("eval_map_batch", "distance_batch", "leq_batch"):
+        monkeypatch.setattr(hypotheses, name, spy(getattr(hypotheses, name)))
+    for m in (F, G):  # the generated vector mode, which eval_map_batch runs
+        object.__setattr__(m, "vector", spy(m.vector))
+    cfg = SamplerConfig(samples_per_check=50, rng_seed=3)
+    kannan = BLOCK_FAMILIES[2]  # its distance terms read the pairs and the images
+    audit(F, G, X, Y, kannan, point(*[0.5] * dx), point(*[0.5] * dy), cfg, with_estimates=True)
+    assert {a.shape[1] for a in seen} == {dx, dy}
+    assert all(a.strides[0] == a.itemsize for a in seen)
 
 
 def test_contraction_phase_error_names_the_first_whole_image_sample(corpus):

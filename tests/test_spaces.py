@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from fgfp import (DimensionMismatch, MetricKind, SampleError, MetricSpec, OrderKind,
                   OrderSpec, Point, box_space, leq, point, product_leq)
 from fgfp.spaces import (DOMAIN_TOL, common_bounds_batch, distance_batch, leq_batch,
-                         metric_distance, ordered_pairs, product_metric_distance,
-                         sample_points)
+                         metric_distance, ordered_pairs, pair_rows,
+                         product_metric_distance, sample_points)
 
 INF = float("inf")
 
@@ -240,6 +240,29 @@ def test_sample_ordered_pairs_are_ordered(order):
     assert equal.any() == (order.kind in (OrderKind.DISCRETE, OrderKind.DISCRETE_PLUS_PAIRS))
 
 
+ORDERS = [
+    OrderSpec(kind=OrderKind.COMPONENTWISE),
+    OrderSpec(kind=OrderKind.COMPONENTWISE_REVERSED),
+    OrderSpec(kind=OrderKind.DISCRETE),
+    OrderSpec(kind=OrderKind.DISCRETE_PLUS_PAIRS,
+              extra_pairs=((point(0.0, 0.0, 1.0), point(1.0, 0.5, 1.0)),)),
+]
+
+
+@pytest.mark.parametrize("order", ORDERS, ids=[kind.value for kind in OrderKind])
+@pytest.mark.parametrize("first", [0, 3])
+def test_pair_rows_keep_the_input_layout(order, first):
+    space = box_space((-3.0,) * 3, (3.0,) * 3, order=order)
+    rng = np.random.default_rng(5)
+    draws = [rng.uniform(-3.0, 3.0, (9, 3)) for _ in range(1 + order.componentwise)]
+    # pair_rows takes over its draws, so each call gets copies
+    by_c = pair_rows(space, first, *(np.array(d, order="C") for d in draws))
+    by_f = pair_rows(space, first, *(np.array(d, order="F") for d in draws))
+    for c_half, f_half in zip(by_c, by_f):
+        assert c_half.flags.c_contiguous and f_half.flags.f_contiguous
+        assert np.array_equal(c_half.view(np.uint64), f_half.view(np.uint64))
+
+
 # ---------------------------------------------------------------------------
 # product space
 
@@ -382,6 +405,8 @@ def test_sample_points_are_numpy_uniform_bit_for_bit(lower, upper, n):
             want = numpys.uniform(lower, upper, (n, len(lower)))
             assert got.shape == want.shape
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            # column-major, so that each column the kernels read is contiguous
+            assert got.flags.f_contiguous
             # and the generator is left where uniform leaves it
             assert ours.bit_generator.state == numpys.bit_generator.state
 
