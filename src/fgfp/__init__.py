@@ -11,9 +11,7 @@ from .errors import (DimensionMismatch, DomainError, EvaluationError,
                      ExpressionError, FgfpError, ProblemFileError, SampleError,
                      SeedConditionError, SolveError)
 from .hypotheses import (ContractionFamily, FamilyKind, HypothesisReport,
-                         SamplerConfig, audit, check_comparability,
-                         check_contraction, check_mixed_monotone, check_seed,
-                         estimate_constants)
+                         SamplerConfig, audit, check_comparability, check_seed)
 from .maps import MapSpec, eval_map, eval_map_batch, iterate_pair, parse_map
 from .solver import (FGFixedPointResult, IterationTrace, ProblemSpec,
                      UniquenessReport, solve, step_bound, tail_bound,
@@ -29,8 +27,7 @@ __all__ = [
     "FgfpError", "ProblemFileError", "SampleError", "SeedConditionError",
     "SolveError",
     "ContractionFamily", "FamilyKind", "HypothesisReport", "SamplerConfig",
-    "audit", "check_comparability", "check_contraction",
-    "check_mixed_monotone", "check_seed", "estimate_constants",
+    "audit", "check_comparability", "check_seed",
     "MapSpec", "eval_map", "eval_map_batch", "iterate_pair", "parse_map",
     "FGFixedPointResult", "IterationTrace", "ProblemSpec", "UniquenessReport",
     "solve", "step_bound", "tail_bound", "trace_to_csv", "uniqueness_probe",

@@ -1,19 +1,19 @@
 """Sampled audits of the solver's operating assumptions.
 
-Each sampled checker draws a deterministic sample stream from a PRNG
-seeded by its ``SamplerConfig``, tests one assumption on every sample,
-and returns a verdict plus re-checkable counterexamples: sampled evidence
-over the spaces' sampling boxes, not proofs; reports carry ``"evidence":
+``audit`` draws a deterministic sample from a PRNG seeded by its
+``SamplerConfig``, tests each assumption on every sample, and returns
+verdicts plus re-checkable counterexamples: sampled evidence over the
+spaces' sampling boxes, not proofs; reports carry ``"evidence":
 "sampled"``.  The orders alone decide comparability, with no sample.
 One sample of ordered pairs, X pairs then Y pairs, serves the contraction
-check, the constant estimate and the monotonicity check, which draws its
-contexts after it from the same generator; ``audit`` runs all three in
-one walk over the sample.  The walk draws each block of ``_BLOCK`` sample
-rows where it is used, as ``_sample_blocks`` says, and runs every check
-on it while it is in cache; the checks keep per-block verdicts and
-witnesses, and only the constant estimate keeps columns of sample size.
-An error in a block is raised by walking again as one block of all rows,
-so that it is the first one of the whole sample.
+check, the constant estimate and the monotonicity check, whose contexts
+are always drawn after it from the same generator; ``audit`` runs all
+three in one walk over the sample.  The walk draws each block of
+``_BLOCK`` sample rows where it is used, as ``_sample_blocks`` says, and
+runs every check on it while it is in cache; the checks keep per-block
+verdicts and witnesses, and only the constant estimate keeps columns of
+sample size.  An error in a block is raised by walking again as one
+block of all rows, so that it is the first one of the whole sample.
 
 The four contraction families bound d(F(x,y), F(u,v)) on order-comparable
 pairs (x >= u, y <= v) by k p + l q for the distance terms (p, q) below; the
@@ -47,6 +47,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
 from itertools import accumulate, chain
+from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
@@ -191,40 +192,41 @@ class SamplerConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.samples_per_check, int) or self.samples_per_check < 1:
+        if type(self.samples_per_check) is not int or self.samples_per_check < 1:
             raise ValueError("samples_per_check must be a positive integer")
+        if not isinstance(self.rng_seed, Integral) or self.rng_seed < 0:
+            raise ValueError("rng_seed must be a nonnegative integer")
 
     def rng(self) -> np.random.Generator:
         return np.random.default_rng(self.rng_seed)
 
 
 class _Block(NamedTuple):
-    """Rows ``rows`` of the audit's sample: the order-comparable pairs and,
-    when the monotonicity check runs, its contexts."""
+    """Rows ``rows`` of the audit's sample: the order-comparable pairs and
+    the monotonicity check's contexts."""
 
     rows: slice
     x_lo: np.ndarray
     x_hi: np.ndarray
     y_lo: np.ndarray
     y_hi: np.ndarray
-    y_ctx: np.ndarray | None = None
-    x_ctx: np.ndarray | None = None
+    y_ctx: np.ndarray
+    x_ctx: np.ndarray
 
 
-def _sample_blocks(X: SpaceSpec, Y: SpaceSpec, n: int, rng: np.random.Generator,
-                   contexts: bool, size: int):
+def _sample_blocks(X: SpaceSpec, Y: SpaceSpec, n: int, rng: np.random.Generator, size: int):
     """Yield the ``_Block``s of ``size`` consecutive rows covering range(n).
 
     Drawn whole, the sample takes its (n, dim) ``sample_points`` arrays
     from ``rng`` in this order: the draws of ``ordered_pairs`` on X, then
-    on Y, then, with ``contexts``, the Y and the X contexts.  ``random``
+    on Y, then the Y and the X contexts, which are always drawn.  ``random``
     takes one 64-bit output of the generator per double, so row r of an
     array that starts at output o begins at output o + r * dim.  A block
     draws each array's rows there, moving the generator with ``advance``
     (backwards by going round its 2^128 period), so its rows are the whole
     sample's bit for bit; a sample of one block draws as a whole one does."""
     kx, ky = 1 + X.order.componentwise, 1 + Y.order.componentwise
-    arrays = [X] * kx + [Y] * ky + ([Y, X] if contexts else [])
+    arrays = [X] * kx + [Y] * ky + [Y, X]
     starts = list(accumulate((n * S.dim for S in arrays), initial=0))
     at = 0  # outputs taken so far
     for i in range(0, n, size):
@@ -347,21 +349,15 @@ class HypothesisReport:
 # ---------------------------------------------------------------------------
 # Checkers
 
-def check_mixed_monotone(F: MapSpec, G: MapSpec, X: SpaceSpec, Y: SpaceSpec,
-                         cfg: SamplerConfig | None = None) -> MonotoneCheck:
-    """Sample the four monotonicity clauses.
+def _monotone_block(F: MapSpec, G: MapSpec, X: SpaceSpec, Y: SpaceSpec, b: _Block,
+                    found: tuple[list, ...]) -> bool:
+    """Whether every row of block ``b`` holds the four monotonicity clauses;
+    each clause's violations are added to its list of ``found``, up to
+    MAX_WITNESSES.
 
     For x1 <= x2 and any y:  F(x1,y) <= F(x2,y)  and  G(y,x1) >= G(y,x2).
     For y1 <= y2 and any x:  F(x,y1) >= F(x,y2)  and  G(y1,x) <= G(y2,x).
     """
-    return _sampled_checks(F, G, X, Y, cfg, monotone=True).mixed_monotone
-
-
-def _monotone_block(F: MapSpec, G: MapSpec, X: SpaceSpec, Y: SpaceSpec, b: _Block,
-                    found: tuple[list, ...]) -> bool:
-    """Whether every row of block ``b`` holds the four clauses; each
-    clause's violations are added to its list of ``found``, up to
-    MAX_WITNESSES."""
     # (clause, space of the images, map, low, high, context, second): a
     # clause that varies the map's second argument puts the context first
     # and asks the images to decrease
@@ -434,13 +430,6 @@ def _side_result(side: str, lhs: np.ndarray, rhs: np.ndarray, roles: tuple[np.nd
                        for i in bad[:MAX_WITNESSES - len(before.violations)])
     return InequalitySide(before.passed and not bad.size, before.checked + len(lhs),
                           max(ratios, default=None), before.violations + violations)
-
-
-def check_contraction(F: MapSpec, G: MapSpec, X: SpaceSpec, Y: SpaceSpec,
-                      family: ContractionFamily,
-                      cfg: SamplerConfig | None = None) -> ContractionCheck:
-    """Sample the family inequality for F (on d_X) and G (on d_Y)."""
-    return _sampled_checks(F, G, X, Y, cfg, family.kind, family).contraction
 
 
 def _kept(mask: np.ndarray, *columns: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -563,32 +552,11 @@ def _min_sum_constants(p: np.ndarray, q: np.ndarray, c: np.ndarray) -> tuple[flo
             hi, b = k, m
 
 
-def estimate_constants(F: MapSpec, G: MapSpec, X: SpaceSpec, Y: SpaceSpec,
-                       kind: FamilyKind | str,
-                       cfg: SamplerConfig | None = None) -> tuple[float, float]:
-    """Smallest constants making all sampled family inequalities hold: the
-    (k, l) minimizing k + l subject to k*p + l*q >= lhs on every F and G row.
-    SYM_HALF's constraints separate (q = 0 on its F rows, p = 0 on its G
-    rows), so its k and l are the largest sampled ratios lhs/p and lhs/q.
-    Uses the same sample as check_contraction for the same config.
-    """
-    return _sampled_checks(F, G, X, Y, cfg, FamilyKind(kind), estimate=True).estimates
-
-
-class _Checks(NamedTuple):
-    contraction: ContractionCheck | None
-    estimates: tuple[float, float] | None
-    mixed_monotone: MonotoneCheck | None
-
-
 def _sampled_checks(F: MapSpec, G: MapSpec, X: SpaceSpec, Y: SpaceSpec,
-                    cfg: SamplerConfig | None, kind: FamilyKind | None = None,
-                    family: ContractionFamily | None = None, estimate: bool = False,
-                    monotone: bool = False) -> _Checks:
-    """The sampled checks in one walk over the sample's blocks: with
-    ``kind``, that family's contraction terms, judged for ``family`` and,
-    with ``estimate``, kept for the constant estimate; with ``monotone``,
-    the monotonicity clauses.
+                    family: ContractionFamily, cfg: SamplerConfig | None, estimate: bool):
+    """``family``'s ContractionCheck, the (k, l) estimated from its kind's
+    terms with ``estimate`` (else None), and the MonotoneCheck, from one
+    walk over the sample's blocks.
 
     Run whole, one after another, the checks meet errors in this order: a
     contraction EvaluationError, an overflowing distance term, a
@@ -596,7 +564,7 @@ def _sampled_checks(F: MapSpec, G: MapSpec, X: SpaceSpec, Y: SpaceSpec,
     row.  A block's error need not be that one, so on any error the walk
     is made again as one block of all rows, which raises it."""
     cfg = cfg or SamplerConfig()
-    walk = partial(_walk, F, G, X, Y, cfg, kind, family, estimate, monotone)
+    walk = partial(_walk, F, G, X, Y, family, cfg, estimate)
     try:
         return walk(_BLOCK)
     except (EvaluationError, SampleError):
@@ -605,9 +573,8 @@ def _sampled_checks(F: MapSpec, G: MapSpec, X: SpaceSpec, Y: SpaceSpec,
     return walk(cfg.samples_per_check)
 
 
-def _walk(F: MapSpec, G: MapSpec, X: SpaceSpec, Y: SpaceSpec, cfg: SamplerConfig,
-          kind: FamilyKind | None, family: ContractionFamily | None, estimate: bool,
-          monotone: bool, size: int) -> _Checks:
+def _walk(F: MapSpec, G: MapSpec, X: SpaceSpec, Y: SpaceSpec, family: ContractionFamily,
+          cfg: SamplerConfig, estimate: bool, size: int):
     n = cfg.samples_per_check
     for S in (X, Y):  # a sample that cannot be drawn whole fails before any draw
         empty_sample(S, n)
@@ -619,26 +586,20 @@ def _walk(F: MapSpec, G: MapSpec, X: SpaceSpec, Y: SpaceSpec, cfg: SamplerConfig
             raise SampleError(f"cannot hold the estimate's terms of {n} samples: {exc}") from None
     found = ([], [], [], [])      # witnesses per monotonicity clause
     monotone_ok = True
-    for b in _sample_blocks(X, Y, n, cfg.rng(), monotone, size):
-        if kind is not None:
-            terms = _contraction_terms(F, G, X, Y, kind, b)
-            if family is not None:
-                roles = (b.x_hi, b.x_lo, b.y_lo, b.y_hi), (b.x_lo, b.x_hi, b.y_hi, b.y_lo)
-                sides = [_side_result(side, lhs, family.k * p + family.l * q, r, before)
-                         for side, (p, q, lhs), r, before in zip("FG", terms, roles, sides)]
-            if estimate:
-                for j, side_terms in enumerate(terms):
-                    pqc[:, j, b.rows] = side_terms
-                if b.rows.stop == n and not (pqc[:2] >= RATIO_FLOOR).any():
-                    raise SampleError("degenerate samples: all inequality right-hand sides are zero")
-        if monotone:
-            monotone_ok = _monotone_block(F, G, X, Y, b, found) and monotone_ok
-    return _Checks(
-        None if family is None else ContractionCheck(sides[0].passed and sides[1].passed,
-                                                     family, *sides),
-        _min_sum_constants(*pqc.reshape(3, -1)) if estimate else None,
-        MonotoneCheck(monotone_ok, 4 * n, tuple(chain(*found))[:MAX_WITNESSES])
-        if monotone else None)
+    for b in _sample_blocks(X, Y, n, cfg.rng(), size):
+        terms = _contraction_terms(F, G, X, Y, family.kind, b)
+        roles = (b.x_hi, b.x_lo, b.y_lo, b.y_hi), (b.x_lo, b.x_hi, b.y_hi, b.y_lo)
+        sides = [_side_result(side, lhs, family.k * p + family.l * q, r, before)
+                 for side, (p, q, lhs), r, before in zip("FG", terms, roles, sides)]
+        if estimate:
+            for j, side_terms in enumerate(terms):
+                pqc[:, j, b.rows] = side_terms
+            if b.rows.stop == n and not (pqc[:2] >= RATIO_FLOOR).any():
+                raise SampleError("degenerate samples: all inequality right-hand sides are zero")
+        monotone_ok = _monotone_block(F, G, X, Y, b, found) and monotone_ok
+    return (ContractionCheck(sides[0].passed and sides[1].passed, family, *sides),
+            _min_sum_constants(*pqc.reshape(3, -1)) if estimate else None,
+            MonotoneCheck(monotone_ok, 4 * n, tuple(chain(*found))[:MAX_WITNESSES]))
 
 
 def _factor_witness(space: SpaceSpec) -> tuple[bool, tuple | None]:
@@ -676,17 +637,13 @@ def audit(F: MapSpec, G: MapSpec, X: SpaceSpec, Y: SpaceSpec,
           family: ContractionFamily, x0: Point, y0: Point,
           cfg: SamplerConfig | None = None,
           with_estimates: bool = False) -> HypothesisReport:
-    """Run every checker and aggregate the verdicts into one report."""
-    checks = _sampled_checks(F, G, X, Y, cfg, family.kind, family, with_estimates, True)
-    estimates = None
-    if with_estimates:
-        k_hat, l_hat = checks.estimates
-        estimates = {"k": k_hat, "l": l_hat}
+    """Run every checker and aggregate the verdicts into one report.
+
+    ``with_estimates`` adds the (k, l) of least k + l with k*p + l*q >= lhs
+    on every sampled F and G row of ``family``'s kind.  It reads only the
+    kind: ``ContractionFamily(kind, 0.0, 0.0)`` gives any kind's."""
+    contraction, estimates, monotone = _sampled_checks(F, G, X, Y, family, cfg, with_estimates)
     return HypothesisReport(
-        family=family,
-        mixed_monotone=checks.mixed_monotone,
-        seed=check_seed(F, G, X, Y, x0, y0),
-        contraction=checks.contraction,
-        comparability=check_comparability(X, Y),
-        estimated_constants=estimates,
-    )
+        family=family, mixed_monotone=monotone, seed=check_seed(F, G, X, Y, x0, y0),
+        contraction=contraction, comparability=check_comparability(X, Y),
+        estimated_constants=None if estimates is None else dict(zip("kl", estimates)))

@@ -302,16 +302,17 @@ def _fmt_float(x: float) -> str:
     return '"inf"' if x > 0 else ('"-inf"' if x < 0 else '"nan"')
 
 
-def dumps17(value, indent: int = 2) -> str:
-    """Serialize to JSON text with floats at 17 significant digits.
+def dumps17(value) -> str:
+    """Serialize to JSON text, indented by two spaces, with floats at 17
+    significant digits.
 
     Key order is insertion order, so identical inputs give identical
     bytes.  Non-finite floats degrade to the strings "inf"/"-inf"/"nan".
     """
 
     def write(v, level: int) -> str:
-        pad = " " * (indent * level)
-        pad_in = " " * (indent * (level + 1))
+        pad = "  " * level
+        pad_in = "  " * (level + 1)
         if v is None:
             return "null"
         if isinstance(v, bool):

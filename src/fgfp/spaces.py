@@ -233,10 +233,11 @@ class SpaceSpec:
             raise ValueError("sampling_box diameter under the metric overflows")
         object.__setattr__(self, "sampling_box", (lo_s, hi_s))
 
-    def contains(self, p: Point, tol: float = DOMAIN_TOL) -> bool:
+    def contains(self, p: Point) -> bool:
         if p.dim != self.dim:
             raise DimensionMismatch(f"point has dimension {p.dim}, space has {self.dim}")
-        return all(lo - tol <= c <= hi + tol for c, lo, hi in zip(p.coords, self.lower, self.upper))
+        return all(lo - DOMAIN_TOL <= c <= hi + DOMAIN_TOL
+                   for c, lo, hi in zip(p.coords, self.lower, self.upper))
 
 
 def box_space(lower, upper, *, metric: MetricSpec | None = None,

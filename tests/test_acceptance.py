@@ -15,12 +15,13 @@ pins both that and the n = 2 counterexample to the advertised rate.
 import numpy as np
 
 from fgfp import (ContractionFamily, FamilyKind, ProblemSpec, SamplerConfig,
-                  audit, box_space, check_contraction, estimate_constants,
-                  parse_map, point, solve, tail_bound, uniqueness_probe)
+                  audit, box_space, parse_map, point, solve, tail_bound, uniqueness_probe)
 from fgfp.cli import main
 from fgfp.maps import iterate_pair
 from fgfp.solver import DECAY_SLACK
 from fgfp.spaces import metric_distance, product_metric_distance
+
+from sampled_audit import corner_audit, estimated
 
 INF = float("inf")
 
@@ -179,9 +180,9 @@ def test_criterion_09_constant_estimation(corpus):
     ok = True
     for seed in (1, 2):
         cfg = SamplerConfig(samples_per_check=2000, rng_seed=seed)
-        k1, _ = estimate_constants(e1.F, e1.G, e1.X, e1.Y, FamilyKind.SYM_HALF, cfg)
+        k1, _ = estimated(e1.F, e1.G, e1.X, e1.Y, FamilyKind.SYM_HALF, cfg)
         ok = ok and (0.60 <= k1 <= 2.0 / 3.0 + 0.02)
-        k2, l2 = estimate_constants(e2.F, e2.G, e2.X, e2.Y, FamilyKind.LIN_ASYM, cfg)
+        k2, l2 = estimated(e2.F, e2.G, e2.X, e2.Y, FamilyKind.LIN_ASYM, cfg)
         ok = ok and abs(k2 - 4.0 / 17.0) < 0.02 and abs(l2 - 3.0 / 17.0) < 0.02
     _criterion(9, "estimated constants match the analytic values "
                   "(ex1 k in [0.60, 0.687]; ex2 within 0.02), seed-stable", ok)
@@ -231,8 +232,8 @@ def test_criterion_11_negative_detection():
     F = parse_map("2*a1", 1, 1, 1)
     G = parse_map("-2*a1", 1, 1, 1)
     family = ContractionFamily(FamilyKind.SYM_HALF, 0.9, 0.9)
-    rep = check_contraction(F, G, X, X, family,
-                            SamplerConfig(samples_per_check=2000, rng_seed=0))
+    rep = corner_audit(F, G, X, X, SamplerConfig(samples_per_check=2000, rng_seed=0),
+                       family).contraction
     problem = ProblemSpec(X=X, Y=X, F=F, G=G, family=family,
                           seed=(point(1.0), point(1.0)))
     _, result = solve(problem, force=True)

@@ -14,11 +14,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from fgfp import (ContractionFamily, FamilyKind, SamplerConfig,
-                  estimate_constants, step_bound, tail_bound)
+from fgfp import ContractionFamily, FamilyKind, SamplerConfig, step_bound, tail_bound
 from fgfp.hypotheses import RATIO_FLOOR, _Block, _contraction_terms, _min_sum_constants
 from fgfp.maps import eval_map_batch
-from fgfp.spaces import distance_batch, ordered_pairs
+from fgfp.spaces import distance_batch, ordered_pairs, sample_points
+
+from sampled_audit import estimated
 
 SYM, LIN, KAN, CHA = (FamilyKind.SYM_HALF, FamilyKind.LIN_ASYM,
                       FamilyKind.KANNAN, FamilyKind.CHATTERJEA)
@@ -89,10 +90,11 @@ def ref_tail_bound(family, n, d1x, d1y, component):
 
 
 def whole_sample(p, cfg):
-    """The ordered pairs of the audit's sample, drawn whole: X pairs, then Y
-    pairs, from one ``cfg.rng()``."""
+    """The audit's sample, drawn whole from one ``cfg.rng()``: X pairs, Y
+    pairs, Y contexts, X contexts."""
     rng, n = cfg.rng(), cfg.samples_per_check
-    return _Block(slice(0, n), *ordered_pairs(p.X, n, rng), *ordered_pairs(p.Y, n, rng))
+    return _Block(slice(0, n), *ordered_pairs(p.X, n, rng), *ordered_pairs(p.Y, n, rng),
+                  sample_points(p.Y, n, rng), sample_points(p.X, n, rng))
 
 
 def ref_distances(p, s):
@@ -191,4 +193,4 @@ def test_estimated_constants_use_the_family_columns(corpus, eid, kind):
     else:
         p_col, q_col = ref_constraint_columns(kind, d)
         want = _min_sum_constants(p_col, q_col, np.concatenate([d.lhs_f, d.lhs_g]))
-    assert estimate_constants(p.F, p.G, p.X, p.Y, kind, cfg) == want
+    assert estimated(p.F, p.G, p.X, p.Y, kind, cfg) == want

@@ -7,9 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fgfp import (ContractionFamily, EvaluationError, FamilyKind, SampleError,
-                  SamplerConfig, box_space, check_comparability,
-                  check_contraction, check_mixed_monotone, check_seed,
-                  estimate_constants, eval_map, parse_map, point)
+                  SamplerConfig, box_space, check_comparability, check_seed, eval_map,
+                  parse_map, point)
 from fgfp import hypotheses
 from fgfp.hypotheses import (_BLOCK, _FAMILIES, CONTRACTION_SLACK, MAX_WITNESSES,
                              RATIO_FLOOR, ComparabilityCheck, _Block, _contraction_terms,
@@ -17,6 +16,8 @@ from fgfp.hypotheses import (_BLOCK, _FAMILIES, CONTRACTION_SLACK, MAX_WITNESSES
 from fgfp.maps import eval_map_batch, evaluation_count
 from fgfp.spaces import (OrderKind, OrderSpec, common_bounds_batch, distance_batch, leq,
                          leq_batch, metric_distance, ordered_pairs, sample_points)
+
+from sampled_audit import corner_audit, estimated
 
 INF = float("inf")
 CFG = SamplerConfig(samples_per_check=500, rng_seed=0)
@@ -28,11 +29,30 @@ def ex(corpus, eid):
 
 
 # ---------------------------------------------------------------------------
+# sampler configuration
+
+@pytest.mark.parametrize("field, value", [
+    ("samples_per_check", 0), ("samples_per_check", True), ("samples_per_check", 2.0),
+    ("rng_seed", -1), ("rng_seed", 1.5), ("rng_seed", "3"), ("rng_seed", None),
+])
+def test_sampler_config_rejects_bad_values(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be a (positive|nonnegative) integer$"):
+        SamplerConfig(**{field: value})
+
+
+@pytest.mark.parametrize("rng_seed", [2**70, np.int64(3)], ids=["wide", "numpy"])
+def test_sampler_config_accepts_every_nonnegative_integer_seed(rng_seed, corpus):
+    p = corpus["ex1"].problem
+    rep = audit(p.F, p.G, p.X, p.Y, p.family, *p.seed, SamplerConfig(5, rng_seed))
+    assert rep.mixed_monotone.checked == 20
+
+
+# ---------------------------------------------------------------------------
 # mixed monotonicity
 
 def test_monotone_pass_on_reference_maps(corpus):
     F, G, X, Y, _ = ex(corpus, "ex1")
-    rep = check_mixed_monotone(F, G, X, Y, CFG)
+    rep = corner_audit(F, G, X, Y, CFG).mixed_monotone
     assert rep.passed and rep.counterexamples == ()
 
 
@@ -40,7 +60,7 @@ def test_monotone_constant_maps_pass():
     X = box_space((-1.0,), (1.0,))
     F = parse_map("0.5", 1, 1, 1)
     G = parse_map("-0.5", 1, 1, 1)
-    assert check_mixed_monotone(F, G, X, X, CFG).passed
+    assert corner_audit(F, G, X, X, CFG).mixed_monotone.passed
 
 
 def test_monotone_fail_with_reusable_witness():
@@ -48,7 +68,7 @@ def test_monotone_fail_with_reusable_witness():
     Y = box_space((0.0,), (INF,))
     F = parse_map("b1", 1, 1, 1)  # increasing in the second argument: wrong way
     G = parse_map("(a1 - b1)/5", 1, 1, 1)
-    rep = check_mixed_monotone(F, G, X, Y, CFG)
+    rep = corner_audit(F, G, X, Y, CFG).mixed_monotone
     assert not rep.passed
     w = next(w for w in rep.counterexamples if w["clause"] == "F_decr_second")
     # the witness must re-fail when evaluated independently
@@ -59,7 +79,7 @@ def test_monotone_fail_with_reusable_witness():
 
 def test_monotone_pass_under_discrete_orders(corpus):
     F, G, X, Y, _ = ex(corpus, "ex4")
-    assert check_mixed_monotone(F, G, X, Y, CFG).passed
+    assert corner_audit(F, G, X, Y, CFG).mixed_monotone.passed
 
 
 # ---------------------------------------------------------------------------
@@ -87,14 +107,14 @@ def test_seed_check_at_fixed_point_and_failure(corpus):
 def test_contraction_pass_reference_constants(corpus):
     for eid in ("ex1", "ex2", "ex4", "coupled-reg"):
         F, G, X, Y, fam = ex(corpus, eid)
-        rep = check_contraction(F, G, X, Y, fam, CFG)
+        rep = corner_audit(F, G, X, Y, CFG, fam).contraction
         assert rep.passed, eid
         assert rep.f_side.violations == () and rep.g_side.violations == ()
 
 
 def test_contraction_tight_ratio_near_one(corpus):
     F, G, X, Y, fam = ex(corpus, "ex1")
-    rep = check_contraction(F, G, X, Y, fam, CFG)
+    rep = corner_audit(F, G, X, Y, CFG, fam).contraction
     assert abs(rep.f_side.max_ratio - 1.0) < 1e-12
     assert abs(rep.g_side.max_ratio - 1.0) < 1e-12
 
@@ -104,7 +124,7 @@ def test_contraction_fail_for_expanding_map():
     F = parse_map("2*a1", 1, 1, 1)
     G = parse_map("-2*a1", 1, 1, 1)
     fam = ContractionFamily(FamilyKind.SYM_HALF, 0.99, 0.99)
-    rep = check_contraction(F, G, X, X, fam, CFG)
+    rep = corner_audit(F, G, X, X, CFG, fam).contraction
     assert not rep.passed
     v = rep.f_side.violations[0]
     # re-evaluate the recorded violation from scratch
@@ -127,8 +147,8 @@ def test_an_overflowing_sampled_distance_raises_sample_error(kind):
     G = parse_map("(a1 - b1)/5", 1, 2, 1)
     fam = ContractionFamily(kind, 0.3, 0.3)
     cfg = SamplerConfig(samples_per_check=200, rng_seed=0)
-    for run in (partial(check_contraction, F, G, X, Y, fam, cfg),
-                partial(estimate_constants, F, G, X, Y, kind, cfg),
+    for run in (partial(corner_audit, F, G, X, Y, cfg, fam),
+                partial(estimated, F, G, X, Y, kind, cfg),
                 partial(audit, F, G, X, Y, fam, point(-1.0, -1.0), point(1.0), cfg,
                         with_estimates=True)):
         with pytest.raises(SampleError,
@@ -150,7 +170,7 @@ def test_estimate_with_a_ratio_beyond_the_double_range_is_silent(kind, want):
     F = parse_map("-1e300*b1", 1, 1, 1)
     G = parse_map("a1/5", 1, 1, 1)
     cfg = SamplerConfig(samples_per_check=200, rng_seed=0)
-    assert estimate_constants(F, G, X, Y, kind, cfg) == want
+    assert estimated(F, G, X, Y, kind, cfg) == want
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 100])
@@ -171,12 +191,9 @@ def test_ordered_pairs_on_listed_relations_match_the_row_loop(n):
 
 def test_checkers_are_deterministic(corpus):
     F, G, X, Y, fam = ex(corpus, "ex2")
-    a = check_contraction(F, G, X, Y, fam, SamplerConfig(rng_seed=11))
-    b = check_contraction(F, G, X, Y, fam, SamplerConfig(rng_seed=11))
-    assert a.to_dict() == b.to_dict()
-    m1 = check_mixed_monotone(F, G, X, Y, SamplerConfig(rng_seed=11))
-    m2 = check_mixed_monotone(F, G, X, Y, SamplerConfig(rng_seed=11))
-    assert m1.to_dict() == m2.to_dict()
+    a, b = (corner_audit(F, G, X, Y, SamplerConfig(rng_seed=11), fam) for _ in range(2))
+    assert a.contraction.to_dict() == b.contraction.to_dict()
+    assert a.mixed_monotone.to_dict() == b.mixed_monotone.to_dict()
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +202,7 @@ def test_checkers_are_deterministic(corpus):
 def test_estimate_symmetric_half_reference(corpus):
     F, G, X, Y, _ = ex(corpus, "ex1")
     cfg = SamplerConfig(samples_per_check=2000, rng_seed=0)
-    k_hat, l_hat = estimate_constants(F, G, X, Y, FamilyKind.SYM_HALF, cfg)
+    k_hat, l_hat = estimated(F, G, X, Y, FamilyKind.SYM_HALF, cfg)
     assert abs(k_hat - 2.0 / 3.0) < 0.02
     assert abs(l_hat - 2.0 / 5.0) < 0.02
 
@@ -193,7 +210,7 @@ def test_estimate_symmetric_half_reference(corpus):
 def test_estimate_linear_asymmetric_reference(corpus):
     F, G, X, Y, _ = ex(corpus, "ex2")
     cfg = SamplerConfig(samples_per_check=2000, rng_seed=0)
-    k_hat, l_hat = estimate_constants(F, G, X, Y, FamilyKind.LIN_ASYM, cfg)
+    k_hat, l_hat = estimated(F, G, X, Y, FamilyKind.LIN_ASYM, cfg)
     assert abs(k_hat - 4.0 / 17.0) < 0.02
     assert abs(l_hat - 3.0 / 17.0) < 0.02
 
@@ -202,24 +219,24 @@ def test_estimate_constant_maps_give_zero():
     X = box_space((-1.0,), (1.0,))
     F = parse_map("0.25", 1, 1, 1)
     G = parse_map("-0.25", 1, 1, 1)
-    assert estimate_constants(F, G, X, X, FamilyKind.SYM_HALF, CFG) == (0.0, 0.0)
-    assert estimate_constants(F, G, X, X, FamilyKind.LIN_ASYM, CFG) == (0.0, 0.0)
+    assert estimated(F, G, X, X, FamilyKind.SYM_HALF, CFG) == (0.0, 0.0)
+    assert estimated(F, G, X, X, FamilyKind.LIN_ASYM, CFG) == (0.0, 0.0)
 
 
 def test_estimates_feed_back_into_passing_checks(corpus):
     for eid in ("ex1", "ex2", "ex3", "ex4", "coupled-reg"):
         F, G, X, Y, fam = ex(corpus, eid)
         cfg = SamplerConfig(samples_per_check=800, rng_seed=3)
-        k_hat, l_hat = estimate_constants(F, G, X, Y, fam.kind, cfg)
+        k_hat, l_hat = estimated(F, G, X, Y, fam.kind, cfg)
         inflated = ContractionFamily(fam.kind, k_hat + 1e-9, l_hat + 1e-9)
-        rep = check_contraction(F, G, X, Y, inflated, cfg)
+        rep = corner_audit(F, G, X, Y, cfg, inflated).contraction
         assert rep.passed, eid
 
 
 def test_estimates_stable_across_sampling_seeds(corpus):
     F, G, X, Y, _ = ex(corpus, "ex1")
-    values = [estimate_constants(F, G, X, Y, FamilyKind.SYM_HALF,
-                                 SamplerConfig(samples_per_check=2000, rng_seed=s))
+    values = [estimated(F, G, X, Y, FamilyKind.SYM_HALF,
+                        SamplerConfig(samples_per_check=2000, rng_seed=s))
               for s in (1, 2)]
     for k_hat, l_hat in values:
         assert 0.60 <= k_hat <= 2.0 / 3.0 + 0.02
@@ -231,7 +248,7 @@ def test_estimate_degenerate_single_point_box():
     F = parse_map("a1", 1, 1, 1)
     G = parse_map("b1", 1, 1, 1)
     with pytest.raises(SampleError):
-        estimate_constants(F, G, X, X, FamilyKind.SYM_HALF, CFG)
+        estimated(F, G, X, X, FamilyKind.SYM_HALF, CFG)
 
 
 def test_sym_half_estimate_ignores_left_sides_at_the_ratio_floor(corpus):
@@ -241,7 +258,7 @@ def test_sym_half_estimate_ignores_left_sides_at_the_ratio_floor(corpus):
     x0, y0 = corpus["ex1"].problem.seed
     fam = ContractionFamily(FamilyKind.SYM_HALF, 0.5, 0.4)
     rep = audit(tiny, G, X, Y, fam, x0, y0, SamplerConfig(), with_estimates=True)
-    _, l_hat = estimate_constants(F, G, X, Y, FamilyKind.SYM_HALF, SamplerConfig())
+    _, l_hat = estimated(F, G, X, Y, FamilyKind.SYM_HALF, SamplerConfig())
     assert rep.estimated_constants == {"k": 0.0, "l": l_hat}
 
 
@@ -253,9 +270,9 @@ def test_sym_half_left_side_over_a_zero_right_side_admits_no_constants():
     G = parse_map("a1", 1, 1, 1)
     cfg = SamplerConfig(samples_per_check=2000, rng_seed=0)
     for kind in (FamilyKind.SYM_HALF, FamilyKind.LIN_ASYM):
-        assert estimate_constants(F, G, X, Y, kind, cfg) == (INF, INF)
+        assert estimated(F, G, X, Y, kind, cfg) == (INF, INF)
     fam = ContractionFamily(FamilyKind.SYM_HALF, 0.5, 0.5)
-    assert not check_contraction(F, G, X, Y, fam, cfg).passed
+    assert not corner_audit(F, G, X, Y, cfg, fam).contraction.passed
 
 
 def _lp_reference(p, q, c):
@@ -317,9 +334,7 @@ def _lp_instances(corpus):
         p = entry.problem
         for rng_seed in (0, 7):
             for kind in (FamilyKind.LIN_ASYM, FamilyKind.KANNAN, FamilyKind.CHATTERJEA):
-                rng = np.random.default_rng(rng_seed)
-                b = _Block(slice(0, 2000), *ordered_pairs(p.X, 2000, rng),
-                           *ordered_pairs(p.Y, 2000, rng))
+                b = _Block(slice(0, 2000), *_whole_sample(p, SamplerConfig(2000, rng_seed)))
                 f, g = _contraction_terms(p.F, p.G, p.X, p.Y, kind, b)
                 yield tuple(np.concatenate(columns) for columns in zip(f, g))
     # k_floor == k_hi: the row without l-leverage pins k
@@ -417,8 +432,8 @@ def test_audit_takes_one_contraction_sample_for_the_estimate_and_the_check(corpu
     before = evaluation_count()
     rep = audit(F, G, X, Y, fam, x0, y0, cfg, with_estimates=True)
     with_estimates = evaluation_count() - before
-    assert rep.contraction.to_dict() == check_contraction(F, G, X, Y, fam, cfg).to_dict()
-    k_hat, l_hat = estimate_constants(F, G, X, Y, fam.kind, cfg)
+    # the estimate reads neither the family's constants nor the seed
+    k_hat, l_hat = estimated(F, G, X, Y, fam.kind, cfg)
     assert rep.estimated_constants == {"k": k_hat, "l": l_hat}
     before = evaluation_count()
     plain = audit(F, G, X, Y, fam, x0, y0, cfg).to_dict()
@@ -457,21 +472,19 @@ ORDER_PAIRS = pytest.mark.parametrize("x_kind, y_kind, dx, dy", [
 
 @ORDER_PAIRS
 def test_audit_shares_its_sample_stream_invisibly(x_kind, y_kind, dx, dy):
-    # audit draws one sample of ordered pairs for all three checks; each
-    # section must come out as if its check had drawn its own stream
+    # audit draws one sample of ordered pairs for all three checks; keeping
+    # the estimate's terms changes neither the monotonicity section nor the
+    # estimate, which reads neither the family's constants nor the seed
     F, G, X, Y = _planted_problem(x_kind, y_kind, dx, dy)
     fam = ContractionFamily(FamilyKind.LIN_ASYM, 0.2, 0.2)
     x0, y0 = point(*[0.5] * dx), point(*[0.5] * dy)
     for rng_seed in (0, 7):
         cfg = SamplerConfig(samples_per_check=40, rng_seed=rng_seed)
-        alone = check_mixed_monotone(F, G, X, Y, cfg)
-        assert alone.counterexamples  # witness contexts are compared too
-        for with_estimates in (False, True):
-            rep = audit(F, G, X, Y, fam, x0, y0, cfg, with_estimates=with_estimates)
-            assert rep.mixed_monotone.to_dict() == alone.to_dict()
-        # the last report is the one with estimates
-        assert rep.contraction.to_dict() == check_contraction(F, G, X, Y, fam, cfg).to_dict()
-        k_hat, l_hat = estimate_constants(F, G, X, Y, fam.kind, cfg)
+        plain, rep = (audit(F, G, X, Y, fam, x0, y0, cfg, with_estimates=with_estimates)
+                      for with_estimates in (False, True))
+        assert plain.mixed_monotone.counterexamples  # witness contexts are compared too
+        assert rep.mixed_monotone.to_dict() == plain.mixed_monotone.to_dict()
+        k_hat, l_hat = estimated(F, G, X, Y, fam.kind, cfg)
         assert rep.estimated_constants == {"k": k_hat, "l": l_hat}
 
 
@@ -748,7 +761,7 @@ def test_contraction_error_in_a_late_block_comes_before_a_monotonicity_error(cor
     monkeypatch.setattr(hypotheses, "_BLOCK", 7)
     p = corpus["ex1"].problem
     cfg = SamplerConfig(samples_per_check=30, rng_seed=0)
-    x_lo, x_hi, y_lo, y_hi, y_ctx, x_ctx = _whole_sample(p, cfg)
+    _, x_hi, y_lo, _, _, x_ctx = _whole_sample(p, cfg)
     # F has a pole at x_hi of row 25, in block 3; G one at the X context of
     # row 2, in block 0
     F = parse_map(f"(a1 - b1)/3 + 1/(a1 - ({float(x_hi[25, 0])!r}))", 1, 1, 1)
@@ -757,14 +770,6 @@ def test_contraction_error_in_a_late_block_comes_before_a_monotonicity_error(cor
     assert "at sample 25 " in want
     with pytest.raises(EvaluationError) as err:
         audit(F, G, p.X, p.Y, p.family, *p.seed, cfg)
-    assert str(err.value) == want
-    # alone, the monotonicity check meets F's pole in its first clause first
-    want = _first_image_error((F, x_lo, y_ctx), (F, x_hi, y_ctx), (G, y_ctx, x_lo),
-                              (G, y_ctx, x_hi), (F, x_ctx, y_lo), (F, x_ctx, y_hi),
-                              (G, y_lo, x_ctx), (G, y_hi, x_ctx))
-    assert "at sample 25 " in want
-    with pytest.raises(EvaluationError) as err:
-        check_mixed_monotone(F, G, p.X, p.Y, cfg)
     assert str(err.value) == want
 
 
@@ -839,7 +844,7 @@ def test_comparability_single_point_space_passes():
 def test_iterates_are_ordered_when_hypotheses_hold(corpus, corpus_runs):
     for eid, entry in corpus.items():
         p = entry.problem
-        rep = check_mixed_monotone(p.F, p.G, p.X, p.Y, CFG)
+        rep = corner_audit(p.F, p.G, p.X, p.Y, CFG).mixed_monotone
         seed_rep = check_seed(p.F, p.G, p.X, p.Y, p.seed[0], p.seed[1])
         assert rep.passed and seed_rep.passed
         trace, _ = corpus_runs[eid]

@@ -14,6 +14,13 @@ def test_every_public_name_resolves_and_is_listed_once():
 
 @pytest.mark.parametrize("owner, name", [
     (fgfp, "verify_trace_bounds"),
+    (fgfp, "check_contraction"),
+    (fgfp, "check_mixed_monotone"),
+    (fgfp, "estimate_constants"),
+    (hypotheses, "check_contraction"),
+    (hypotheses, "check_mixed_monotone"),
+    (hypotheses, "estimate_constants"),
+    (hypotheses, "_Checks"),
     (solver, "verify_trace_bounds"),
     (solver, "_distances"),
     (hypotheses, "_Draws"),
