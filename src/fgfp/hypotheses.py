@@ -12,8 +12,9 @@ three in one walk over the sample.  The walk draws each block of
 ``_BLOCK`` sample rows where it is used, as ``_sample_blocks`` says, and
 runs every check on it while it is in cache; the checks keep per-block
 verdicts and witnesses, and only the constant estimate keeps columns of
-sample size.  An error in a block is raised by walking again as one
-block of all rows, so that it is the first one of the whole sample.
+sample size.  The theorems ask F to map X x Y into X and G Y x X into Y,
+so a sampled row with a non-finite image or distance term is a witness of
+the check that evaluated it, and makes the constant estimate (inf, inf).
 
 The four contraction families bound d(F(x,y), F(u,v)) on order-comparable
 pairs (x >= u, y <= v) by k p + l q for the distance terms (p, q) below; the
@@ -53,7 +54,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import EvaluationError, SampleError
-from .maps import MapSpec, eval_map, eval_map_batch
+from .maps import MapSpec, _images, eval_map
 from .spaces import (Point, SpaceSpec, distance_batch, empty_sample, leq, leq_batch,
                      pair_rows, sample_points)
 
@@ -194,7 +195,8 @@ class SamplerConfig:
     def __post_init__(self):
         if type(self.samples_per_check) is not int or self.samples_per_check < 1:
             raise ValueError("samples_per_check must be a positive integer")
-        if not isinstance(self.rng_seed, Integral) or self.rng_seed < 0:
+        if (isinstance(self.rng_seed, bool) or not isinstance(self.rng_seed, Integral)
+                or self.rng_seed < 0):
             raise ValueError("rng_seed must be a nonnegative integer")
 
     def rng(self) -> np.random.Generator:
@@ -214,8 +216,8 @@ class _Block(NamedTuple):
     x_ctx: np.ndarray
 
 
-def _sample_blocks(X: SpaceSpec, Y: SpaceSpec, n: int, rng: np.random.Generator, size: int):
-    """Yield the ``_Block``s of ``size`` consecutive rows covering range(n).
+def _sample_blocks(X: SpaceSpec, Y: SpaceSpec, n: int, rng: np.random.Generator):
+    """Yield the ``_Block``s of ``_BLOCK`` consecutive rows covering range(n).
 
     Drawn whole, the sample takes its (n, dim) ``sample_points`` arrays
     from ``rng`` in this order: the draws of ``ordered_pairs`` on X, then
@@ -224,13 +226,13 @@ def _sample_blocks(X: SpaceSpec, Y: SpaceSpec, n: int, rng: np.random.Generator,
     array that starts at output o begins at output o + r * dim.  A block
     draws each array's rows there, moving the generator with ``advance``
     (backwards by going round its 2^128 period), so its rows are the whole
-    sample's bit for bit; a sample of one block draws as a whole one does."""
+    sample's bit for bit."""
     kx, ky = 1 + X.order.componentwise, 1 + Y.order.componentwise
     arrays = [X] * kx + [Y] * ky + [Y, X]
     starts = list(accumulate((n * S.dim for S in arrays), initial=0))
     at = 0  # outputs taken so far
-    for i in range(0, n, size):
-        m = min(size, n - i)
+    for i in range(0, n, _BLOCK):
+        m = min(_BLOCK, n - i)
         draws = []
         for S, start in zip(arrays, starts):
             start += i * S.dim
@@ -357,6 +359,7 @@ def _monotone_block(F: MapSpec, G: MapSpec, X: SpaceSpec, Y: SpaceSpec, b: _Bloc
 
     For x1 <= x2 and any y:  F(x1,y) <= F(x2,y)  and  G(y,x1) >= G(y,x2).
     For y1 <= y2 and any x:  F(x,y1) >= F(x,y2)  and  G(y1,x) <= G(y2,x).
+    A row with a non-finite image breaks its clause.
     """
     # (clause, space of the images, map, low, high, context, second): a
     # clause that varies the map's second argument puts the context first
@@ -369,9 +372,11 @@ def _monotone_block(F: MapSpec, G: MapSpec, X: SpaceSpec, Y: SpaceSpec, b: _Bloc
     )
     passed = True
     for (clause, space, m, lo, hi, ctx, second), witnesses in zip(clauses, found):
-        img_lo, img_hi = [eval_map_batch(m, ctx, v) if second else eval_map_batch(m, v, ctx)
-                          for v in (lo, hi)]
+        img_lo, img_hi = [_images(m, ctx, v) if second else _images(m, v, ctx) for v in (lo, hi)]
         ok = leq_batch(space, img_hi, img_lo) if second else leq_batch(space, img_lo, img_hi)
+        for img in (img_lo, img_hi):
+            if not np.isfinite(img).all():
+                ok &= np.isfinite(img).all(axis=1)
         bad = np.flatnonzero(~ok)
         passed = passed and not bad.size
         for i in bad[:MAX_WITNESSES - len(witnesses)]:
@@ -400,30 +405,33 @@ def _contraction_terms(F: MapSpec, G: MapSpec, X: SpaceSpec, Y: SpaceSpec,
     """(p, q, lhs) of the F and of the G inequality at block ``b``'s pairs:
     the family's columns of ``_FAMILIES``, so that the right sides are
     k*p + l*q, and the left sides d_X(F(x_hi, y_lo), F(x_lo, y_hi)) and
-    d_Y(G(y_hi, x_lo), G(y_lo, x_hi)).  Raises SampleError where a
-    distance term overflows, as a sampling box's diameter may not."""
+    d_Y(G(y_hi, x_lo), G(y_lo, x_hi)); and per side, the rows with a
+    non-finite term, or None.  A non-finite image makes its side's lhs inf
+    or nan, and a distance between finite images may overflow."""
     dX, dY = partial(distance_batch, X), partial(distance_batch, Y)
-    with np.errstate(over="ignore", invalid="ignore"):
-        s = _Pairs(dX, dY, b.x_lo, b.x_hi, b.y_lo, b.y_hi,
-                   eval_map_batch(F, b.x_hi, b.y_lo), eval_map_batch(F, b.x_lo, b.y_hi),
-                   eval_map_batch(G, b.y_hi, b.x_lo), eval_map_batch(G, b.y_lo, b.x_hi))
-        (p_f, q_f), (p_g, q_g) = _FAMILIES[kind].columns(s)
-        terms = (p_f, q_f, dX(s.F_xy, s.F_uv)), (p_g, q_g, dY(s.G_yx, s.G_vu))
-    # every term is a sum of distances, so >= 0: the max is finite iff all are
-    if not all(math.isfinite(t.max()) for side in terms for t in side):
-        row = np.flatnonzero(~np.isfinite(np.vstack(terms[0] + terms[1])).all(axis=0))[0]
-        raise SampleError(f"a sampled distance overflows at contraction sample "
-                          f"{b.rows.start + row}")
-    return terms
+    s = _Pairs(dX, dY, b.x_lo, b.x_hi, b.y_lo, b.y_hi,
+               _images(F, b.x_hi, b.y_lo), _images(F, b.x_lo, b.y_hi),
+               _images(G, b.y_hi, b.x_lo), _images(G, b.y_lo, b.x_hi))
+    (p_f, q_f), (p_g, q_g) = _FAMILIES[kind].columns(s)
+    terms = (p_f, q_f, dX(s.F_xy, s.F_uv)), (p_g, q_g, dY(s.G_yx, s.G_vu))
+    # every term is a sum of distances, so >= 0 or nan: the max is finite iff all are
+    return terms, [None if all(math.isfinite(t.max()) for t in side)
+                   else ~np.isfinite(side).all(axis=0) for side in terms]
 
 
 def _side_result(side: str, lhs: np.ndarray, rhs: np.ndarray, roles: tuple[np.ndarray, ...],
-                 before: InequalitySide) -> InequalitySide:
+                 before: InequalitySide, broken: np.ndarray | None) -> InequalitySide:
     """One inequality's verdict on the blocks of ``before`` and on this one;
-    ``roles`` are the x, u, y, v arrays."""
-    bad = np.flatnonzero(lhs > rhs + CONTRACTION_SLACK)
+    ``roles`` are the x, u, y, v arrays.  The ``broken`` rows, where a term
+    is not finite, fail with lhs and rhs inf, at ratio inf."""
+    failed = lhs > rhs + CONTRACTION_SLACK
     usable = rhs >= RATIO_FLOOR
     ratio = float(np.divide(*_kept(usable, lhs, rhs)).max()) if usable.any() else None
+    if broken is not None:
+        failed |= broken
+        lhs, rhs = (np.where(broken, math.inf, a) for a in (lhs, rhs))
+        ratio = math.inf
+    bad = np.flatnonzero(failed)
     ratios = [r for r in (before.max_ratio, ratio) if r is not None]
     violations = tuple({"side": side, **{r: a[i].tolist() for r, a in zip("xuyv", roles)},
                         "lhs": float(lhs[i]), "rhs": float(rhs[i])}
@@ -552,29 +560,11 @@ def _min_sum_constants(p: np.ndarray, q: np.ndarray, c: np.ndarray) -> tuple[flo
             hi, b = k, m
 
 
-def _sampled_checks(F: MapSpec, G: MapSpec, X: SpaceSpec, Y: SpaceSpec,
-                    family: ContractionFamily, cfg: SamplerConfig | None, estimate: bool):
+def _walk(F: MapSpec, G: MapSpec, X: SpaceSpec, Y: SpaceSpec, family: ContractionFamily,
+          cfg: SamplerConfig, estimate: bool):
     """``family``'s ContractionCheck, the (k, l) estimated from its kind's
     terms with ``estimate`` (else None), and the MonotoneCheck, from one
-    walk over the sample's blocks.
-
-    Run whole, one after another, the checks meet errors in this order: a
-    contraction EvaluationError, an overflowing distance term, a
-    degenerate estimate, a monotonicity EvaluationError, each at its first
-    row.  A block's error need not be that one, so on any error the walk
-    is made again as one block of all rows, which raises it."""
-    cfg = cfg or SamplerConfig()
-    walk = partial(_walk, F, G, X, Y, family, cfg, estimate)
-    try:
-        return walk(_BLOCK)
-    except (EvaluationError, SampleError):
-        if cfg.samples_per_check <= _BLOCK:
-            raise
-    return walk(cfg.samples_per_check)
-
-
-def _walk(F: MapSpec, G: MapSpec, X: SpaceSpec, Y: SpaceSpec, family: ContractionFamily,
-          cfg: SamplerConfig, estimate: bool, size: int):
+    walk over the sample's blocks; a non-finite term admits no constants."""
     n = cfg.samples_per_check
     for S in (X, Y):  # a sample that cannot be drawn whole fails before any draw
         empty_sample(S, n)
@@ -585,20 +575,24 @@ def _walk(F: MapSpec, G: MapSpec, X: SpaceSpec, Y: SpaceSpec, family: Contractio
         except MemoryError as exc:
             raise SampleError(f"cannot hold the estimate's terms of {n} samples: {exc}") from None
     found = ([], [], [], [])      # witnesses per monotonicity clause
-    monotone_ok = True
-    for b in _sample_blocks(X, Y, n, cfg.rng(), size):
-        terms = _contraction_terms(F, G, X, Y, family.kind, b)
-        roles = (b.x_hi, b.x_lo, b.y_lo, b.y_hi), (b.x_lo, b.x_hi, b.y_hi, b.y_lo)
-        sides = [_side_result(side, lhs, family.k * p + family.l * q, r, before)
-                 for side, (p, q, lhs), r, before in zip("FG", terms, roles, sides)]
-        if estimate:
-            for j, side_terms in enumerate(terms):
-                pqc[:, j, b.rows] = side_terms
-            if b.rows.stop == n and not (pqc[:2] >= RATIO_FLOOR).any():
-                raise SampleError("degenerate samples: all inequality right-hand sides are zero")
-        monotone_ok = _monotone_block(F, G, X, Y, b, found) and monotone_ok
+    monotone_ok = finite = True
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite rows fail silently
+        for b in _sample_blocks(X, Y, n, cfg.rng()):
+            terms, broken = _contraction_terms(F, G, X, Y, family.kind, b)
+            finite = finite and broken[0] is None and broken[1] is None
+            roles = (b.x_hi, b.x_lo, b.y_lo, b.y_hi), (b.x_lo, b.x_hi, b.y_hi, b.y_lo)
+            sides = [_side_result(side, lhs, family.k * p + family.l * q, r, before, rows)
+                     for side, (p, q, lhs), r, before, rows
+                     in zip("FG", terms, roles, sides, broken)]
+            if estimate:
+                for j, side_terms in enumerate(terms):
+                    pqc[:, j, b.rows] = side_terms
+            monotone_ok = _monotone_block(F, G, X, Y, b, found) and monotone_ok
+    if estimate and finite and not (pqc[:2] >= RATIO_FLOOR).any():
+        raise SampleError("degenerate samples: all inequality right-hand sides are zero")
     return (ContractionCheck(sides[0].passed and sides[1].passed, family, *sides),
-            _min_sum_constants(*pqc.reshape(3, -1)) if estimate else None,
+            (_min_sum_constants(*pqc.reshape(3, -1)) if finite else (math.inf, math.inf))
+            if estimate else None,
             MonotoneCheck(monotone_ok, 4 * n, tuple(chain(*found))[:MAX_WITNESSES]))
 
 
@@ -642,7 +636,8 @@ def audit(F: MapSpec, G: MapSpec, X: SpaceSpec, Y: SpaceSpec,
     ``with_estimates`` adds the (k, l) of least k + l with k*p + l*q >= lhs
     on every sampled F and G row of ``family``'s kind.  It reads only the
     kind: ``ContractionFamily(kind, 0.0, 0.0)`` gives any kind's."""
-    contraction, estimates, monotone = _sampled_checks(F, G, X, Y, family, cfg, with_estimates)
+    contraction, estimates, monotone = _walk(F, G, X, Y, family, cfg or SamplerConfig(),
+                                             with_estimates)
     return HypothesisReport(
         family=family, mixed_monotone=monotone, seed=check_seed(F, G, X, Y, x0, y0),
         contraction=contraction, comparability=check_comparability(X, Y),

@@ -372,14 +372,10 @@ def evaluation_count() -> int:
     return _eval_rows
 
 
-def eval_map_batch(m: MapSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Evaluate the map over batches: A is (n, first_arg_dim), B is (n, second_arg_dim).
-
-    Takes batches of any memory layout and returns (n, out_dim) in
-    column-major order, as the vector mode writes one column per output
-    coordinate.  Raises EvaluationError if any output is non-finite
-    (runtime division by zero shows up here as inf/nan).
-    """
+def _images(m: MapSpec, A, B) -> np.ndarray:
+    """``eval_map_batch`` without its finiteness check, counting the rows:
+    an image is inf or nan where IEEE arithmetic gives it."""
+    global _eval_rows
     A = np.asarray(A, dtype=np.float64)
     B = np.asarray(B, dtype=np.float64)
     if A.ndim != 2 or B.ndim != 2 or A.shape[0] != B.shape[0]:
@@ -388,25 +384,34 @@ def eval_map_batch(m: MapSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         raise DimensionMismatch(
             f"map expects argument dims ({m.first_arg_dim}, {m.second_arg_dim}), "
             f"got ({A.shape[1]}, {B.shape[1]})")
-    return _eval_vector(m, A, B, single=False)
-
-
-def _eval_vector(m: MapSpec, A: np.ndarray, B: np.ndarray, single: bool) -> np.ndarray:
-    """Vector-mode evaluation of checked float64 batches, counting the rows.
-    The EvaluationError for a non-finite output names its sample row, or
-    only the inputs when the batch is a ``single`` point."""
-    global _eval_rows
-    n = A.shape[0]
-    out = np.empty((n, m.out_dim), dtype=np.float64, order="F")
+    out = np.empty((A.shape[0], m.out_dim), dtype=np.float64, order="F")
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         m.vector(A, B, out)
-    _eval_rows += n
+    _eval_rows += A.shape[0]
+    return out
+
+
+def _finite(out: np.ndarray, A, B, single: bool) -> np.ndarray:
+    """``out``, the images of A and B, if they are finite.  The
+    EvaluationError for a non-finite one names its sample row, or only the
+    inputs when the batch is a ``single`` point."""
     if not np.isfinite(out).all():
         i, j = np.argwhere(~np.isfinite(out))[0]
-        where = f"a={A[i].tolist()}, b={B[i].tolist()}"
+        where = "a={}, b={}".format(*(np.asarray(V, dtype=np.float64)[i].tolist() for V in (A, B)))
         raise EvaluationError(f"non-finite value in output coordinate {j + 1} at "
                               + (where if single else f"sample {i} (inputs {where})"))
     return out
+
+
+def eval_map_batch(m: MapSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Evaluate the map over batches: A is (n, first_arg_dim), B is (n, second_arg_dim).
+
+    Takes batches of any memory layout and returns (n, out_dim) in
+    column-major order, as the vector mode writes one column per output
+    coordinate.  Raises EvaluationError if any output is non-finite
+    (runtime division by zero shows up here as inf/nan).
+    """
+    return _finite(_images(m, A, B), A, B, single=False)
 
 
 def _eval_coords(m: MapSpec, a: tuple[float, ...], b: tuple[float, ...]) -> tuple[float, ...]:
@@ -419,8 +424,7 @@ def _eval_coords(m: MapSpec, a: tuple[float, ...], b: tuple[float, ...]) -> tupl
     if out is None:
         # inf/nan on the way or at the end: one vector-mode row gives the
         # IEEE result (min(1/0, 5) is 5) or the EvaluationError, and counts it
-        row = _eval_vector(m, np.asarray([a], dtype=np.float64),
-                           np.asarray([b], dtype=np.float64), single=True)
+        row = _finite(_images(m, [a], [b]), [a], [b], single=True)
         return tuple(row[0].tolist())
     _eval_rows += 1
     return out

@@ -305,22 +305,6 @@ def leq_batch(space: SpaceSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return out
 
 
-def common_bounds_batch(space: SpaceSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Rowwise: do A and B have both a common lower and a common upper bound?
-
-    Under a componentwise order the rowwise min and max are such bounds in
-    the box.  Under a discrete order (points within the slack are equal)
-    they exist iff A and B are comparable; a bound through a third listed
-    point of DISCRETE_PLUS_PAIRS is not searched, as it needs both rows
-    within the slack of listed points.  The per-pair reference for
-    ``hypotheses.check_comparability``, which decides the whole box.
-    """
-    kind = space.order.kind
-    if kind is OrderKind.COMPONENTWISE or kind is OrderKind.COMPONENTWISE_REVERSED:
-        return np.ones(len(A), dtype=bool)
-    return leq_batch(space, A, B) | leq_batch(space, B, A)
-
-
 def _within(a, b, s: float) -> bool:
     for x, y in zip(a, b):
         if not abs(x - y) <= s:

@@ -343,9 +343,10 @@ def test_metric_overflowing_on_its_sampling_box_exits_1(tmp_path, capsys, comman
 
 @pytest.mark.parametrize("family", ["SYM_HALF", "LIN_ASYM", "KANNAN", "CHATTERJEA"])
 @pytest.mark.parametrize("command", ["check", "solve"])
-def test_map_images_whose_distance_overflows_exit_1(tmp_path, capsys, command, family):
+def test_map_images_whose_distance_overflows_exit_2_with_witnesses(tmp_path, capsys, command,
+                                                                   family):
     # finite images near -1.7e308 in both coordinates: d_X between two of
-    # them overflows, and the constant estimate cannot end on its nan rows
+    # them overflows, which fails the F inequality at those rows
     doc = {"spaces": {"X": {"dim": 2, "lower": [-10, -10], "upper": [0, 0]},
                       "Y": {"dim": 1, "lower": [0], "upper": [10]}},
            "maps": {"F": "1.7e307*a1 - b1/100; 1.7e307*a2", "G": "(a1 - b1)/5"},
@@ -354,10 +355,30 @@ def test_map_images_whose_distance_overflows_exit_1(tmp_path, capsys, command, f
     bad = tmp_path / "overflow.json"
     bad.write_text(json.dumps(doc))
     out = tmp_path / "r.json"
-    assert main([command, str(bad), "--samples", "200", "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err == "fgfp: error: a sampled distance overflows at contraction sample 0\n"
-    assert not out.exists()
+    assert main([command, str(bad), "--samples", "200", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ""
+    hyp = read_json(out)["hypotheses"]
+    f_side = hyp["contraction"]["inequality_f"]
+    assert f_side["max_ratio"] == "inf"
+    assert any(v["lhs"] == v["rhs"] == "inf" for v in f_side["violations"])
+    assert hyp["estimated_constants"] == ({"k": "inf", "l": "inf"} if command == "check" else None)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["check", "solve"])
+def test_a_ratio_beyond_the_double_range_exits_2_silently(tmp_path, capsys, command):
+    # lhs near 1e296 over rhs just above the ratio floor: lhs/rhs overflows
+    doc = {"spaces": {"X": {"dim": 1, "lower": [0], "upper": [1e-12]},
+                      "Y": {"dim": 1, "lower": [0], "upper": [1e-12]}},
+           "maps": {"F": "1e308*b1", "G": "a1/2"},
+           "family": {"kind": "LIN_ASYM", "k": 0.3, "l": 0.1},
+           "seed": {"x0": [0], "y0": [1e-12]}}
+    path = tmp_path / "ratio.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "r.json"
+    assert main([command, str(path), "--samples", "50", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ""
+    assert read_json(out)["hypotheses"]["contraction"]["inequality_f"]["max_ratio"] == "inf"
 
 
 @pytest.mark.parametrize("upper_x, F, G, want", [
@@ -469,20 +490,33 @@ def test_problem_file_rejections_exit_1_naming_the_json_path(tmp_path, capsys, c
     assert capsys.readouterr().err == f"fgfp: error: {bad}{message}\n"
 
 
-def test_solve_and_check_name_the_same_sample_for_a_singular_map(tmp_path, capsys):
+def test_solve_and_check_report_the_same_witnesses_for_a_singular_map(tmp_path, capsys):
     doc = read_json_from_export()
-    # 1/(a1 - a1*a1/a1) divides by zero, or by rounding noise, on sampled points
+    # 1/(a1 - a1*a1/a1) divides by zero, or by rounding noise, on sampled
+    # points; at the seed a1 = -1 it is 1/0
     doc["maps"]["F"] = "(a1 - b1)/3 + 1/(a1 - a1*a1/a1)"
     bad = tmp_path / "singular.json"
     bad.write_text(json.dumps(doc))
-    errors = []
+    out = tmp_path / "r.json"
+    assert main(["check", str(bad), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "fgfp: error: evaluation failed at the seed x0=[-1.0], y0=[1.0]: "
+        "non-finite value in output coordinate 1 at a=[-1.0], b=[1.0]\n")
+    # from a seed where rounding leaves the divisor 1.4e-17, both commands
+    # report the sample
+    doc["seed"] = {"x0": [-0.1], "y0": [1.0]}
+    bad.write_text(json.dumps(doc))
+    sections = []
     for command in ("solve", "check"):
-        assert main([command, str(bad), "--out", str(tmp_path / "r.json")]) == 1
-        errors.append(capsys.readouterr().err)
-    # the contraction sample is evaluated first by both commands
-    assert errors[0] == errors[1]
-    assert errors[0].startswith("fgfp: error: non-finite value in output coordinate 1 "
-                                "at sample 0 (inputs a=[-0.22718933780937256], ")
+        assert main([command, str(bad), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == ""
+        sections.append(read_json(out)["hypotheses"])
+    assert sections[1].pop("estimated_constants") == {"k": "inf", "l": "inf"}
+    assert sections[0].pop("estimated_constants") is None
+    assert sections[0] == sections[1]
+    f_side = sections[0]["contraction"]["inequality_f"]
+    assert f_side["violations"][0]["x"] == [-0.22718933780937256]
+    assert "inf" in (f_side["violations"][0]["lhs"], f_side["max_ratio"])
 
 
 @pytest.mark.parametrize("command", ["check", "solve"])

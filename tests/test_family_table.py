@@ -169,7 +169,7 @@ def test_contraction_rhs_matches_closed_form(corpus, family):
     # ex4's discrete orders give equal pairs, so zero distances, on even rows
     p = corpus["ex4"].problem
     s = whole_sample(p, SamplerConfig(64, rng_seed=5))
-    f, g = _contraction_terms(p.F, p.G, p.X, p.Y, family.kind, s)
+    (f, g), _ = _contraction_terms(p.F, p.G, p.X, p.Y, family.kind, s)
     d = ref_distances(p, s)
     assert not (d.dx + d.dy)[::2].any() and (d.dx + d.dy)[1::2].all()
     assert np.array_equal(f[2], d.lhs_f) and np.array_equal(g[2], d.lhs_g)

@@ -1,5 +1,8 @@
+import json
 import math
+from dataclasses import replace
 from functools import partial
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -13,10 +16,12 @@ from fgfp import hypotheses
 from fgfp.hypotheses import (_BLOCK, _FAMILIES, CONTRACTION_SLACK, MAX_WITNESSES,
                              RATIO_FLOOR, ComparabilityCheck, _Block, _contraction_terms,
                              _min_sum_constants, _Pairs, audit)
-from fgfp.maps import eval_map_batch, evaluation_count
-from fgfp.spaces import (OrderKind, OrderSpec, common_bounds_batch, distance_batch, leq,
+from fgfp.maps import _images, eval_map_batch, evaluation_count
+from fgfp.probfile import dumps17
+from fgfp.spaces import (MetricKind, MetricSpec, OrderKind, OrderSpec, distance_batch, leq,
                          leq_batch, metric_distance, ordered_pairs, sample_points)
 
+from common_bounds import common_bounds_batch
 from sampled_audit import corner_audit, estimated
 
 INF = float("inf")
@@ -34,6 +39,7 @@ def ex(corpus, eid):
 @pytest.mark.parametrize("field, value", [
     ("samples_per_check", 0), ("samples_per_check", True), ("samples_per_check", 2.0),
     ("rng_seed", -1), ("rng_seed", 1.5), ("rng_seed", "3"), ("rng_seed", None),
+    ("rng_seed", True),
 ])
 def test_sampler_config_rejects_bad_values(field, value):
     with pytest.raises(ValueError, match=f"^{field} must be a (positive|nonnegative) integer$"):
@@ -138,22 +144,27 @@ def test_contraction_fail_for_expanding_map():
 
 
 @pytest.mark.parametrize("kind", list(FamilyKind), ids=lambda k: k.value)
-def test_an_overflowing_sampled_distance_raises_sample_error(kind):
-    # the images of F stay finite, but their distance under d_X overflows;
-    # warnings are errors here, so numpy must stay silent too
+def test_an_overflowing_sampled_distance_is_a_witness(kind):
+    # the images of F stay finite, but their distance under d_X overflows:
+    # those rows fail the F inequality with lhs and rhs inf, and no constants
+    # hold them; warnings are errors here, so numpy must stay silent too
     X = box_space((-10.0, -10.0), (0.0, 0.0))
     Y = box_space((0.0,), (10.0,))
     F = parse_map("1.7e307*a1 - b1/100; 1.7e307*a2", 2, 1, 2)
     G = parse_map("(a1 - b1)/5", 1, 2, 1)
     fam = ContractionFamily(kind, 0.3, 0.3)
     cfg = SamplerConfig(samples_per_check=200, rng_seed=0)
-    for run in (partial(corner_audit, F, G, X, Y, cfg, fam),
-                partial(estimated, F, G, X, Y, kind, cfg),
-                partial(audit, F, G, X, Y, fam, point(-1.0, -1.0), point(1.0), cfg,
-                        with_estimates=True)):
-        with pytest.raises(SampleError,
-                           match="^a sampled distance overflows at contraction sample 0$"):
-            run()
+    rep = audit(F, G, X, Y, fam, point(-1.0, -1.0), point(1.0), cfg, with_estimates=True)
+    f_side = rep.contraction.f_side
+    assert not rep.passed and not f_side.passed and f_side.max_ratio == INF
+    overflowing = [v for v in f_side.violations if v["lhs"] == INF]
+    assert overflowing and all(v["rhs"] == INF for v in overflowing)
+    for v in overflowing:  # a distance between the row's points and images overflows
+        x, u = point(*v["x"]), point(*v["u"])
+        images = [eval_map(F, x, point(*v["y"])), eval_map(F, u, point(*v["v"]))]
+        assert INF in [metric_distance(X, a, b) for a, b in combinations([x, u, *images], 2)]
+    assert rep.estimated_constants == {"k": INF, "l": INF}
+    assert corner_audit(F, G, X, Y, cfg, fam).contraction == rep.contraction
 
 
 @pytest.mark.parametrize("kind, want", [
@@ -335,7 +346,7 @@ def _lp_instances(corpus):
         for rng_seed in (0, 7):
             for kind in (FamilyKind.LIN_ASYM, FamilyKind.KANNAN, FamilyKind.CHATTERJEA):
                 b = _Block(slice(0, 2000), *_whole_sample(p, SamplerConfig(2000, rng_seed)))
-                f, g = _contraction_terms(p.F, p.G, p.X, p.Y, kind, b)
+                (f, g), _ = _contraction_terms(p.F, p.G, p.X, p.Y, kind, b)
                 yield tuple(np.concatenate(columns) for columns in zip(f, g))
     # k_floor == k_hi: the row without l-leverage pins k
     yield np.array([1.0, 1.0]), np.array([0.0, 1.0]), np.array([2.0, 1.0])
@@ -621,9 +632,9 @@ def test_blocked_audit_matches_the_whole_array_reference(family, n, monkeypatch)
 
     def counting(m, A, B):
         block_rows.append(len(A))
-        return eval_map_batch(m, A, B)
+        return _images(m, A, B)
 
-    monkeypatch.setattr(hypotheses, "eval_map_batch", counting)
+    monkeypatch.setattr(hypotheses, "_images", counting)
     got = audit(F, G, X, Y, family, point(0.5, 0.5), point(0.5), cfg,
                 with_estimates=True).to_dict()
     assert got["contraction"] == contraction
@@ -679,51 +690,15 @@ def test_the_walk_passes_contiguous_columns(x_kind, y_kind, dx, dy, monkeypatch)
             return out
         return call
 
-    for name in ("eval_map_batch", "distance_batch", "leq_batch"):
+    for name in ("_images", "distance_batch", "leq_batch"):
         monkeypatch.setattr(hypotheses, name, spy(getattr(hypotheses, name)))
-    for m in (F, G):  # the generated vector mode, which eval_map_batch runs
+    for m in (F, G):  # the generated vector mode, which _images runs
         object.__setattr__(m, "vector", spy(m.vector))
     cfg = SamplerConfig(samples_per_check=50, rng_seed=3)
     kannan = BLOCK_FAMILIES[2]  # its distance terms read the pairs and the images
     audit(F, G, X, Y, kannan, point(*[0.5] * dx), point(*[0.5] * dy), cfg, with_estimates=True)
     assert {a.shape[1] for a in seen} == {dx, dy}
     assert all(a.strides[0] == a.itemsize for a in seen)
-
-
-def test_contraction_phase_error_names_the_first_whole_image_sample(corpus):
-    # F(x_hi, y_lo) is evaluated before F(x_lo, y_hi), so its pole in block 2
-    # is reported, not F(x_lo, y_hi)'s in block 0
-    p = corpus["ex1"].problem
-    cfg = SamplerConfig(samples_per_check=2 * _BLOCK + 1, rng_seed=0)
-    x_lo, x_hi = ordered_pairs(p.X, cfg.samples_per_check, cfg.rng())
-    r2, r0 = 2 * _BLOCK, 5
-    v1, v2 = float(x_hi[r2, 0]), float(x_lo[r0, 0])
-    F = parse_map(f"(a1 - b1)/3 + 1/((a1 - ({v1!r}))*(a1 - ({v2!r})))", 1, 1, 1)
-    with pytest.raises(EvaluationError) as err:
-        audit(F, p.G, p.X, p.Y, p.family, *p.seed, cfg)
-    assert str(err.value) == (
-        "non-finite value in output coordinate 1 at sample 16384 (inputs "
-        "a=[-1.0827599853424594], b=[3.6935108193649233])")
-
-
-def test_monotonicity_phase_error_names_the_first_whole_image_sample(corpus):
-    # F(x_ctx, y_lo) of the third clause is the first whole image with a
-    # pole, in block 2; G(y_lo, x_ctx) of the fourth clause has one in block 0
-    p = corpus["ex1"].problem
-    cfg = SamplerConfig(samples_per_check=2 * _BLOCK + 1, rng_seed=0)
-    n, rng = cfg.samples_per_check, cfg.rng()
-    ordered_pairs(p.X, n, rng)
-    ordered_pairs(p.Y, n, rng)
-    sample_points(p.Y, n, rng)
-    x_ctx = sample_points(p.X, n, rng)
-    w1, w2 = float(x_ctx[2 * _BLOCK, 0]), float(x_ctx[5, 0])
-    F = parse_map(f"(a1 - b1)/3 + 1/(a1 - ({w1!r}))", 1, 1, 1)
-    G = parse_map(f"(a1 - b1)/5 + 1/(b1 - ({w2!r}))", 1, 1, 1)
-    with pytest.raises(EvaluationError) as err:
-        audit(F, G, p.X, p.Y, p.family, *p.seed, cfg)
-    assert str(err.value) == (
-        "non-finite value in output coordinate 1 at sample 16384 (inputs "
-        "a=[-8.757199925059268], b=[3.6935108193649233])")
 
 
 def test_positioned_draws_equal_one_whole_draw():
@@ -746,55 +721,92 @@ def _whole_sample(p, cfg):
             sample_points(p.Y, n, rng), sample_points(p.X, n, rng))
 
 
-def _first_image_error(*images):
-    """The message of the first EvaluationError among whole map images."""
-    for m, A, B in images:
-        try:
-            eval_map_batch(m, A, B)
-        except EvaluationError as exc:
-            return str(exc)
-    return None
+def _pole(v, kind, var="a1"):
+    """A term that is 0, up to 1e-300 / |var - v|, except at var = v: inf,
+    or nan for ``kind`` "nan"."""
+    v = float(v)
+    return f"0*(1/({var} - ({v!r})))" if kind == "nan" else f"1e-300/abs({var} - ({v!r}))"
 
 
-def test_contraction_error_in_a_late_block_comes_before_a_monotonicity_error(corpus,
-                                                                           monkeypatch):
+@pytest.mark.parametrize("kind", ["inf", "nan"])
+@pytest.mark.parametrize("eid", ["ex1", "ex2", "ex3", "ex4"])  # one per family
+def test_a_pole_in_a_late_block_is_a_witness_naming_its_row(corpus, eid, kind, monkeypatch):
+    # F is not finite at the x_hi of row 25 only; at block size 7 that row
+    # is in block 3.  It fails the F inequality and F_incr_first there and
+    # nothing else, with the same report as one block of all rows gives
+    p = corpus[eid].problem
+    cfg = SamplerConfig(samples_per_check=30, rng_seed=0)
+    x_lo, x_hi, y_lo, y_hi, y_ctx, _ = _whole_sample(p, cfg)
+    F = parse_map(f"({p.F.text}) + {_pole(x_hi[25, 0], kind)}", 1, 1, 1)
+    with pytest.raises(EvaluationError):
+        eval_map(F, point(*x_hi[25]), point(*y_lo[25]))
+    reports = []
+    for block in (7, _BLOCK):
+        monkeypatch.setattr(hypotheses, "_BLOCK", block)
+        reports.append(dumps17(audit(F, p.G, p.X, p.Y, p.family, *p.seed, cfg,
+                                     with_estimates=True).to_dict()))
+    assert reports[0] == reports[1]
+    rep = json.loads(reports[0])
+    f_side, g_side = rep["contraction"]["inequality_f"], rep["contraction"]["inequality_g"]
+    assert f_side["violations"] == [{"side": "F", "x": x_hi[25].tolist(), "u": x_lo[25].tolist(),
+                                     "y": y_lo[25].tolist(), "v": y_hi[25].tolist(),
+                                     "lhs": "inf", "rhs": "inf"}]
+    assert f_side["max_ratio"] == "inf" and g_side["passed"]
+    (w,) = rep["mixed_monotone"]["counterexamples"]
+    assert (w["clause"], w["low"], w["high"], w["context"]) == (
+        "F_incr_first", x_lo[25].tolist(), x_hi[25].tolist(), y_ctx[25].tolist())
+    assert w["image_high"] == [kind]
+    assert rep["estimated_constants"] == {"k": "inf", "l": "inf"}
+    assert rep["seed_condition"]["passed"] and not rep["passed"]
+
+
+def test_a_pole_at_a_context_fails_only_its_clause(corpus, monkeypatch):
+    # G(y, x) is not finite at the X context of row 2 only, which the
+    # contraction images never read: G_incr_first fails there, every other
+    # check passes, and the estimate keeps its value
     monkeypatch.setattr(hypotheses, "_BLOCK", 7)
     p = corpus["ex1"].problem
     cfg = SamplerConfig(samples_per_check=30, rng_seed=0)
-    _, x_hi, y_lo, _, _, x_ctx = _whole_sample(p, cfg)
-    # F has a pole at x_hi of row 25, in block 3; G one at the X context of
-    # row 2, in block 0
-    F = parse_map(f"(a1 - b1)/3 + 1/(a1 - ({float(x_hi[25, 0])!r}))", 1, 1, 1)
-    G = parse_map(f"(a1 - b1)/5 + 1/(b1 - ({float(x_ctx[2, 0])!r}))", 1, 1, 1)
-    want = _first_image_error((F, x_hi, y_lo))
-    assert "at sample 25 " in want
-    with pytest.raises(EvaluationError) as err:
-        audit(F, G, p.X, p.Y, p.family, *p.seed, cfg)
-    assert str(err.value) == want
+    _, _, y_lo, y_hi, _, x_ctx = _whole_sample(p, cfg)
+    G = parse_map(f"(a1 - b1)/5 + {_pole(x_ctx[2, 0], 'inf', 'b1')}", 1, 1, 1)
+    rep = audit(p.F, G, p.X, p.Y, p.family, *p.seed, cfg, with_estimates=True)
+    plain = audit(p.F, p.G, p.X, p.Y, p.family, *p.seed, cfg, with_estimates=True)
+    assert rep.contraction.passed and rep.seed.passed
+    assert rep.estimated_constants == plain.estimated_constants
+    assert rep.mixed_monotone.counterexamples == ({
+        "clause": "G_incr_first", "low": y_lo[2].tolist(), "high": y_hi[2].tolist(),
+        "context": x_ctx[2].tolist(), "image_low": [INF], "image_high": [INF]},)
 
 
-def test_contraction_error_in_a_late_block_comes_before_an_early_overflow(corpus, monkeypatch):
-    monkeypatch.setattr(hypotheses, "_BLOCK", 7)
-    p = corpus["ex1"].problem
-    cfg = SamplerConfig(samples_per_check=30, rng_seed=0)
-    x_lo, x_hi, y_lo, y_hi, _, _ = _whole_sample(p, cfg)
+_NON_FINITE = {
+    # images inf or nan on part of the box, and finite images whose
+    # distances overflow under d_X weighted by 1e300
+    "inf": "1/max(a1 - 0.5, 0)",
+    "nan": "0/max(a1 - 0.5, 0)",
+    "overflow": "1e10*(a1 + b1)",
+}
 
-    def bump(v):  # 1 at v, 0 at every other sampled coordinate
-        return f"max(1 - 1e12*abs(a1 - ({float(v)!r})), 0)"
 
-    # F(x_hi, y_lo) = 1.5e308 and F(x_lo, y_hi) = -1.5e308 at row 3: their
-    # distance overflows
-    overflowing = f"(a1 - b1)/3 + 1.5e308*{bump(x_hi[3, 0])} - 1.5e308*{bump(x_lo[3, 0])}"
-    with pytest.raises(SampleError) as err:
-        audit(parse_map(overflowing, 1, 1, 1), p.G, p.X, p.Y, p.family, *p.seed, cfg)
-    assert str(err.value) == "a sampled distance overflows at contraction sample 3"
-    # a pole of F(x_lo, y_hi) at row 25, in block 3, comes first
-    F = parse_map(f"{overflowing} + 1/(a1 - ({float(x_lo[25, 0])!r}))", 1, 1, 1)
-    want = _first_image_error((F, x_hi, y_lo), (F, x_lo, y_hi))
-    assert "at sample 25 " in want
-    with pytest.raises(EvaluationError) as err:
-        audit(F, p.G, p.X, p.Y, p.family, *p.seed, cfg)
-    assert str(err.value) == want
+@pytest.mark.parametrize("what", sorted(_NON_FINITE))
+@ORDER_PAIRS
+def test_non_finite_rows_fail_silently_under_every_order_and_family(x_kind, y_kind, dx, dy,
+                                                                     what):
+    # warnings are errors here: numpy must stay silent on every such row
+    F, G, X, Y = _planted_problem(x_kind, y_kind, dx, dy)
+    term = _NON_FINITE[what]
+    F = parse_map("; ".join(f"a{i}/4 - b1/4 + {term}" for i in range(1, dx + 1)), dx, dy, dx)
+    if what == "overflow":
+        X = replace(X, metric=MetricSpec(MetricKind.WEIGHTED_L1, (1e300,) * dx))
+    x0, y0 = point(*[0.75] * dx), point(*[0.5] * dy)
+    for family in BLOCK_FAMILIES:
+        rep = audit(F, G, X, Y, family, x0, y0, SamplerConfig(40, 3), with_estimates=True)
+        f_side = rep.contraction.f_side
+        assert not f_side.passed and f_side.max_ratio == INF
+        assert any(v["lhs"] == v["rhs"] == INF for v in f_side.violations)
+        assert rep.estimated_constants == {"k": INF, "l": INF}
+        for side in (f_side, rep.contraction.g_side):
+            assert side.max_ratio is None or not math.isnan(side.max_ratio)
+            assert not any(math.isnan(v[key]) for v in side.violations for key in ("lhs", "rhs"))
 
 
 def test_estimate_terms_that_cannot_be_allocated_raise_sample_error(corpus, monkeypatch):

@@ -30,8 +30,10 @@ def test_every_public_name_resolves_and_is_listed_once():
     (hypotheses, "_by_block"),
     (hypotheses, "_sample"),
     (hypotheses, "_ContractionData"),
+    (hypotheses, "_sampled_checks"),
     (solver.IterationTrace, "points"),
     (spaces, "sample_ordered_pairs"),
+    (spaces, "common_bounds_batch"),
     (spaces.SpaceSpec, "weights_array"),
 ], ids=lambda v: getattr(v, "__name__", v))
 def test_removed_helpers_stay_gone(owner, name):

@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from fgfp import (DimensionMismatch, MetricKind, SampleError, MetricSpec, OrderKind,
                   OrderSpec, Point, box_space, leq, point, product_leq)
-from fgfp.spaces import (DOMAIN_TOL, common_bounds_batch, distance_batch, leq_batch,
-                         metric_distance, ordered_pairs, pair_rows,
-                         product_metric_distance, sample_points)
+from fgfp.spaces import (DOMAIN_TOL, distance_batch, leq_batch, metric_distance,
+                         ordered_pairs, pair_rows, product_metric_distance, sample_points)
+
+from common_bounds import common_bounds_batch
 
 INF = float("inf")
 
