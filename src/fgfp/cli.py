@@ -318,9 +318,7 @@ def main(argv=None) -> int:
             return cmd_check(args)
         if args.command == "corpus":
             return cmd_corpus(args)
-        if args.command == "unique":
-            return cmd_unique(args)
-        raise _UsageError(f"unknown command {args.command!r}")
+        return cmd_unique(args)
     except _UsageError as exc:
         sys.stderr.write(f"fgfp: error: {exc}\n")
         return EXIT_INPUT

@@ -30,7 +30,8 @@ class EvaluationError(FgfpError):
 
 
 class SampleError(FgfpError):
-    """Sampling produced no usable data (empty or degenerate sample set)."""
+    """The sample of the requested size, or the constant estimate's terms
+    over it, cannot be allocated."""
 
 
 class SeedConditionError(FgfpError):

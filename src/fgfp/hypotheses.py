@@ -564,7 +564,9 @@ def _walk(F: MapSpec, G: MapSpec, X: SpaceSpec, Y: SpaceSpec, family: Contractio
           cfg: SamplerConfig, estimate: bool):
     """``family``'s ContractionCheck, the (k, l) estimated from its kind's
     terms with ``estimate`` (else None), and the MonotoneCheck, from one
-    walk over the sample's blocks; a non-finite term admits no constants."""
+    walk over the sample's blocks; a non-finite term admits no constants.
+    Where every right side is zero, as on a discrete order's equal pairs,
+    the estimate is (0, 0), or (inf, inf) if a left side is above RATIO_FLOOR."""
     n = cfg.samples_per_check
     for S in (X, Y):  # a sample that cannot be drawn whole fails before any draw
         empty_sample(S, n)
@@ -588,8 +590,6 @@ def _walk(F: MapSpec, G: MapSpec, X: SpaceSpec, Y: SpaceSpec, family: Contractio
                 for j, side_terms in enumerate(terms):
                     pqc[:, j, b.rows] = side_terms
             monotone_ok = _monotone_block(F, G, X, Y, b, found) and monotone_ok
-    if estimate and finite and not (pqc[:2] >= RATIO_FLOOR).any():
-        raise SampleError("degenerate samples: all inequality right-hand sides are zero")
     return (ContractionCheck(sides[0].passed and sides[1].passed, family, *sides),
             (_min_sum_constants(*pqc.reshape(3, -1)) if finite else (math.inf, math.inf))
             if estimate else None,

@@ -18,15 +18,16 @@ use:
 * the scalar mode runs on tuples of floats.  ``eval_map``, the coupled
   step behind ``iterate_pair`` and the solver evaluate single points with
   it;
-* the vector mode runs on ``(n, dim)`` numpy columns.  ``eval_map_batch``
-  evaluates sample batches with it.
+* the vector mode runs on ``(n, dim)`` numpy columns.  The audit
+  evaluates its sample blocks with it through ``_images``, which keeps
+  non-finite images; ``eval_map_batch`` adds the finiteness check.
 
 Both modes apply the same IEEE operations in the same order, so they
 agree bit for bit; ``min`` and ``max`` follow ``np.minimum`` and
 ``np.maximum`` (NaN propagates, ties give the second operand).  Where
 Python raises ZeroDivisionError and IEEE gives inf or nan, the scalar
 mode re-evaluates that one point in the vector mode.  A non-finite
-output in either mode raises EvaluationError.
+output of ``eval_map`` or ``eval_map_batch`` raises EvaluationError.
 """
 
 from __future__ import annotations
@@ -452,7 +453,7 @@ def iterate_pair(F: MapSpec, G: MapSpec, x: Point, y: Point, n: int) -> tuple[Po
     n times; n = 0 returns (x, y) unchanged.  Nothing in the package calls
     it: it stays as the checked public reference that recomputes orbits
     apart from any solver trace, which the tests of ``uniqueness_probe``'s
-    decay checks and acceptance criteria 07 and 08 compare against.
+    decay checks and acceptance criterion 08 compare against.
     """
     if not isinstance(n, int) or n < 0:
         raise ValueError("n must be a nonnegative integer")

@@ -178,7 +178,7 @@ class SpaceSpec:
     must be bounded and contained in the box; when omitted it defaults to
     the box itself, truncated to extent ``UNBOUNDED_EXTENT`` along each
     unbounded side (e.g. (-inf, 0] gives [-10, 0]).  Its diameter under
-    the metric must be finite.
+    the metric must be finite, which bounds each extent hi - lo too.
     """
 
     dim: int
@@ -226,10 +226,8 @@ class SpaceSpec:
                 raise ValueError("sampling_box must be bounded with lower <= upper")
             if a < lower[i] - DOMAIN_TOL or b > upper[i] + DOMAIN_TOL:
                 raise ValueError("sampling_box must be contained in the space box")
-        # sampled distances must stay finite; an extent hi - lo that itself
-        # overflows is left to sample_points, which raises SampleError
-        if (all(math.isfinite(b - a) for a, b in zip(lo_s, hi_s))
-                and not math.isfinite(coords_distance(self, hi_s, lo_s))):
+        # sampled distances, and each extent hi - lo, must stay finite
+        if not math.isfinite(coords_distance(self, hi_s, lo_s)):
             raise ValueError("sampling_box diameter under the metric overflows")
         object.__setattr__(self, "sampling_box", (lo_s, hi_s))
 
@@ -394,16 +392,13 @@ def sample_points(space: SpaceSpec, n: int, rng: np.random.Generator) -> np.ndar
     ``lo + (hi - lo) * u`` on ``rng.random``'s doubles.  Those are drawn
     row-major, in ``uniform``'s order; each column is scaled into a
     column-major result, so that the kernels reading it one column at a
-    time read contiguous memory.  Raises SampleError where hi - lo
-    overflows or where the (n, dim) draw cannot be allocated.
+    time read contiguous memory.  ``SpaceSpec`` keeps every hi - lo
+    finite.  Raises SampleError where the (n, dim) draw cannot be allocated.
     """
     U = rng.random(out=empty_sample(space, n))
     S = U if space.dim == 1 else empty_sample(space, n, order="F")
     for u, s, lo, hi in zip(U.T, S.T, *space.sampling_box):
-        extent = hi - lo
-        if not math.isfinite(extent):
-            raise SampleError(f"sampling box extent {hi!r} - {lo!r} overflows")
-        np.multiply(u, extent, out=s)
+        np.multiply(u, hi - lo, out=s)
         s += lo
     return S
 

@@ -327,17 +327,36 @@ def test_non_finite_numbers_exit_1_with_one_error_line(tmp_path, capsys, edit, v
     assert f"{where}: expected a finite number" in err
 
 
-@pytest.mark.parametrize("command", ["check", "solve"])
-def test_metric_overflowing_on_its_sampling_box_exits_1(tmp_path, capsys, command):
+def _heavy_metric(doc):
     # weight 1e308 on X's sampling box [-10, 0]: sampled distances reach inf
-    doc = read_json_from_export()
     doc["spaces"]["X"]["metric"] = {"kind": "WEIGHTED_L1", "weights": [1e308]}
+    return "spaces.X"
+
+
+def _overflowing_extent(doc):
+    # the extent 1e308 - (-1e308) of Y's sampling box overflows
+    doc["spaces"]["Y"].update(lower=[-1e308], upper=[1e308], sampling_box=[[-1e308], [1e308]])
+    return "spaces.Y"
+
+
+@pytest.mark.parametrize("edit", [_heavy_metric, _overflowing_extent],
+                         ids=["heavy_metric", "overflowing_extent"])
+@pytest.mark.parametrize("command", ["check", "solve", "unique"])
+def test_metric_overflowing_on_its_sampling_box_exits_1(tmp_path, capsys, command, edit):
+    # rejected at load, so unique, which never samples, rejects it too
+    doc = read_json_from_export()
+    where = edit(doc)
     bad = tmp_path / "heavy.json"
     bad.write_text(json.dumps(doc))
-    assert main([command, str(bad), "--out", str(tmp_path / "r.json")]) == 1
+    argv = [command, str(bad), "--out", str(tmp_path / "r.json")]
+    if command == "unique":
+        seeds = tmp_path / "seeds.json"
+        seeds.write_text(json.dumps({"seeds": [doc["seed"]]}))
+        argv += ["--seeds", str(seeds)]
+    assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("fgfp: error: ") and err.count("\n") == 1
-    assert "spaces.X: sampling_box diameter under the metric overflows" in err
+    assert f"{where}: sampling_box diameter under the metric overflows" in err
     assert not (tmp_path / "r.json").exists()
 
 
@@ -490,6 +509,29 @@ def test_problem_file_rejections_exit_1_naming_the_json_path(tmp_path, capsys, c
     assert capsys.readouterr().err == f"fgfp: error: {bad}{message}\n"
 
 
+@pytest.mark.parametrize("family", ["SYM_HALF", "LIN_ASYM"])
+@pytest.mark.parametrize("upper, order", [(1, "DISCRETE"), (0, "COMPONENTWISE")],
+                         ids=["discrete", "single_point"])
+@pytest.mark.parametrize("samples", [1, 2000])
+def test_check_estimates_zero_where_every_right_side_is_zero(tmp_path, capsys, samples, upper,
+                                                           order, family):
+    # every sampled pair is equal: a discrete order pairs each point with
+    # itself, and a single-point box has one point; so k = l = 0 hold
+    space = {"dim": 1, "lower": [0], "upper": [upper], "order": {"kind": order}}
+    doc = {"spaces": {"X": space, "Y": space}, "maps": {"F": "a1/3", "G": "a1/3"},
+           "family": {"kind": family, "k": 0.4, "l": 0.2}, "seed": {"x0": [0], "y0": [0]}}
+    path, out = tmp_path / "equal_pairs.json", tmp_path / "r.json"
+    path.write_text(json.dumps(doc))
+    sections = []
+    for command in ("check", "solve"):
+        assert main([command, str(path), "--samples", str(samples), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        sections.append(read_json(out)["hypotheses"])
+    assert sections[0].pop("estimated_constants") == {"k": 0.0, "l": 0.0}
+    assert sections[1].pop("estimated_constants") is None
+    assert sections[0] == sections[1]
+
+
 def test_solve_and_check_report_the_same_witnesses_for_a_singular_map(tmp_path, capsys):
     doc = read_json_from_export()
     # 1/(a1 - a1*a1/a1) divides by zero, or by rounding noise, on sampled
@@ -517,6 +559,22 @@ def test_solve_and_check_report_the_same_witnesses_for_a_singular_map(tmp_path, 
     f_side = sections[0]["contraction"]["inequality_f"]
     assert f_side["violations"][0]["x"] == [-0.22718933780937256]
     assert "inf" in (f_side["violations"][0]["lhs"], f_side["max_ratio"])
+
+
+def test_residual_evaluation_failure_exits_3_with_one_line(tmp_path, capsys):
+    # one step takes x to 0.5, where the residual's F(x, y) is 0/0
+    doc = {"spaces": {"X": {"dim": 1, "lower": [0], "upper": [1]},
+                      "Y": {"dim": 1, "lower": [0], "upper": [1]}},
+           "maps": {"F": "0.5 + 0/(a1 - 0.5)", "G": "1 + 0*a1"},
+           "family": {"kind": "LIN_ASYM", "k": 0.1, "l": 0.1},
+           "seed": {"x0": [0], "y0": [1]}}
+    path, out = tmp_path / "pole.json", tmp_path / "r.json"
+    path.write_text(json.dumps(doc))
+    assert main(["solve", str(path), "--max-iter", "1", "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        "fgfp: solve failed: residual evaluation failed: "
+        "non-finite value in output coordinate 1 at a=[0.5], b=[1.0]\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["check", "solve"])

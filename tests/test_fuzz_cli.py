@@ -1,5 +1,6 @@
 """Generated problem files through ``main``: every input gives a report or
-one error line, never a raw exception or a numpy warning."""
+one error line, never a raw exception or a numpy warning, and ``check``
+reports wherever ``solve`` does."""
 
 import contextlib
 import io
@@ -39,9 +40,18 @@ def expressions(draw, dim_a, dim_b, depth=2):
 
 
 @st.composite
+def intervals(draw):
+    """One coordinate's [lower, upper]: extents from 0 to 1e300, and, one
+    time in ten, [-1e308, 1e308], whose extent upper - lower overflows."""
+    if draw(st.integers(0, 9)) == 0:
+        return -1e308, 1e308
+    lo = draw(st.sampled_from([-1.0, 0.0, -1e300]))
+    return lo, lo + draw(st.sampled_from([0.0, 1e-12, 0.5, 1.0, 1e300]))
+
+
+@st.composite
 def spaces(draw, dim):
-    lower = draw(st.lists(st.sampled_from([-1.0, 0.0, -1e300]), min_size=dim, max_size=dim))
-    upper = [lo + draw(st.sampled_from([0.0, 1e-12, 0.5, 1.0, 1e300])) for lo in lower]
+    lower, upper = map(list, zip(*(draw(intervals()) for _ in range(dim))))
     order = {"kind": draw(st.sampled_from(ORDERS))}
     if order["kind"] == "DISCRETE_PLUS_PAIRS":
         order["extra_pairs"] = [[lower, upper]]
@@ -70,17 +80,17 @@ def problems(draw):
 
 
 def _run(argv):
-    """main's exit code and stderr, with every warning recorded."""
-    err = io.StringIO()
+    """main's exit code, stderr and stdout, with every warning recorded."""
+    err, out = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err), \
-            contextlib.redirect_stdout(io.StringIO()):
+            contextlib.redirect_stdout(out):
         warnings.simplefilter("always")
         try:
             code = main(argv)
         except Exception as exc:  # noqa: BLE001 - the property under test
             raise AssertionError(f"{argv[0]} raised {type(exc).__name__}: {exc}") from exc
     assert not caught, [str(w.message) for w in caught]
-    return code, err.getvalue()
+    return code, err.getvalue(), out.getvalue()
 
 
 @settings(max_examples=120, derandomize=True, deadline=None,
@@ -98,8 +108,29 @@ def test_generated_problems_exit_cleanly(doc, command, samples):
             seeds = Path(tmp) / "seeds.json"
             seeds.write_text(json.dumps({"seeds": [doc["seed"]]}))
             argv += ["--seeds", str(seeds)]
-        code, err = _run(argv)
+        code, err, _ = _run(argv)
     assert code in (0, 1, 2, 3)
     # a report, or one line that the CLI wrote: an input error for exit 1
     assert err == "" or (err.startswith("fgfp: ") and err.count("\n") == 1)
     assert code != 1 or err.startswith("fgfp: error: ")
+
+
+@settings(max_examples=60, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(problems(), st.integers(1, 50), st.integers(0, 3))
+def test_check_reports_wherever_solve_does(doc, samples, rng_seed):
+    # both commands audit the same sample; only solve goes on to iterate
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "problem.json"
+        path.write_text(json.dumps(doc))
+        argv = [str(path), "--samples", str(samples), "--rng-seed", str(rng_seed)]
+        check, check_err, check_out = _run(["check", *argv])
+        solve, solve_err, solve_out = _run(["solve", *argv, "--max-iter", "200"])
+    assert (check == 1) == (solve == 1)
+    if check == 1:
+        assert check_err == solve_err
+    elif solve_out:  # a solve whose iteration fails exits 3 with no report
+        estimated, audited = (json.loads(out)["hypotheses"] for out in (check_out, solve_out))
+        assert estimated.pop("estimated_constants") is not None
+        assert audited.pop("estimated_constants") is None
+        assert estimated == audited

@@ -254,12 +254,22 @@ def test_estimates_stable_across_sampling_seeds(corpus):
         assert abs(l_hat - 0.4) < 0.02
 
 
-def test_estimate_degenerate_single_point_box():
+def test_estimate_on_a_single_point_box_is_zero():
+    # every sampled pair is equal, so every right and left side is zero:
+    # any constants hold, and the least are (0, 0)
     X = box_space((0.0,), (0.0,))
     F = parse_map("a1", 1, 1, 1)
     G = parse_map("b1", 1, 1, 1)
-    with pytest.raises(SampleError):
-        estimated(F, G, X, X, FamilyKind.SYM_HALF, CFG)
+    for kind in FamilyKind:
+        assert estimated(F, G, X, X, kind, CFG) == (0.0, 0.0)
+
+
+def test_estimate_over_right_sides_that_are_all_zero_admits_no_constants():
+    # KANNAN with F(x, y) = x and G(y, x) = y: every right side k d(x, x) +
+    # l d(u, u) is zero, and the left sides d(x, u) are not
+    X = box_space((0.0,), (1.0,))
+    F = parse_map("a1", 1, 1, 1)
+    assert estimated(F, F, X, X, FamilyKind.KANNAN, CFG) == (INF, INF)
 
 
 def test_sym_half_estimate_ignores_left_sides_at_the_ratio_floor(corpus):
@@ -558,10 +568,8 @@ def _whole_array_audit(F, G, X, Y, family, cfg):
     contraction = {"passed": f_side["passed"] and g_side["passed"],
                    "family": family.to_dict(), "inequality_f": f_side, "inequality_g": g_side}
     p, q = np.concatenate([p_f, p_g]), np.concatenate([q_f, q_g])
-    estimates = None  # degenerate: audit raises SampleError
-    if (np.maximum(p, q) >= RATIO_FLOOR).any():
-        k_hat, l_hat = _min_sum_constants(p, q, np.concatenate([lhs_f, lhs_g]))
-        estimates = {"k": k_hat, "l": l_hat}
+    k_hat, l_hat = _min_sum_constants(p, q, np.concatenate([lhs_f, lhs_g]))
+    estimates = {"k": k_hat, "l": l_hat}
 
     y_ctx = _uniform(Y, n, rng)
     x_ctx = _uniform(X, n, rng)
@@ -660,12 +668,8 @@ def test_audit_matches_the_whole_sample_reference_at_block_edges(x_kind, y_kind,
             got = audit(F, G, X, Y, family, x0, y0, cfg).to_dict()
             assert got["contraction"] == contraction
             assert got["mixed_monotone"] == monotone
-            if estimates is None:
-                with pytest.raises(SampleError, match="degenerate"):
-                    audit(F, G, X, Y, family, x0, y0, cfg, with_estimates=True)
-            else:
-                rep = audit(F, G, X, Y, family, x0, y0, cfg, with_estimates=True)
-                assert rep.estimated_constants == estimates
+            rep = audit(F, G, X, Y, family, x0, y0, cfg, with_estimates=True)
+            assert rep.estimated_constants == estimates
     # in the largest sample the contraction violations fall in more than one
     # block; at block size 7 the witnesses do too, and in more than one
     # clause, but under a discrete X order, where every differing Y pair

@@ -278,6 +278,21 @@ def test_evaluation_failure_at_iteration_3_keeps_three_points():
     assert trace.step_x == [1.0, 1.0] and len(trace.monotone_ok) == 2
 
 
+def test_residual_evaluation_failure_keeps_the_completed_step():
+    # x steps from 0 to 0.5 in one step; the residual evaluates F at 0.5,
+    # where 0/(a1 - 0.5) is nan
+    X = box_space((0.0,), (1.0,))
+    p = ProblemSpec(X=X, Y=X, F=parse_map("0.5 + 0/(a1 - 0.5)", 1, 1, 1),
+                    G=parse_map("1 + 0*a1", 1, 1, 1),
+                    family=ContractionFamily(FamilyKind.LIN_ASYM, 0.1, 0.1),
+                    seed=(point(0.0), point(1.0)))
+    with pytest.raises(SolveError, match="^residual evaluation failed: ") as err:
+        solve(p, max_iter=1)
+    trace = err.value.trace
+    assert trace.coords == [((0.0,), (1.0,)), ((0.5,), (1.0,))]
+    assert trace.step_x == [0.5] and trace.step_y == [0.0]
+
+
 def test_range_warnings_keep_their_text():
     # X = [0, 1]^2, Y = [0, 1]: x leaves through its first coordinate at
     # once; y goes down by 5e-10 a step and leaves when it passes

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fgfp import (DimensionMismatch, MetricKind, SampleError, MetricSpec, OrderKind,
+from fgfp import (DimensionMismatch, MetricKind, MetricSpec, OrderKind,
                   OrderSpec, Point, box_space, leq, point, product_leq)
 from fgfp.spaces import (DOMAIN_TOL, distance_batch, leq_batch, metric_distance,
                          ordered_pairs, pair_rows, product_metric_distance, sample_points)
@@ -412,10 +412,12 @@ def test_sample_points_are_numpy_uniform_bit_for_bit(lower, upper, n):
             assert ours.bit_generator.state == numpys.bit_generator.state
 
 
-def test_sample_points_reject_an_overflowing_extent():
-    space = box_space((-1e308, 0.0), (1e308, 1.0))
-    with pytest.raises(SampleError):
-        sample_points(space, 5, np.random.default_rng(0))
+@pytest.mark.parametrize("weights", [None, (1e-300, 1.0)])
+def test_box_space_rejects_an_overflowing_extent(weights):
+    # 1e308 - (-1e308) overflows, so the diameter does too, at any weight
+    metric = weights and MetricSpec(MetricKind.WEIGHTED_L1, weights)
+    with pytest.raises(ValueError, match="diameter under the metric overflows"):
+        box_space((-1e308, 0.0), (1e308, 1.0), metric=metric)
 
 
 def test_samples_stay_in_sampling_box():
