@@ -1,21 +1,22 @@
 """Built-in reference problems with known fixed points.
 
 Five small 1-d problems, one per contraction family plus a symmetric
-regression case (X = Y, F = G).  Each entry ships a seed satisfying the
-launch condition and the declared fixed point, so the full pipeline
-(audit, solve, bound verification, uniqueness probe) can run end to end.
+regression case (X = Y, F = G).  Each entry is a problem document in the
+problem-file schema (see ``probfile``) that ships a seed satisfying the
+launch condition, the declared fixed point and the uniqueness flag under
+``expected``, so the full pipeline (audit, solve, bound verification,
+uniqueness probe) can run end to end.  The documents are read by
+``parse_problem_dict``, the loader every problem file goes through, once
+per process.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
-from .hypotheses import ContractionFamily, FamilyKind
-from .maps import parse_map
+from .probfile import parse_problem_dict
 from .solver import ProblemSpec
-from .spaces import OrderKind, OrderSpec, box_space, point
-
-_INF = float("inf")
 
 
 @dataclass(frozen=True)
@@ -26,112 +27,78 @@ class CorpusEntry:
     expected_unique: bool
 
 
-def _entry_ex1() -> CorpusEntry:
-    X = box_space((-_INF,), (0.0,))          # sampling box defaults to [-10, 0]
-    Y = box_space((0.0,), (_INF,))           # sampling box defaults to [0, 10]
-    return CorpusEntry(
-        id="ex1",
-        problem=ProblemSpec(
-            X=X, Y=Y,
-            F=parse_map("(a1 - b1)/3", 1, 1, 1),
-            G=parse_map("(a1 - b1)/5", 1, 1, 1),
-            family=ContractionFamily(FamilyKind.SYM_HALF, 2.0 / 3.0, 2.0 / 5.0),
-            seed=(point(-1.0), point(1.0)),
-            declared_fixed_point=(point(0.0), point(0.0)),
-        ),
-        citation="averaging pair (x-y)/3, (y-x)/5 on (-inf,0] x [0,inf); "
-                 "symmetric-half constants (2/3, 2/5)",
-        expected_unique=True,
-    )
+# (id, citation, problem document), in definition order
+_DOCUMENTS = (
+    ("ex1",
+     "averaging pair (x-y)/3, (y-x)/5 on (-inf,0] x [0,inf); "
+     "symmetric-half constants (2/3, 2/5)",
+     {"spaces": {"X": {"dim": 1, "lower": ["-inf"], "upper": [0]},  # samples [-10, 0]
+                 "Y": {"dim": 1, "lower": [0], "upper": ["inf"]}},  # samples [0, 10]
+      "maps": {"F": "(a1 - b1)/3", "G": "(a1 - b1)/5"},
+      "family": {"kind": "SYM_HALF", "k": 2 / 3, "l": 2 / 5},
+      "seed": {"x0": [-1], "y0": [1]},
+      "expected": {"fixed_point": [[0], [0]], "unique": True}}),
+    ("ex2",
+     "mirrored linear pair (4x-3y)/17 on (-inf,0] x [0,inf); "
+     "linear-asymmetric constants (4/17, 3/17)",
+     {"spaces": {"X": {"dim": 1, "lower": ["-inf"], "upper": [0]},
+                 "Y": {"dim": 1, "lower": [0], "upper": ["inf"]}},
+      "maps": {"F": "(4*a1 - 3*b1)/17", "G": "(4*a1 - 3*b1)/17"},
+      "family": {"kind": "LIN_ASYM", "k": 4 / 17, "l": 3 / 17},
+      "seed": {"x0": [-1], "y0": [1]},
+      "expected": {"fixed_point": [[0], [0]], "unique": True}}),
+    ("ex3",
+     "affine shifts x/4+1 on [1,2], y/4-1 on [-2,-1]; "
+     "self-displacement constants (1/3, 1/2)",
+     {"spaces": {"X": {"dim": 1, "lower": [1], "upper": [2]},
+                 "Y": {"dim": 1, "lower": [-2], "upper": [-1]}},
+      "maps": {"F": "a1/4 + 1", "G": "a1/4 - 1"},
+      "family": {"kind": "KANNAN", "k": 1 / 3, "l": 1 / 2},
+      "seed": {"x0": [1], "y0": [-1]},
+      # only existence is asserted for this entry (the map happens to be
+      # affine, so a probe may still agree on one limit)
+      "expected": {"fixed_point": [[4 / 3], [-4 / 3]], "unique": False}}),
+    ("ex4",
+     "x/3, -x/3 on [0,1] x [-1,0] under discrete orders with the "
+     "single extra relation -1 <= 0; cross-displacement constants (1/4, 1/4)",
+     {"spaces": {"X": {"dim": 1, "lower": [0], "upper": [1],
+                       "order": {"kind": "DISCRETE"}},
+                 "Y": {"dim": 1, "lower": [-1], "upper": [0],
+                       "order": {"kind": "DISCRETE_PLUS_PAIRS",
+                                 "extra_pairs": [[[-1], [0]]]}}},
+      "maps": {"F": "a1/3", "G": "-b1/3"},
+      "family": {"kind": "CHATTERJEA", "k": 0.25, "l": 0.25},
+      "seed": {"x0": [0], "y0": [0]},
+      "expected": {"fixed_point": [[0], [0]], "unique": True}}),
+    ("coupled-reg",
+     "symmetric regression case X = Y, F = G = (x-y)/4 on [-5,5]; "
+     "symmetric-half constants (1/2, 1/2)",
+     {"spaces": {"X": {"dim": 1, "lower": [-5], "upper": [5]},
+                 "Y": {"dim": 1, "lower": [-5], "upper": [5]}},
+      "maps": {"F": "(a1 - b1)/4", "G": "(a1 - b1)/4"},
+      "family": {"kind": "SYM_HALF", "k": 0.5, "l": 0.5},
+      "seed": {"x0": [-1], "y0": [1]},
+      "expected": {"fixed_point": [[0], [0]], "unique": True}}),
+)
 
 
-def _entry_ex2() -> CorpusEntry:
-    X = box_space((-_INF,), (0.0,))
-    Y = box_space((0.0,), (_INF,))
-    return CorpusEntry(
-        id="ex2",
-        problem=ProblemSpec(
-            X=X, Y=Y,
-            F=parse_map("(4*a1 - 3*b1)/17", 1, 1, 1),
-            G=parse_map("(4*a1 - 3*b1)/17", 1, 1, 1),
-            family=ContractionFamily(FamilyKind.LIN_ASYM, 4.0 / 17.0, 3.0 / 17.0),
-            seed=(point(-1.0), point(1.0)),
-            declared_fixed_point=(point(0.0), point(0.0)),
-        ),
-        citation="mirrored linear pair (4x-3y)/17 on (-inf,0] x [0,inf); "
-                 "linear-asymmetric constants (4/17, 3/17)",
-        expected_unique=True,
-    )
-
-
-def _entry_ex3() -> CorpusEntry:
-    return CorpusEntry(
-        id="ex3",
-        problem=ProblemSpec(
-            X=box_space((1.0,), (2.0,)),
-            Y=box_space((-2.0,), (-1.0,)),
-            F=parse_map("a1/4 + 1", 1, 1, 1),
-            G=parse_map("a1/4 - 1", 1, 1, 1),
-            family=ContractionFamily(FamilyKind.KANNAN, 1.0 / 3.0, 1.0 / 2.0),
-            seed=(point(1.0), point(-1.0)),
-            declared_fixed_point=(point(4.0 / 3.0), point(-4.0 / 3.0)),
-        ),
-        citation="affine shifts x/4+1 on [1,2], y/4-1 on [-2,-1]; "
-                 "self-displacement constants (1/3, 1/2)",
-        # only existence is asserted for this entry (the map happens to be
-        # affine, so a probe may still agree on one limit)
-        expected_unique=False,
-    )
-
-
-def _entry_ex4() -> CorpusEntry:
-    X = box_space((0.0,), (1.0,), order=OrderSpec(kind=OrderKind.DISCRETE))
-    Y = box_space((-1.0,), (0.0,),
-                  order=OrderSpec(kind=OrderKind.DISCRETE_PLUS_PAIRS,
-                                  extra_pairs=((point(-1.0), point(0.0)),)))
-    return CorpusEntry(
-        id="ex4",
-        problem=ProblemSpec(
-            X=X, Y=Y,
-            F=parse_map("a1/3", 1, 1, 1),
-            G=parse_map("-b1/3", 1, 1, 1),
-            family=ContractionFamily(FamilyKind.CHATTERJEA, 0.25, 0.25),
-            seed=(point(0.0), point(0.0)),
-            declared_fixed_point=(point(0.0), point(0.0)),
-        ),
-        citation="x/3, -x/3 on [0,1] x [-1,0] under discrete orders with the "
-                 "single extra relation -1 <= 0; cross-displacement constants (1/4, 1/4)",
-        expected_unique=True,
-    )
-
-
-def _entry_coupled_reg() -> CorpusEntry:
-    X = box_space((-5.0,), (5.0,))
-    return CorpusEntry(
-        id="coupled-reg",
-        problem=ProblemSpec(
-            X=X, Y=X,
-            F=parse_map("(a1 - b1)/4", 1, 1, 1),
-            G=parse_map("(a1 - b1)/4", 1, 1, 1),
-            family=ContractionFamily(FamilyKind.SYM_HALF, 0.5, 0.5),
-            seed=(point(-1.0), point(1.0)),
-            declared_fixed_point=(point(0.0), point(0.0)),
-        ),
-        citation="symmetric regression case X = Y, F = G = (x-y)/4 on [-5,5]; "
-                 "symmetric-half constants (1/2, 1/2)",
-        expected_unique=True,
-    )
+@functools.cache
+def _entries() -> tuple[CorpusEntry, ...]:
+    entries = []
+    for entry_id, citation, doc in _DOCUMENTS:
+        problem, expected = parse_problem_dict(doc, where=f"corpus:{entry_id}")
+        entries.append(CorpusEntry(entry_id, problem, citation, expected["unique"]))
+    return tuple(entries)
 
 
 def builtin_problems() -> list[CorpusEntry]:
     """The five built-in entries, in definition order."""
-    return [_entry_ex1(), _entry_ex2(), _entry_ex3(), _entry_ex4(),
-            _entry_coupled_reg()]
+    return list(_entries())
 
 
 def get_problem(entry_id: str) -> CorpusEntry:
-    for entry in builtin_problems():
+    for entry in _entries():
         if entry.id == entry_id:
             return entry
-    known = ", ".join(e.id for e in builtin_problems())
+    known = ", ".join(e.id for e in _entries())
     raise KeyError(f"unknown corpus entry {entry_id!r} (known: {known})")

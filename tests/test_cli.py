@@ -227,6 +227,13 @@ def test_unique_seed_outside_domain_exits_1(ex1_file, tmp_path, capsys):
     assert main(["unique", str(ex1_file), "--seeds", str(seeds)]) == 1
 
 
+def test_unique_seeds_that_are_not_an_array_exit_1(ex1_file, tmp_path, capsys):
+    seeds = tmp_path / "seeds.json"
+    seeds.write_text(json.dumps({"seeds": 5}))
+    assert main(["unique", str(ex1_file), "--seeds", str(seeds)]) == 1
+    assert capsys.readouterr().err == f"fgfp: error: {seeds}.seeds: seeds must be an array\n"
+
+
 def test_unique_bad_seed_condition_exits_2_unless_forced(ex1_file, tmp_path):
     seeds = tmp_path / "seeds.json"
     # inside the domain but violating the launch condition
@@ -471,16 +478,28 @@ PROBLEM_FILE_REJECTIONS = {
     "dim_zero": ("spaces.X.dim", 0, ".spaces.X.dim: dim must be a positive integer"),
     "dim_bool": ("spaces.X.dim", True, ".spaces.X.dim: dim must be a positive integer"),
     "lower_length": ("spaces.X.lower", [0, 0], ".spaces.X.lower: must be an array of length 1"),
+    "lower_inf": ("spaces.X.lower", ["inf"], ".spaces.X: invalid box bounds"),
     "metric_kind": ("spaces.X.metric", {"kind": "L7"},
                     ".spaces.X.metric.kind: unknown metric kind 'L7'"),
     "order_kind": ("spaces.X.order", {"kind": "PARTIAL"},
                    ".spaces.X.order.kind: unknown order kind 'PARTIAL'"),
     "l1_weights": ("spaces.X.metric", {"kind": "L1", "weights": [2]},
                    ".spaces.X.metric: weights are only valid for WEIGHTED_L1"),
+    "no_weights": ("spaces.X.metric", {"kind": "WEIGHTED_L1"},
+                   ".spaces.X.metric: WEIGHTED_L1 requires weights"),
+    "negative_slack": ("spaces.X.order", {"kind": "COMPONENTWISE", "slack": -1},
+                       ".spaces.X.order: slack must be a finite nonnegative real"),
     "extra_pair": ("spaces.Y.order", {"kind": "DISCRETE_PLUS_PAIRS", "extra_pairs": [[[0]]]},
                    ".spaces.Y.order.extra_pairs[0]: each pair must be [[...], [...]]"),
+    "extra_pair_dim": ("spaces.X.order",
+                       {"kind": "DISCRETE_PLUS_PAIRS", "extra_pairs": [[[-1, -1], [0, 0]]]},
+                       ".spaces.X: order extra_pairs dimension differs from space dim"),
     "sampling_box": ("spaces.X.sampling_box", [[0]],
                      ".spaces.X.sampling_box: must be [[lower...], [upper...]]"),
+    "sampling_box_inverted": ("spaces.X.sampling_box", [[0], [-10]],
+                              ".spaces.X: sampling_box must be bounded with lower <= upper"),
+    "sampling_box_dim": ("spaces.X.sampling_box", [[-1, -1], [0, 0]],
+                         ".spaces.X: sampling_box must have dimension 1"),
     "map_not_a_string": ("maps.F", 3, ".maps.F: expected an expression string"),
     "G_syntax": ("maps.G", "(a1 - b1", ".maps.G: expected ')', found end of input (at position 8)"),
     "family_kind": ("family.kind", "BANACH", ".family: 'BANACH' is not a valid FamilyKind"),

@@ -3,11 +3,13 @@
 Every corpus entry is run through ``solve``, ``check`` and ``unique`` (no
 extra seeds) at ``--rng-seed`` 0 and 7, together with ``corpus run-all``
 and ``unique`` from the comparable seeds (-2, 2) and (-3, 3) on ex1
-(SYM_HALF) and ex2 (LIN_ASYM), whose reports carry the decay checks.  A
-refactor must leave every digest and exit code unchanged; a change that
-alters report bytes on purpose must say which and why, and update the
-table below.  ``python tests/test_determinism.py`` (with ``src`` on
-``PYTHONPATH``) prints the current table.
+(SYM_HALF) and ex2 (LIN_ASYM), whose reports carry the decay checks.
+The problem file that ``corpus export`` writes for each entry and the
+text of ``corpus list`` are pinned too.  A refactor must leave every
+digest and exit code unchanged; a change that alters report bytes on
+purpose must say which and why, and update the table below.
+``python tests/test_determinism.py`` (with ``src`` on ``PYTHONPATH``)
+prints the current table, these pins included.
 
 ``check`` also runs at both seeds on four multi-dimensional problems
 (``MULTI_D``): two 2-d ones with unit-weight L1 metrics, one with
@@ -20,7 +22,9 @@ elementwise numpy operations in a fixed order, and none takes a matrix
 product, so no digest depends on the BLAS build or the machine.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 
@@ -112,6 +116,12 @@ EXPECTED = {
     'check unit4d 7': (2, '3b5a113c2914f5870863a2ad08dfd13d81f1f25519fe5d49781df8b7d58c6d80'),
     'check weighted3d 0': (2, 'aadb6a991111cc09ef71b03cb863b91a5561b45a83da4968fb356a38c83b3dbe'),
     'check weighted3d 7': (2, 'b7a42f783c67f3acf3033620c7e7ee5ef8b07a8e8a0bf7d20be952e8f05ba0fb'),
+    'export coupled-reg': (0, '5cdcbc9d09a6118f2aae154b61ba3618f667cc53d07ac0458c39a2dede807543'),
+    'export ex1': (0, '1e0c3f1a364e039b626e933fe0005a9afb7b9363e403115909ec576f9998138f'),
+    'export ex2': (0, 'a9decd0dd2dcdb965830c596ccf3b5054d5f8f6b559a80cda33788925a0d33b1'),
+    'export ex3': (0, 'beb9f682082581021fabab7f1955d59e958e579a7ce126d4f4aec50f89efa2c5'),
+    'export ex4': (0, '825b14423e39d38838dab21f1ef737366bee3192d914802a287ab251e5e4ffc5'),
+    'list': (0, '4f78aeca03245304e211d1a438775c7c83ac51045aef96776ee6e6d982638b72'),
     'run-all 0': (0, '2e724359c4b7123effca3f7db9423e18a388f39bc2929042b5575d6327c220f6'),
     'run-all 7': (0, 'feb3ea86ebae94d33f267cda04d761351d219965f0ec1d3ef55e4b6663d4dd3f'),
     'solve coupled-reg 0': (0, 'd8ce0b7e1a3ffc3c365339d8a5cb211cd5e0a59d795057fb5162ed95d8bd3510'),
@@ -141,10 +151,21 @@ EXPECTED = {
 }
 
 
+def _digest_file(path: str) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
 def _run(argv) -> tuple[int, str]:
     code = main(argv + ["--out", "report.json"])
-    with open("report.json", "rb") as fh:
-        return code, hashlib.sha256(fh.read()).hexdigest()
+    return code, _digest_file("report.json")
+
+
+def _run_to_stdout(argv) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
 
 
 def report_digests(workdir) -> dict[str, tuple[int, str]]:
@@ -170,7 +191,8 @@ def _report_digests() -> dict[str, tuple[int, str]]:
     digests = {}
     for entry in builtin_problems():
         problem = f"{entry.id}.json"
-        assert main(["corpus", "export", entry.id, "--out", problem]) == 0
+        code = main(["corpus", "export", entry.id, "--out", problem])
+        digests[f"export {entry.id}"] = (code, _digest_file(problem))
         for seed in RNG_SEEDS:
             rng = ["--rng-seed", str(seed)]
             for command in ("solve", "check"):
@@ -180,6 +202,7 @@ def _report_digests() -> dict[str, tuple[int, str]]:
             if entry.id in ("ex1", "ex2"):
                 digests[f"unique-seeds {entry.id} {seed}"] = _run(
                     ["unique", problem, "--seeds", "extra_seeds.json"] + rng)
+    digests["list"] = _run_to_stdout(["corpus", "list"])
     for seed in RNG_SEEDS:
         digests[f"run-all {seed}"] = _run(["corpus", "run-all", "--rng-seed", str(seed)])
     for name, problem in MULTI_D.items():

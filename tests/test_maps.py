@@ -101,6 +101,8 @@ def test_expression_count_must_match_out_dim():
         parse_map("a1; a2", 2, 1, 1)
     with pytest.raises(ExpressionError):
         parse_map("a1", 1, 1, 2)
+    with pytest.raises(ValueError, match="out_dim must be a positive integer"):
+        parse_map("a1", 1, 1, 0)
 
 
 LIMIT = _Parser.MAX_DEPTH
@@ -170,6 +172,10 @@ def test_overflow_to_non_finite():
 def test_eval_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         eval_map(EX1_F, point(0.0, 0.0), point(1.0))
+    with pytest.raises(DimensionMismatch, match="2-d with matching row counts"):
+        eval_map_batch(EX1_F, np.zeros((2, 1)), np.zeros((3, 1)))
+    with pytest.raises(DimensionMismatch, match=r"argument dims \(1, 1\), got \(2, 1\)"):
+        eval_map_batch(EX1_F, np.zeros((2, 2)), np.zeros((2, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +203,10 @@ def test_iterate_two_steps_hand_value():
 def test_iterate_rejects_negative_count():
     with pytest.raises(ValueError):
         iterate_pair(EX1_F, EX1_G, point(0.0), point(0.0), -1)
+    with pytest.raises(DimensionMismatch, match="maps do not close"):
+        iterate_pair(parse_map("a1; a1", 1, 1, 2), EX1_G, point(0.0), point(0.0), 1)
+    with pytest.raises(DimensionMismatch, match="starting pair has wrong dimensions"):
+        iterate_pair(EX1_F, EX1_G, point(0.0, 0.0), point(0.0), 1)
 
 
 @given(m=st.integers(0, 6), n=st.integers(0, 6),

@@ -13,6 +13,16 @@ COMPONENTWISE_REVERSED: on comparable pairs every coordinate of
 x - u has one sign and every coordinate of y - v the other, so
 d_X(F(x, y), F(u, v)) = a d_X(x, u) + b d_Y(y, v).  The reversed orders
 send the seed the other way, to (xs + t, ys - t).
+
+The displacement families get the contractions F(x, y) = s x + c and
+G(y, x) = t y + d with s, t in (0, 1/3) and m = max(s, t).  With
+x* = c/(1 - s), d(x, F(x)) = (1 - s) |x - x*|, so the triangle inequality
+through x* gives s |x - u| <= s/(1 - s) (d(x, F(x)) + d(u, F(u))): KANNAN
+holds on all of R with k = l = m/(1 - m).  And d(x, F(u)) + d(u, F(x)) >=
+(1 + s) |x - u|, so CHATTERJEA holds with the same constants.  Both
+envelope ratios are then m/(1 - 2m) >= m, the true step ratio.  The fixed
+point is (x*, y*) = (c/(1 - s), d/(1 - t)); seeds with x0 < x* and
+y0 > y* meet the launch condition.
 """
 
 from hypothesis import given, settings
@@ -104,3 +114,33 @@ def test_affine_lin_asym_pair(data, c, c2, t):
        st.tuples(st.floats(0.5, 2.0), st.floats(0.5, 2.0)))
 def test_affine_lin_asym_pair_lifted_to_2d(data, c, c2, t, weights):
     check_affine_pair(FamilyKind.LIN_ASYM, *lin_asym_coefficients(data), c, c2, t, weights)
+
+
+# below 1/3 with room, so that k = m/(1 - m) stays below 1/2 after rounding
+displacement_rate = st.floats(0.0, 0.33, exclude_min=True)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([FamilyKind.KANNAN, FamilyKind.CHATTERJEA]),
+       displacement_rate, displacement_rate, shift, shift, st.floats(0.1, 4.0))
+def test_displacement_families_on_contractions(kind, s, t, c, d, step):
+    m = max(s, t)
+    k = l = m / (1.0 - m)
+    xs, ys = c / (1.0 - s), d / (1.0 - t)
+    family = ContractionFamily(kind, k, l)
+    assert family.envelope_x.ratio >= s and family.envelope_y.ratio >= t
+    problem = ProblemSpec(
+        X=box_space([xs - 5.0], [xs + 5.0]), Y=box_space([ys - 5.0], [ys + 5.0]),
+        F=parse_map(f"{float(s)!r}*a1 + {float(c)!r}", 1, 1, 1),
+        G=parse_map(f"{float(t)!r}*a1 + {float(d)!r}", 1, 1, 1),
+        family=family, seed=(point(xs - step), point(ys + step)))
+
+    rep = audit(problem.F, problem.G, problem.X, problem.Y, problem.family,
+                *problem.seed, with_estimates=True)
+    assert rep.passed
+    est = rep.estimated_constants
+    assert est["k"] + est["l"] <= 2.0 * m / (1.0 - m) + 1e-12
+
+    _, result = solve(problem)
+    assert result.converged and result.bound_violations == ()
+    assert abs(result.x_star[0] - xs) <= 1e-8 and abs(result.y_star[0] - ys) <= 1e-8

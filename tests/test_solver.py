@@ -5,9 +5,10 @@ import io
 import numpy as np
 import pytest
 
-from fgfp import (ContractionFamily, FamilyKind, ProblemSpec,
-                  SeedConditionError, SolveError, box_space, parse_map, point,
-                  solve, step_bound, tail_bound, uniqueness_probe)
+from fgfp import (ContractionFamily, DimensionMismatch, FamilyKind,
+                  ProblemSpec, SeedConditionError, SolveError, box_space,
+                  parse_map, point, solve, step_bound, tail_bound,
+                  uniqueness_probe)
 from fgfp.cli import main
 from fgfp.maps import coupled_step, evaluation_count, iterate_pair
 from fgfp.solver import (BOUND_SLACK, DECAY_SLACK, BoundViolation, DecayCheck,
@@ -95,6 +96,8 @@ def test_tail_dominates_partial_sums_of_step_bounds():
 def test_tail_bound_argument_validation():
     with pytest.raises(ValueError):
         tail_bound(SYM, 0, 1.0, 1.0)
+    with pytest.raises(ValueError, match="base distances must be nonnegative"):
+        tail_bound(SYM, 1, -1.0, 1.0)
     with pytest.raises(ValueError):
         tail_bound(SYM, 1, 1.0, 1.0, "z")
 
@@ -131,6 +134,16 @@ def test_solve_argument_validation(corpus):
             solve(corpus["ex1"].problem, tol=tol)
     with pytest.raises(ValueError):
         solve(corpus["ex1"].problem, max_iter=0)
+
+
+def test_problem_spec_rejects_mismatched_dimensions(corpus):
+    p = corpus["ex1"].problem
+    with pytest.raises(DimensionMismatch, match="F must map X x Y -> X"):
+        dataclasses.replace(p, F=parse_map("a1; a1", 1, 1, 2))
+    with pytest.raises(DimensionMismatch, match="G must map Y x X -> Y"):
+        dataclasses.replace(p, G=parse_map("a1", 2, 1, 1))
+    with pytest.raises(DimensionMismatch, match="declared fixed point dimensions"):
+        dataclasses.replace(p, declared_fixed_point=(point(0.0, 0.0), point(0.0)))
 
 
 def test_seed_condition_enforced_and_forceable():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fgfp import (DimensionMismatch, MetricKind, MetricSpec, OrderKind,
-                  OrderSpec, Point, box_space, leq, point, product_leq)
+                  OrderSpec, Point, SpaceSpec, box_space, leq, point, product_leq)
 from fgfp.spaces import (DOMAIN_TOL, distance_batch, leq_batch, metric_distance,
                          ordered_pairs, pair_rows, product_metric_distance, sample_points)
 
@@ -33,6 +33,12 @@ def test_point_requires_a_coordinate():
         Point(())
 
 
+def test_point_iterates_over_its_coordinates():
+    p = point(0.5, -2.0)
+    assert list(p) == [0.5, -2.0]
+    assert len(p) == 2
+
+
 # ---------------------------------------------------------------------------
 # metric_distance
 
@@ -56,6 +62,8 @@ def test_distance_weighted_l1_hand_value():
 def test_distance_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         metric_distance(R1, point(0.0), point(0.0, 1.0))
+    with pytest.raises(DimensionMismatch, match="points have dimensions 1, 2; space has 1"):
+        leq(R1, point(0.0), point(0.0, 1.0))
 
 
 def test_contains_rejects_points_outside_the_box():
@@ -361,6 +369,10 @@ def test_sampling_box_must_sit_inside_the_box():
 def test_invalid_bounds_rejected():
     with pytest.raises(ValueError):
         box_space((1.0,), (0.0,))
+    with pytest.raises(ValueError, match="dim must be a positive integer"):
+        SpaceSpec(dim=0, lower=(), upper=())
+    with pytest.raises(DimensionMismatch, match="lower/upper must have length 2"):
+        SpaceSpec(dim=2, lower=(0.0,), upper=(1.0,))
 
 
 def test_weights_must_match_dimension():
