@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import (DimensionMismatch, DomainError, EvaluationError,
                      SeedConditionError, SolveError)
-from .hypotheses import ContractionFamily, check_seed
+from .hypotheses import ContractionFamily
 from .maps import MapSpec, coupled_step
 from .spaces import (DOMAIN_TOL, Point, SpaceSpec, _as_point, coords_distance,
                      coords_leq, distance_batch, product_leq,
@@ -175,20 +175,15 @@ def solve(problem: ProblemSpec, tol: float = DEFAULT_TOL,
     returned residuals come from one extra evaluation at the final pair;
     ``converged`` requires both the step criterion and residual sum <= tol.
 
-    The seed must satisfy the launch condition unless ``force`` is given.
+    The launch condition x0 <= F(x0, y0), G(y0, x0) <= y0 is the first
+    step's order test (``monotone_ok[0]``); unless ``force`` is given, a
+    seed that fails it raises SeedConditionError.  A map that is not finite
+    at the seed raises EvaluationError naming the seed, forced or not.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
-    if not force:
-        seed_check = check_seed(problem.F, problem.G, problem.X, problem.Y,
-                                problem.seed[0], problem.seed[1])
-        if not seed_check.passed:
-            raise SeedConditionError(
-                "seed violates the launch condition "
-                f"(x0 <= F(x0, y0): {seed_check.x_ok}, "
-                f"G(y0, x0) <= y0: {seed_check.y_ok}); pass force=True to override")
 
     X, Y, F, G = problem.X, problem.Y, problem.F, problem.G
     xc, yc = problem.seed[0].coords, problem.seed[1].coords
@@ -206,13 +201,17 @@ def solve(problem: ProblemSpec, tol: float = DEFAULT_TOL,
         try:
             xc_next, yc_next = coupled_step(F, G, xc, yc)
         except EvaluationError as exc:
+            if n == 0:
+                raise EvaluationError(f"evaluation failed at the seed x0={list(xc)}, "
+                                      f"y0={list(yc)}: {exc}") from None
             raise SolveError(f"evaluation failed at iteration {n + 1}: {exc}",
                              trace=trace) from exc
         sx = coords_distance(X, xc_next, xc)
         sy = coords_distance(Y, yc_next, yc)
         trace.step_x.append(sx)
         trace.step_y.append(sy)
-        trace.monotone_ok.append(coords_leq(X, xc, xc_next) and coords_leq(Y, yc_next, yc))
+        x_ok, y_ok = coords_leq(X, xc, xc_next), coords_leq(Y, yc_next, yc)
+        trace.monotone_ok.append(x_ok and y_ok)
         if not all(lo <= c <= hi for c, (lo, hi) in zip(xc_next, x_box)):
             trace.range_warnings.append(
                 f"iteration {n + 1}: F value {xc_next} left the X box")
@@ -220,6 +219,10 @@ def solve(problem: ProblemSpec, tol: float = DEFAULT_TOL,
             trace.range_warnings.append(
                 f"iteration {n + 1}: G value {yc_next} left the Y box")
         if n == 0:
+            if not (force or x_ok and y_ok):
+                raise SeedConditionError(
+                    "seed violates the launch condition (x0 <= F(x0, y0): "
+                    f"{x_ok}, G(y0, x0) <= y0: {y_ok}); pass force=True to override")
             bx, by = d1x, d1y = sx, sy
         else:
             # step_bound's expressions, so the bounds keep their bits

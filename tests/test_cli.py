@@ -438,14 +438,19 @@ def test_bytes_that_are_not_utf8_exit_1(tmp_path, capsys):
     assert "invalid JSON" in err
 
 
-@pytest.mark.parametrize("command", ["check", "solve"])
+@pytest.mark.parametrize("command", [["check"], ["solve"], ["unique"], ["unique", "--force"]],
+                         ids=" ".join)
 def test_map_singular_at_the_seed_exits_1_naming_the_seed(tmp_path, capsys, command):
     doc = read_json_from_export()
     # non-finite only at a1 = -1: the sampled checks miss it, the seed hits it
     doc["maps"]["F"] = "(a1 - b1)/3 + 0*(1/(a1+1))"
     bad = tmp_path / "singular.json"
     bad.write_text(json.dumps(doc))
-    assert main([command, str(bad), "--out", str(tmp_path / "r.json")]) == 1
+    seeds = tmp_path / "seeds.json"
+    seeds.write_text(json.dumps({"seeds": []}))
+    extra = ["--seeds", str(seeds)] if command[0] == "unique" else []
+    assert main([command[0], str(bad)] + command[1:] + extra
+                + ["--out", str(tmp_path / "r.json")]) == 1
     err = capsys.readouterr().err
     assert err == ("fgfp: error: evaluation failed at the seed x0=[-1.0], y0=[1.0]: "
                    "non-finite value in output coordinate 1 at a=[-1.0], b=[1.0]\n")

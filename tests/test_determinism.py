@@ -125,32 +125,32 @@ EXPECTED = {
     'export ex3': (0, 'beb9f682082581021fabab7f1955d59e958e579a7ce126d4f4aec50f89efa2c5', None),
     'export ex4': (0, '825b14423e39d38838dab21f1ef737366bee3192d914802a287ab251e5e4ffc5', None),
     'list': (0, '4f78aeca03245304e211d1a438775c7c83ac51045aef96776ee6e6d982638b72', None),
-    'run-all 0': (0, '2e724359c4b7123effca3f7db9423e18a388f39bc2929042b5575d6327c220f6', 120270),
-    'run-all 7': (0, 'feb3ea86ebae94d33f267cda04d761351d219965f0ec1d3ef55e4b6663d4dd3f', 120270),
-    'solve coupled-reg 0': (0, 'd8ce0b7e1a3ffc3c365339d8a5cb211cd5e0a59d795057fb5162ed95d8bd3510', 24076),
-    'solve coupled-reg 7': (0, '74bf2e472b7f2bcb0303a4ceb59e5ea76137aa2b7ac453a72e209d7d67390a77', 24076),
-    'solve ex1 0': (0, '41f95a3c148b988cf0c1361c7483b414a32a9fe0a80beb739f912f8e09fadfd4', 24082),
-    'solve ex1 7': (0, '2bd5fac32a6541a9d9e9db6e4f2b2b89e843a0353d2889046ccb3daab1475091', 24082),
-    'solve ex2 0': (0, '22843f7f6af783ba4a88c4de7bed711a466a21cb6ec94b43cf8ba69633dacda0', 24062),
-    'solve ex2 7': (0, 'ad0d359c824e42d1f6eb3331bc8b4cf2a1816e3c54240b53ae29973c4f720365', 24062),
-    'solve ex3 0': (0, '5b5186b1d4cfaf9646cd26ceeb54cfafd87ad6ba45afc69b84db5c6418c3371c', 24042),
-    'solve ex3 7': (0, '2e74ddd9d2fc8d8aae5c38db6f7ca7454be88226a45aa6c24306c763885d0d4d', 24042),
-    'solve ex4 0': (0, '2ae544c74ddb1f807ebae00e22378b8194bb0adef42ae8125c1f63f2f424d33f', 24008),
-    'solve ex4 7': (0, '79ea8b35fde419f96381826cd5b8c26cecd0f73a0eec26f9c016bb88edcb990a', 24008),
-    'unique coupled-reg 0': (0, 'dd583f96aeb11ce133442cf0961dd3ce7302e65167987736260aa887aab52d6f', 74),
-    'unique coupled-reg 7': (0, '0cc2f5cebc9f7101e641c417668eeaeafa17a92013f6302f0ba1b83f8ad2edcf', 74),
-    'unique ex1 0': (0, 'b94fa599ec9e62e66995f649ad2bfd2c6382819fd2d6be1422f08e59a275d54e', 80),
-    'unique ex1 7': (0, '079eeb7d7ad0bde677486573491c2b41e3312c008db6f37fde3c3bd314f9f4f6', 80),
-    'unique ex2 0': (0, 'bb929c0925195a97b13803c75373ab7242f4bfe0cae72cd26a7127998a373654', 60),
-    'unique ex2 7': (0, '4613c143a6cdc9052fff7bc2ee15d7aa7f60bc4845a2920c308fdcab52bb3318', 60),
-    'unique ex3 0': (0, 'd1bef92352a33002a2cc897f6f7b009b4d6bb7334fd12265c69a50cec98dfe1c', 40),
-    'unique ex3 7': (0, 'd41de280f7c92629c4b19e3c82086531d88b1a9c9b89b0be75ad6ccbb15f4532', 40),
-    'unique ex4 0': (0, 'f98dfa424d706f50216a249e8e2dbd32c2aed650f35804de9e59177386dddaf0', 6),
-    'unique ex4 7': (0, '6e6124ec83397fc60bab5f89d1eba7fd402d291a5fdd7f595d81de5a6491e781', 6),
-    'unique-seeds ex1 0': (0, 'd5b74ac5108ba8cb3603c8a80e3f12e35c995b90cbf1d206825459a96cfed35c', 252),
-    'unique-seeds ex1 7': (0, 'a684fd4db1953742bb7739e892b5004bc5bd6a99e007e2ccd1bbb7b36aaaa32c', 252),
-    'unique-seeds ex2 0': (0, 'cdbba5b77cf8a141871a60060555971c66c62025b808d157891f13ae6fdaec5e', 252),
-    'unique-seeds ex2 7': (0, '22317398ad6aeaa4c8d17a31333b4401a26a7b7d2379d850791b74d511a0f089', 252),
+    'run-all 0': (0, '20bbbcd7aa5c674ba78c256cd49dbf5357f3f7f3037053ebc6f798ba9511346f', 120260),
+    'run-all 7': (0, 'b97947057ab2da47eb74c35376c42d64d730cf2b5c0cf0b3919e59f890260113', 120260),
+    'solve coupled-reg 0': (0, '927359922845c73a49fa949a313095b80f985ef6888c80f2855ea6079ac46442', 24074),
+    'solve coupled-reg 7': (0, 'd1408738e0f213c0f4b43879467306121808c8020ebd950c8762a8854dbabc22', 24074),
+    'solve ex1 0': (0, '2b2936bc53fc55da2ec1a2ba035882d4ef82e6da3fbe4e9460d65292e973f517', 24080),
+    'solve ex1 7': (0, '5e9cefda9a6e78be4dbc3a1ea2669a60a894b87bf766520167a336f962e70bc0', 24080),
+    'solve ex2 0': (0, 'd64be5c0b4f849e2535aa3027bbc44035a142ce2449f0e019c18cc94496ef020', 24060),
+    'solve ex2 7': (0, '7e94c39c5129d81b45d671e6f3b0b89bcf8510be8282ee862df7363e04bfe6c7', 24060),
+    'solve ex3 0': (0, 'e9e41cb8174bd990a041c97646183cc34396c45a3f07ad23ef01f05685f9dd20', 24040),
+    'solve ex3 7': (0, 'a17bad199153534d500885350fa98028d6e9a4043aebaab064d06edb3068142c', 24040),
+    'solve ex4 0': (0, '4ebf3f6da6d861294e36644eab5dc21949e51d7a8c573ff4b34a32dc0b867ec3', 24006),
+    'solve ex4 7': (0, '6deea3249d042f9756b0866e57e662c807b7791bb59840e64559165bca805ceb', 24006),
+    'unique coupled-reg 0': (0, '88a6bf042aab290905f433086cbb510daea0be80191cc8f64053716b78f47e6f', 72),
+    'unique coupled-reg 7': (0, 'cbb8c693df364b38aa648efc4eaba31f06f1ae819db8b6b19871c3a79679a47b', 72),
+    'unique ex1 0': (0, 'a73484a239b563fb4c2ee58bfc94b3468ee94d0ae46732f2faaa4d3e1ce1d59e', 78),
+    'unique ex1 7': (0, 'def92e66cfbc890e34188668e6236c57d8330080fee91b6cbb72d9135f05969c', 78),
+    'unique ex2 0': (0, 'ac4321e9696d538119c4a6c06a442f510eff4bd91b53682d469516ca670e9ba0', 58),
+    'unique ex2 7': (0, '07fbc8d691c5dca96e664ed033cd7c6025e44f710bb0924db721a5777fe91bd1', 58),
+    'unique ex3 0': (0, '03bc03c21cede0b6438ab6eba0fd735d3fa395c5692595204135029bfca97d0c', 38),
+    'unique ex3 7': (0, '8ed523866ea17f26964730fdb3c2860cbd13b0870b8a9f35a1562cfa0485c5fb', 38),
+    'unique ex4 0': (0, '4a831dd4556a706d1eb62b7612bf1af159ed21122c228a1501e6775965bfe823', 4),
+    'unique ex4 7': (0, 'd8f3c82b3ebb78a74858425c6e31758eb6ba6aa50945940de9c71207d340ff70', 4),
+    'unique-seeds ex1 0': (0, '7897578f5fa371b9c2a9367ddae7e38167dd6eb8bcada5869fcdb4a947a8b3cc', 246),
+    'unique-seeds ex1 7': (0, 'bdcf13d5aed83d3e866d0caec4cfa1ddb3761889ae2296e56c046d12663f2c21', 246),
+    'unique-seeds ex2 0': (0, '8f58fce18a31db3746e5bfd21128152a8b870399fd65e5d07fa6af46877fffaa', 246),
+    'unique-seeds ex2 7': (0, '13f23ce58672bf3e4ea720ae85369a25e0b02d4f14da0cda2ef4b87e0fb07374', 246),
 }
 
 

@@ -5,8 +5,8 @@ import io
 import numpy as np
 import pytest
 
-from fgfp import (ContractionFamily, DimensionMismatch, FamilyKind,
-                  ProblemSpec, SeedConditionError, SolveError, box_space,
+from fgfp import (ContractionFamily, DimensionMismatch, EvaluationError,
+                  FamilyKind, ProblemSpec, SeedConditionError, SolveError, box_space,
                   parse_map, point, solve, step_bound, tail_bound,
                   uniqueness_probe)
 from fgfp.cli import main
@@ -153,10 +153,33 @@ def test_seed_condition_enforced_and_forceable():
                     F=parse_map("(a1 - b1)/3 - 1", 1, 1, 1),
                     G=parse_map("(a1 - b1)/5", 1, 1, 1),
                     family=SYM, seed=(point(0.0), point(1.0)))
-    with pytest.raises(SeedConditionError):
+    with pytest.raises(SeedConditionError, match=r"^seed violates the launch condition "
+                       r"\(x0 <= F\(x0, y0\): False, G\(y0, x0\) <= y0: True\); "):
         solve(p)
     trace, result = solve(p, force=True)  # runs; convergence not promised
     assert len(trace.coords) >= 2
+    assert trace.monotone_ok[0] is False
+
+
+def test_solve_evaluates_each_coupled_step_once(corpus):
+    # the launch condition is read off the first step, so a run evaluates
+    # F and G once per iteration and once more for the residuals
+    for entry in corpus.values():
+        e0 = evaluation_count()
+        _, result = solve(entry.problem)
+        assert evaluation_count() - e0 == 2 * (result.iterations + 1)
+
+
+@pytest.mark.parametrize("force", [False, True])
+def test_map_not_finite_at_the_seed_names_the_seed(force):
+    X = box_space((-INF,), (INF,))
+    p = ProblemSpec(X=X, Y=X, F=parse_map("a1/2 + 0*(1/(a1 + 1))", 1, 1, 1),
+                    G=parse_map("a1", 1, 1, 1), family=LIN,
+                    seed=(point(-1.0), point(0.0)))
+    with pytest.raises(EvaluationError) as err:
+        solve(p, force=force)
+    assert str(err.value) == ("evaluation failed at the seed x0=[-1.0], y0=[0.0]: "
+                              "non-finite value in output coordinate 1 at a=[-1.0], b=[0.0]")
 
 
 def test_monotone_flags_true_on_corpus(corpus_runs):
@@ -393,9 +416,9 @@ def test_probe_extends_orbits_past_the_traces(corpus):
             iterate_pair(p.F, p.G, *extra, v["n"]))
         assert v["observed"] == observed
         assert v["allowed"] == 0.5 ** v["n"] * 2.0 + 1e-10
-    # each solve evaluates F and G at the seed, once per iteration and at
-    # the end; the probe adds one coupled step per orbit point missing
-    solves = sum(2 * (n + 2) for n in probe.iterations)
+    # each solve evaluates F and G once per iteration and at the end; the
+    # probe adds one coupled step per orbit point missing
+    solves = sum(2 * (n + 1) for n in probe.iterations)
     extension = sum(2 * (chk.steps_checked - n) for n in probe.iterations)
     assert evaluations == solves + extension
 
