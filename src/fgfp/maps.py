@@ -356,7 +356,7 @@ def parse_map(text: str, first_arg_dim: int, second_arg_dim: int, out_dim: int) 
     for name, value in (("first_arg_dim", first_arg_dim),
                         ("second_arg_dim", second_arg_dim),
                         ("out_dim", out_dim)):
-        if not isinstance(value, int) or value < 1:
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
             raise ValueError(f"{name} must be a positive integer")
     postfixes = _Parser(_tokenize(text), first_arg_dim, second_arg_dim).parse_list()
     if len(postfixes) != out_dim:
@@ -455,7 +455,7 @@ def iterate_pair(F: MapSpec, G: MapSpec, x: Point, y: Point, n: int) -> tuple[Po
     apart from any solver trace, which the tests of ``uniqueness_probe``'s
     decay checks and acceptance criterion 08 compare against.
     """
-    if not isinstance(n, int) or n < 0:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
         raise ValueError("n must be a nonnegative integer")
     if (F.first_arg_dim != F.out_dim or G.first_arg_dim != G.out_dim
             or F.second_arg_dim != G.out_dim or G.second_arg_dim != F.out_dim):

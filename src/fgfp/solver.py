@@ -18,6 +18,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -182,7 +183,7 @@ def solve(problem: ProblemSpec, tol: float = DEFAULT_TOL,
     """
     if not 0.0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
-    if max_iter < 1:
+    if isinstance(max_iter, bool) or not isinstance(max_iter, Integral) or max_iter < 1:
         raise ValueError("max_iter must be at least 1")
 
     X, Y, F, G = problem.X, problem.Y, problem.F, problem.G

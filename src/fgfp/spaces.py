@@ -189,7 +189,7 @@ class SpaceSpec:
     sampling_box: tuple[tuple[float, ...], tuple[float, ...]] | None = None
 
     def __post_init__(self):
-        if not isinstance(self.dim, int) or self.dim < 1:
+        if isinstance(self.dim, bool) or not isinstance(self.dim, int) or self.dim < 1:
             raise ValueError("dim must be a positive integer")
         lower = tuple(float(v) for v in self.lower)
         upper = tuple(float(v) for v in self.upper)

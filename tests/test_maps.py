@@ -103,6 +103,12 @@ def test_expression_count_must_match_out_dim():
         parse_map("a1", 1, 1, 2)
     with pytest.raises(ValueError, match="out_dim must be a positive integer"):
         parse_map("a1", 1, 1, 0)
+    with pytest.raises(ValueError, match="first_arg_dim must be a positive integer"):
+        parse_map("a1", True, 1, 1)
+    with pytest.raises(ValueError, match="second_arg_dim must be a positive integer"):
+        parse_map("a1", 1, True, 1)
+    with pytest.raises(ValueError, match="out_dim must be a positive integer"):
+        parse_map("a1", 1, 1, True)
 
 
 LIMIT = _Parser.MAX_DEPTH
@@ -203,6 +209,8 @@ def test_iterate_two_steps_hand_value():
 def test_iterate_rejects_negative_count():
     with pytest.raises(ValueError):
         iterate_pair(EX1_F, EX1_G, point(0.0), point(0.0), -1)
+    with pytest.raises(ValueError, match="n must be a nonnegative integer"):
+        iterate_pair(EX1_F, EX1_G, point(0.0), point(0.0), True)
     with pytest.raises(DimensionMismatch, match="maps do not close"):
         iterate_pair(parse_map("a1; a1", 1, 1, 2), EX1_G, point(0.0), point(0.0), 1)
     with pytest.raises(DimensionMismatch, match="starting pair has wrong dimensions"):

@@ -134,6 +134,13 @@ def test_solve_argument_validation(corpus):
             solve(corpus["ex1"].problem, tol=tol)
     with pytest.raises(ValueError):
         solve(corpus["ex1"].problem, max_iter=0)
+    for max_iter in (2.5, True):
+        with pytest.raises(ValueError, match="max_iter must be at least 1"):
+            solve(corpus["ex1"].problem, max_iter=max_iter)
+    with pytest.raises(ValueError, match="max_iter must be at least 1"):
+        uniqueness_probe(corpus["ex1"].problem, [], max_iter=True)
+    _, result = solve(corpus["ex1"].problem, max_iter=np.int64(3))
+    assert result.iterations == 3
 
 
 def test_problem_spec_rejects_mismatched_dimensions(corpus):

@@ -371,6 +371,8 @@ def test_invalid_bounds_rejected():
         box_space((1.0,), (0.0,))
     with pytest.raises(ValueError, match="dim must be a positive integer"):
         SpaceSpec(dim=0, lower=(), upper=())
+    with pytest.raises(ValueError, match="dim must be a positive integer"):
+        SpaceSpec(dim=True, lower=(0.0,), upper=(1.0,))
     with pytest.raises(DimensionMismatch, match="lower/upper must have length 2"):
         SpaceSpec(dim=2, lower=(0.0,), upper=(1.0,))
 
