@@ -1,8 +1,8 @@
 """End-to-end runs on piecewise-linear maps built from ``max`` and ``abs``.
 
 Every corpus entry is affine, so every sampled ratio is constant; these
-two problems are not, and they are kept out of ``builtin_problems`` so that
-``corpus run-all`` keeps its digests and its work count.
+three problems are not, and they are kept out of ``builtin_problems`` so
+that ``corpus run-all`` keeps its digests and its work count.
 
 - ``(max(a1, 2*a1) - b1)/4`` has slope 1/4 or 1/2 in ``a1`` and -1/4 in
   ``b1``, so F = G satisfy LIN_ASYM with (1/2, 1/4) on [-1, 1]^2, and
@@ -10,6 +10,12 @@ two problems are not, and they are kept out of ``builtin_problems`` so that
 - ``abs(a1 - 0.3)/3 - b1/4`` is a planted non-monotone map: it decreases
   in ``a1`` below 0.3.  It still satisfies LIN_ASYM with (1/3, 1/4), and
   its fixed point on [-1, 1]^2 solves x = (0.3 - x)/3 - x/4: x = y = 6/95.
+- ``0.2*a1 + 0.25*max(0, a1 - 0.98) - 0.1*b1`` has slope 0.45 in ``a1``
+  only on the band a1 > 0.98, 1% of [-1, 1], and 0.2 elsewhere; its true
+  LIN_ASYM constants are (0.45, 0.1) and (0, 0) is the fixed point.  The
+  sampled estimate misses the steep band and reads k + l well below the
+  true 0.55: a sampled estimate can fall far short of the constants where
+  the map is steep only on a small set, and this map pins that weakness.
 """
 
 import json
@@ -73,4 +79,26 @@ def test_abs_map_forced_solve_reaches_its_fixed_point(tmp_path):
     assert report["solve"]["converged"]
     assert abs(report["solve"]["limit_x"][0] - 6 / 95) <= 1e-8
     assert abs(report["solve"]["limit_y"][0] - 6 / 95) <= 1e-8
+    assert report["bounds"]["violations"] == []
+
+
+LOCAL_SLOPE = "0.2*a1 + 0.25*max(0, a1 - 0.98) - 0.1*b1"
+
+
+@pytest.mark.parametrize("rng_seed", [0, 1, 2, 3, 4])
+def test_localized_slope_map_estimate_misses_the_steep_band(tmp_path, rng_seed):
+    problem = _problem(tmp_path, LOCAL_SLOPE, 0.45, 0.1)
+    hyp = _run(tmp_path, ["check", problem, "--rng-seed", str(rng_seed)], 0)["hypotheses"]
+    assert hyp["passed"]
+    est = hyp["estimated_constants"]
+    assert est["k"] + est["l"] <= 0.55 + 1e-12
+    assert est["k"] + est["l"] < 0.45
+
+
+def test_localized_slope_map_converges_to_the_origin(tmp_path):
+    problem = _problem(tmp_path, LOCAL_SLOPE, 0.45, 0.1)
+    report = _run(tmp_path, ["solve", problem], 0)
+    assert report["solve"]["converged"]
+    assert abs(report["solve"]["limit_x"][0]) <= 1e-8
+    assert abs(report["solve"]["limit_y"][0]) <= 1e-8
     assert report["bounds"]["violations"] == []

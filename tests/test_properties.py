@@ -6,13 +6,15 @@ k = 2 max(a, b), l = 2 max(a2, b2), and the LIN_ASYM one with
 k = max(a, a2), l = max(b, b2).  Their coupled fixed point solves a 2x2
 linear system, so the solve can be checked against it.
 
-The coordinatewise 2-d lift, output i = a x_i - b y_i + c_i (and likewise
-for G), keeps the LIN_ASYM constants and mixed monotonicity when X and Y
-carry one WEIGHTED_L1 weight vector and both orders are
-COMPONENTWISE_REVERSED: on comparable pairs every coordinate of
-x - u has one sign and every coordinate of y - v the other, so
-d_X(F(x, y), F(u, v)) = a d_X(x, u) + b d_Y(y, v).  The reversed orders
-send the seed the other way, to (xs + t, ys - t).
+The coordinatewise lift to 2 or 3 dimensions, output i = a x_i - b y_i +
+c_i (and likewise for G), keeps mixed monotonicity and both families'
+constants under unit L1 metrics and componentwise orders, and when X and
+Y carry one WEIGHTED_L1 weight vector and both orders are
+COMPONENTWISE_REVERSED: on comparable pairs every coordinate of x - u has
+one sign and every coordinate of y - v the other, so
+d_X(F(x, y), F(u, v)) = a d_X(x, u) + b d_Y(y, v), which is at most
+max(a, b) (d_X(x, u) + d_Y(y, v)) for SYM_HALF.  The reversed orders send
+the seed the other way, to (xs + t, ys - t).
 
 The displacement families get the contractions F(x, y) = s x + c and
 G(y, x) = t y + d with s, t in (0, 1/3) and m = max(s, t).  With
@@ -93,6 +95,15 @@ def check_affine_pair(kind, a, b, a2, b2, c, c2, t, weights=None):
        st.floats(0.1, 4.0))
 def test_affine_sym_half_pair(a, b, a2, b2, c, c2, t):
     check_affine_pair(FamilyKind.SYM_HALF, a, b, a2, b2, (c,), (c2,), t)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), coefficient, coefficient, coefficient, coefficient, st.floats(0.1, 4.0),
+       st.sampled_from([2, 3]), st.booleans())
+def test_affine_sym_half_pair_lifted_to_2d_and_3d(data, a, b, a2, b2, t, dim, weighted):
+    c, c2 = (data.draw(st.tuples(*[shift] * dim)) for _ in range(2))
+    weights = data.draw(st.tuples(*[st.floats(0.5, 2.0)] * dim)) if weighted else None
+    check_affine_pair(FamilyKind.SYM_HALF, a, b, a2, b2, c, c2, t, weights)
 
 
 def lin_asym_coefficients(data):
