@@ -275,7 +275,12 @@ def _straight_line(postfix: list, templates: dict, const) -> tuple[list[str], st
 
 
 def _literal(v: float) -> str:
-    return repr(v) if math.isfinite(v) else "_inf"  # 1e999 parses to inf
+    """Source text for a float: its repr, or ``_inf``/``-_inf``.  Parser
+    literals are never negative (1e999 parses to inf); the solver's step
+    checks also write box bounds, which may be -inf."""
+    if math.isfinite(v):
+        return repr(v)
+    return "-_inf" if v < 0 else "_inf"
 
 
 def _generate(postfixes: list[list]) -> tuple[str, str]:
@@ -316,8 +321,9 @@ _CODEGEN_GLOBALS = {"_inf": math.inf, "_isfinite": math.isfinite, "_f64": np.flo
 
 @functools.lru_cache(maxsize=512)
 def _compile_mode(source: str, name: str) -> Callable:
-    """Compile one generated mode.  Python's compile() costs far more than
-    parsing, so it runs on a mode's first use and once per distinct source."""
+    """Compile one generated mode, or the solver's step checks.  Python's
+    compile() costs far more than parsing, so it runs on a mode's first use
+    and once per distinct source."""
     namespace = dict(_CODEGEN_GLOBALS)
     exec(compile(source, f"<fgfp map, {name} mode>", "exec"), namespace)
     return namespace[name]

@@ -310,9 +310,9 @@ def dumps17(value) -> str:
     bytes.  Non-finite floats degrade to the strings "inf"/"-inf"/"nan".
     """
 
-    def write(v, level: int) -> str:
-        pad = "  " * level
-        pad_in = "  " * (level + 1)
+    quote = json.encoder.encode_basestring_ascii  # json.dumps of a str
+
+    def write(v, pad: str) -> str:
         if v is None:
             return "null"
         if isinstance(v, bool):
@@ -322,18 +322,20 @@ def dumps17(value) -> str:
         if isinstance(v, float):
             return _fmt_float(v)
         if isinstance(v, str):
-            return json.dumps(v)
+            return quote(v)
         if isinstance(v, dict):
             if not v:
                 return "{}"
-            items = [f'{pad_in}{json.dumps(str(k))}: {write(val, level + 1)}'
+            pad_in = pad + "  "
+            items = [f"{pad_in}{quote(str(k))}: {write(val, pad_in)}"
                      for k, val in v.items()]
             return "{\n" + ",\n".join(items) + f"\n{pad}}}"
         if isinstance(v, (list, tuple)):
             if not v:
                 return "[]"
-            items = [f"{pad_in}{write(val, level + 1)}" for val in v]
+            pad_in = pad + "  "
+            items = [f"{pad_in}{write(val, pad_in)}" for val in v]
             return "[\n" + ",\n".join(items) + f"\n{pad}]"
         raise TypeError(f"cannot serialize {type(v).__name__}")
 
-    return write(value, 0)
+    return write(value, "")

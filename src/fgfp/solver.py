@@ -11,23 +11,31 @@ and ``envelope_y`` (the family table is in ``hypotheses``).  The Cauchy
 tail bound on d_X(x_m, x_n), m >= n, is the corresponding geometric
 series sum from n.  ``solve`` records each step's envelope (``step_bound``)
 beside the step and reports the steps that exceed it.
+
+At every step ``solve`` also records the two step distances, the two order
+tests and the two box tests.  They run in one straight-line kernel
+generated per space pair (``_step_checks``), which repeats the float
+operations of ``coords_distance``, ``coords_leq`` and ``SpaceSpec.contains``
+one for one, so it agrees with them bit for bit.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
 from .errors import (DimensionMismatch, DomainError, EvaluationError,
                      SeedConditionError, SolveError)
 from .hypotheses import ContractionFamily
-from .maps import MapSpec, coupled_step
-from .spaces import (DOMAIN_TOL, Point, SpaceSpec, _as_point, coords_distance,
-                     coords_leq, distance_batch, product_leq,
+from .maps import MapSpec, _compile_mode, _literal, coupled_step
+from .spaces import (DOMAIN_TOL, MetricKind, OrderKind, Point, SpaceSpec,
+                     _as_point, distance_batch, product_leq,
                      product_metric_distance)
 
 DEFAULT_TOL = 1e-10
@@ -166,6 +174,65 @@ def tail_bound(family: ContractionFamily, n: int, d1x: float, d1y: float,
     return coef * ratio ** (n - lag) / (1.0 - ratio) * base
 
 
+def _distance_source(space: SpaceSpec, a: str, b: str) -> str:
+    """``coords_distance(space, a, b)`` as one expression on the names
+    a0, a1, ... and b0, b1, ...: its terms, summed left to right from 0.0."""
+    if space.metric.kind is MetricKind.WEIGHTED_L1:
+        terms = [f"{_literal(w)} * abs({a}{i} - {b}{i})"
+                 for i, w in enumerate(space.metric.weights)]
+    else:
+        terms = [f"abs({a}{i} - {b}{i})" for i in range(space.dim)]
+    return " + ".join(["0.0", *terms])
+
+
+def _leq_source(space: SpaceSpec, a: str, b: str) -> str:
+    """``coords_leq(space, a, b)`` as one expression: its slack comparisons,
+    with the closure of a discrete order's listed relations as literals."""
+    s = _literal(space.order.slack)
+    if space.order.kind is OrderKind.COMPONENTWISE_REVERSED:
+        a, b = b, a
+    if space.order.componentwise:
+        return " and ".join(f"{a}{i} <= {b}{i} + {s}" for i in range(space.dim))
+
+    def within(p, q) -> str:  # ``_within`` on two lists of operands
+        return " and ".join(f"abs({x} - {y}) <= {s}" for x, y in zip(p, q))
+
+    an, bn = ([f"{g}{i}" for i in range(space.dim)] for g in (a, b))
+    tests = [within(an, bn)] + [
+        within(an, map(_literal, lo)) + " and " + within(bn, map(_literal, hi))
+        for lo, hi in space.order.closure]
+    return " or ".join(f"({t})" for t in tests)
+
+
+def _box_source(space: SpaceSpec, a: str) -> str:
+    """``space.contains`` on the names a0, a1, ...: ``lo - DOMAIN_TOL <= c
+    <= hi + DOMAIN_TOL``, each bound folded to a literal."""
+    return " and ".join(
+        f"{_literal(lo - DOMAIN_TOL)} <= {a}{i} <= {_literal(hi + DOMAIN_TOL)}"
+        for i, (lo, hi) in enumerate(zip(space.lower, space.upper)))
+
+
+@functools.lru_cache(maxsize=64)
+def _step_checks(X: SpaceSpec, Y: SpaceSpec) -> Callable:
+    """The checks ``solve`` makes at each step, compiled for one space pair.
+
+    ``checks(x, y, u, v)`` takes the coordinate tuples of (x_n, y_n) and
+    (u, v) = (x_{n+1}, y_{n+1}) and returns ``(d_X(u, x), d_Y(v, y),
+    x <= u, v <= y, u in X, v in Y)``, bit for bit the values of
+    ``coords_distance``, ``coords_leq`` and ``SpaceSpec.contains``.  The
+    source reads only fields that ``SpaceSpec`` equality compares, so equal
+    space pairs share one kernel.
+    """
+    unpack = [f"    {', '.join(f'{g}{i}' for i in range(S.dim))}, = {g}"
+              for g, S in (("x", X), ("y", Y), ("u", X), ("v", Y))]
+    values = (_distance_source(X, "u", "x"), _distance_source(Y, "v", "y"),
+              _leq_source(X, "x", "u"), _leq_source(Y, "v", "y"),
+              _box_source(X, "u"), _box_source(Y, "v"))
+    source = "\n".join(["def checks(x, y, u, v):", *unpack,
+                        "    return (" + ",\n            ".join(values) + ")"]) + "\n"
+    return _compile_mode(source, "checks")
+
+
 def solve(problem: ProblemSpec, tol: float = DEFAULT_TOL,
           max_iter: int = DEFAULT_MAX_ITER,
           force: bool = False) -> tuple[IterationTrace, FGFixedPointResult]:
@@ -181,7 +248,7 @@ def solve(problem: ProblemSpec, tol: float = DEFAULT_TOL,
     seed that fails it raises SeedConditionError.  A map that is not finite
     at the seed raises EvaluationError naming the seed, forced or not.
     """
-    if not 0.0 < tol < math.inf:
+    if isinstance(tol, bool) or not isinstance(tol, Real) or not 0.0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
     if isinstance(max_iter, bool) or not isinstance(max_iter, Integral) or max_iter < 1:
         raise ValueError("max_iter must be at least 1")
@@ -189,8 +256,7 @@ def solve(problem: ProblemSpec, tol: float = DEFAULT_TOL,
     X, Y, F, G = problem.X, problem.Y, problem.F, problem.G
     xc, yc = problem.seed[0].coords, problem.seed[1].coords
     trace = IterationTrace(coords=[(xc, yc)])
-    x_box, y_box = ([(lo - DOMAIN_TOL, hi + DOMAIN_TOL) for lo, hi in zip(S.lower, S.upper)]
-                     for S in (X, Y))  # SpaceSpec.contains, bounds computed once
+    checks = _step_checks(X, Y)
     cx, rx, lx, sum_x = problem.family.envelope_x
     cy, ry, ly, sum_y = problem.family.envelope_y
     violations: list[BoundViolation] = []
@@ -207,16 +273,14 @@ def solve(problem: ProblemSpec, tol: float = DEFAULT_TOL,
                                       f"y0={list(yc)}: {exc}") from None
             raise SolveError(f"evaluation failed at iteration {n + 1}: {exc}",
                              trace=trace) from exc
-        sx = coords_distance(X, xc_next, xc)
-        sy = coords_distance(Y, yc_next, yc)
+        sx, sy, x_ok, y_ok, x_in, y_in = checks(xc, yc, xc_next, yc_next)
         trace.step_x.append(sx)
         trace.step_y.append(sy)
-        x_ok, y_ok = coords_leq(X, xc, xc_next), coords_leq(Y, yc_next, yc)
         trace.monotone_ok.append(x_ok and y_ok)
-        if not all(lo <= c <= hi for c, (lo, hi) in zip(xc_next, x_box)):
+        if not x_in:
             trace.range_warnings.append(
                 f"iteration {n + 1}: F value {xc_next} left the X box")
-        if not all(lo <= c <= hi for c, (lo, hi) in zip(yc_next, y_box)):
+        if not y_in:
             trace.range_warnings.append(
                 f"iteration {n + 1}: G value {yc_next} left the Y box")
         if n == 0:
@@ -254,8 +318,7 @@ def solve(problem: ProblemSpec, tol: float = DEFAULT_TOL,
         fx, gy = coupled_step(F, G, xc, yc)
     except EvaluationError as exc:
         raise SolveError(f"residual evaluation failed: {exc}", trace=trace) from exc
-    residual_x = coords_distance(X, fx, xc)
-    residual_y = coords_distance(Y, gy, yc)
+    residual_x, residual_y = checks(xc, yc, fx, gy)[:2]
     converged = hit_tol and (residual_x + residual_y <= tol)
     result = FGFixedPointResult(
         x_star=Point(xc),

@@ -232,6 +232,12 @@ class SpaceSpec:
         object.__setattr__(self, "sampling_box", (lo_s, hi_s))
 
     def contains(self, p: Point) -> bool:
+        """True iff each coordinate lies in [lo - DOMAIN_TOL, hi + DOMAIN_TOL].
+
+        The solver's step checks (``solver._step_checks``) write these
+        comparisons out per space, with each bound folded to a literal; a
+        change here must be made there too.
+        """
         if p.dim != self.dim:
             raise DimensionMismatch(f"point has dimension {p.dim}, space has {self.dim}")
         return all(lo - DOMAIN_TOL <= c <= hi + DOMAIN_TOL
@@ -253,7 +259,11 @@ def box_space(lower, upper, *, metric: MetricSpec | None = None,
 
 
 def coords_distance(space: SpaceSpec, a, b) -> float:
-    """Metric value between two coordinate sequences (no checks)."""
+    """Metric value between two coordinate sequences (no checks).
+
+    The solver's step checks (``solver._step_checks``) repeat this sum,
+    term for term and left to right; a change here must be made there too.
+    """
     total = 0.0
     if space.metric.kind is MetricKind.WEIGHTED_L1:
         for w, x, y in zip(space.metric.weights, a, b):
@@ -314,7 +324,9 @@ def coords_leq(space: SpaceSpec, a, b) -> bool:
     """``leq`` on two coordinate sequences (no checks), without numpy.
 
     Applies the float comparisons of ``leq_batch`` to one row, so the two
-    agree on every input.
+    agree on every input.  The solver's step checks
+    (``solver._step_checks``) write the same comparisons out per space, the
+    order's closure as literals; a change here must be made there too.
     """
     s = space.order.slack
     kind = space.order.kind

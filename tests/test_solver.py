@@ -132,6 +132,11 @@ def test_solve_argument_validation(corpus):
     for tol in (0.0, -1.0, INF, float("nan")):
         with pytest.raises(ValueError):
             solve(corpus["ex1"].problem, tol=tol)
+    for tol in (True, False, "1e-9", None):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            solve(corpus["ex1"].problem, tol=tol)
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        uniqueness_probe(corpus["ex1"].problem, [], tol=True)
     with pytest.raises(ValueError):
         solve(corpus["ex1"].problem, max_iter=0)
     for max_iter in (2.5, True):

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -7,8 +8,10 @@ from hypothesis import strategies as st
 
 from fgfp import (DimensionMismatch, MetricKind, MetricSpec, OrderKind,
                   OrderSpec, Point, SpaceSpec, box_space, leq, point, product_leq)
-from fgfp.spaces import (DOMAIN_TOL, distance_batch, leq_batch, metric_distance,
-                         ordered_pairs, pair_rows, product_metric_distance, sample_points)
+from fgfp.solver import _step_checks
+from fgfp.spaces import (DEFAULT_SLACK, DOMAIN_TOL, coords_distance, coords_leq,
+                         distance_batch, leq_batch, metric_distance, ordered_pairs,
+                         pair_rows, product_metric_distance, sample_points)
 
 from common_bounds import common_bounds_batch
 
@@ -347,6 +350,75 @@ def test_product_ops_agree_with_components(a, b):
         metric_distance(R2, pa, qa) + metric_distance(R2, pb, qb)
     assert product_leq(R2, R2, (pa, pb), (qa, qb)) == \
         (leq(R2, pa, qa) and leq(R2, qb, pb))
+
+
+# ---------------------------------------------------------------------------
+# the solver's step checks: one generated kernel per space pair
+
+bound = st.floats(min_value=-100.0, max_value=100.0)
+
+
+@st.composite
+def check_spaces(draw):
+    """A space of dimension 1-4 with any order kind and metric, bounds that
+    may be infinite, and for DISCRETE_PLUS_PAIRS a listed chain, whose
+    closure adds the relations it implies."""
+    dim = draw(st.integers(1, 4))
+    faces = [sorted(draw(st.tuples(bound, bound))) for _ in range(dim)]
+    lower = [draw(st.sampled_from([lo, -INF])) for lo, _ in faces]
+    upper = [draw(st.sampled_from([hi, INF])) for _, hi in faces]
+    kind = draw(st.sampled_from(list(OrderKind)))
+    pairs = ()
+    if kind is OrderKind.DISCRETE_PLUS_PAIRS:
+        chain = draw(st.lists(st.tuples(*[bound] * dim), min_size=2, max_size=4, unique=True))
+        pairs = tuple(zip(chain, chain[1:]))
+    weights = draw(st.none() | st.tuples(*[st.floats(0.1, 10.0)] * dim))
+    return box_space(lower, upper,
+                     metric=MetricSpec(MetricKind.WEIGHTED_L1, weights) if weights else None,
+                     order=OrderSpec(kind, pairs, draw(st.sampled_from([0.0, DEFAULT_SLACK, 1e-6]))))
+
+
+@st.composite
+def check_points(draw, space, near=None):
+    """Coordinates on, inside and 1e-9 (DOMAIN_TOL) or more beyond the box
+    faces, or a listed relation's point; next to ``near``, also its own
+    coordinates and their neighbours at the order's slack."""
+    nodes = [c for pair in space.order.closure for c in pair]
+    if nodes and draw(st.booleans()):
+        return draw(st.sampled_from(nodes))
+    coords = []
+    for i, (lo, hi) in enumerate(zip(space.lower, space.upper)):
+        candidates = [f + d for f in (lo, hi) if math.isfinite(f)
+                      for d in (0.0, -DOMAIN_TOL, DOMAIN_TOL, -2 * DOMAIN_TOL, 2 * DOMAIN_TOL)]
+        candidates += [math.nextafter(f + d, f + 2 * d) for f, d in
+                       ((lo, -DOMAIN_TOL), (hi, DOMAIN_TOL)) if math.isfinite(f)]
+        if near is not None:
+            s = space.order.slack
+            candidates += [near[i], near[i] + s, near[i] - s,
+                           math.nextafter(near[i] + s, INF), math.nextafter(near[i] - s, -INF)]
+        coords.append(draw(st.sampled_from(candidates) | bound if candidates else bound))
+    return tuple(coords)
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_step_checks_kernel_matches_the_space_functions(data):
+    X, Y = data.draw(check_spaces()), data.draw(check_spaces())
+    x, y = data.draw(check_points(X)), data.draw(check_points(Y))
+    u, v = data.draw(check_points(X, near=x)), data.draw(check_points(Y, near=y))
+    want = (coords_distance(X, u, x), coords_distance(Y, v, y),
+            coords_leq(X, x, u), coords_leq(Y, v, y),
+            X.contains(Point(u)), Y.contains(Point(v)))
+    # repr compares the distances' bits (0.0 vs -0.0 too) and the bools' type
+    assert repr(_step_checks(X, Y)(x, y, u, v)) == repr(want)
+
+
+def test_step_checks_kernel_is_shared_by_equal_space_pairs():
+    X = box_space((-INF, 0.0), (1.0, INF))
+    assert _step_checks(X, R1) is _step_checks(box_space((-INF, 0.0), (1.0, INF)), R1)
+    checks = _step_checks(X, R1)
+    assert checks((0.0, 0.0), (0.0,), (-1e300, 1e300), (5.0,))[4:] == (True, True)
+    assert checks((0.0, 0.0), (0.0,), (1.0 + 2 * DOMAIN_TOL, 1.0), (5.0,))[4] is False
 
 
 # ---------------------------------------------------------------------------
